@@ -100,23 +100,26 @@ class ColorAlgebra:
         return got
 
     def alpha_power(self, k):
-        """alpha^k; negative k requires an invertible twist."""
-        got = self._alpha_powers.get(k)
-        if got is not None:
-            return got
-        if k >= 0:
-            out = self.alpha_power(k - 1) * self.alpha
-        else:
-            inv = self._alpha_powers.get(-1)
+        """alpha^k; negative k requires an invertible twist.
+
+        Steps from the nearest cached power towards k, caching every power
+        on the way.
+        """
+        powers = self._alpha_powers
+        if k < 0 and -1 not in powers:
+            inv = self.alpha.inverse()
             if inv is None:
-                inv = self.alpha.inverse()
-                if inv is None:
-                    raise InvertibilityError(
-                        f"twist of {self.name} is singular; negative powers undefined")
-                self._alpha_powers[-1] = inv
-            out = self.alpha_power(k + 1) * inv
-        self._alpha_powers[k] = out
-        return out
+                raise InvertibilityError(
+                    f"twist of {self.name} is singular; negative powers undefined")
+            powers[-1] = inv
+        step = 1 if k > 0 else -1
+        j = k
+        while j not in powers:
+            j -= step
+        while j != k:
+            powers[j + step] = powers[j] * powers[step]
+            j += step
+        return powers[k]
 
     def bracket_basis(self, indices):
         """Bracket of basis elements in any order, as a coordinate tuple."""

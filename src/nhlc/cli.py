@@ -22,7 +22,6 @@ from .errors import (AlgebraValidationError, ArityError, FormatError,
                      HypothesisError, InvertibilityError, NhlcError,
                      TruncationError)
 from .grading import validate_bicharacter
-from .report import ValidationReport
 
 
 def _threads():
@@ -120,21 +119,39 @@ def _space_blocks_json(space, with_basis=True):
     return blocks
 
 
-def _load_map(A, path):
+def _read_input(path, what, parse):
+    """parse(doc) for the JSON document of a map or span file; a missing
+    field or a malformed value becomes a FormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"map file is not valid JSON: {exc}")
-    degree = doc.get("degree")
+    except KeyError as exc:
+        raise FormatError(f"{what} file has no {exc} field")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed {what} file: {exc}")
+
+
+def _load_map(A, path):
+    """The map of a map file.  Its degree is inferred from the support of
+    the matrix when the file gives none, and the support must agree with it."""
+    def parse(doc):
+        degree = doc.get("degree")
+        return (io_json.parse_matrix(doc["matrix"]),
+                None if degree is None else A.group.from_vector(degree))
+
+    matrix, degree = _read_input(path, "map", parse)
+    if matrix.rows != A.dim or matrix.cols != A.dim:
+        raise FormatError(f"map matrix must be {A.dim} x {A.dim}")
     if degree is None:
-        deg = A.group.zero()
-    else:
-        deg = A.group.from_vector(degree)
-    matrix = io_json.parse_matrix(doc["matrix"])
-    return HomMap(deg, matrix)
+        support = [A.group.sub(A.degrees[j], A.degrees[i])
+                   for j in range(A.dim) for i in range(A.dim) if matrix[j][i] != 0]
+        degree = support[0] if support else A.group.zero()
+    D = HomMap(degree, matrix)
+    if not D.respects_blocks(A):
+        raise FormatError(f"map support is not homogeneous of degree {degree!r}")
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +198,10 @@ def _cmd_validate(args):
 def _cmd_spaces(args):
     A = io_json.load(args.file)
     kind = args.kind
-    if kind == "der":
-        space = spaces_mod.derivation_space(A, args.k)
-    elif kind == "dder":
-        space = spaces_mod.double_derivation_space(A, args.k)
-    else:
-        space = spaces_mod.inner_space(A, args.k)
+    solve = {"der": spaces_mod.derivation_space,
+             "dder": spaces_mod.double_derivation_space,
+             "inner": spaces_mod.inner_space}[kind]
+    space = solve(A, args.k)
     results = {"blocks": _space_blocks_json(space),
                "dimension": space.dimension()}
     doc = _report("spaces", A.name, {"kind": kind, "k": args.k},
@@ -209,9 +224,8 @@ def _cmd_center(args):
 def _cmd_centralizer(args):
     A = io_json.load(args.file)
     if args.span:
-        with open(args.span, "r", encoding="utf-8") as fh:
-            doc_in = json.load(fh)
-        vectors = [io_json.parse_vector(v) for v in doc_in["vectors"]]
+        vectors = _read_input(args.span, "span", lambda doc: [
+            io_json.parse_vector(v) for v in doc["vectors"]])
     else:
         vectors = [A.basis_vector(i) for i in range(A.dim)]
     basis = spaces_mod.centralizer(A, vectors)
@@ -226,12 +240,10 @@ def _cmd_centralizer(args):
 def _cmd_check(args):
     A = io_json.load(args.file)
     D = _load_map(A, args.map)
-    if args.kind == "der":
-        ok, wit = oracle.is_derivation(A, D, args.k)
-    elif args.kind == "dder":
-        ok, wit = oracle.is_double_derivation(A, D, args.k)
-    else:
-        ok, wit = oracle.is_triple_derivation(A, D, args.k)
+    check = {"der": oracle.is_derivation,
+             "dder": oracle.is_double_derivation,
+             "tder": oracle.is_triple_derivation}[args.kind]
+    ok, wit = check(A, D, args.k)
     violations = []
     if not ok:
         violations.append({"check": f"oracle-{args.kind}",
@@ -267,18 +279,10 @@ def _cmd_delta(args):
 
 def _build_map_algebra(A, source, k_max):
     """Binary algebra of a computed map space (inn/der/dder union)."""
-    if source == "inn":
-        blocks = [b for k in range(k_max + 1)
-                  for b in spaces_mod.inner_space(A, k).blocks]
-        kind = "inner"
-    elif source == "der":
-        blocks = [b for k in range(k_max + 1)
-                  for b in spaces_mod.derivation_space(A, k).blocks]
-        kind = "der"
-    else:
-        blocks = [b for k in range(k_max + 1)
-                  for b in spaces_mod.double_derivation_space(A, k).blocks]
-        kind = "dder"
+    kind, solve = {"inn": ("inner", spaces_mod.inner_space),
+                   "der": ("der", spaces_mod.derivation_space),
+                   "dder": ("dder", spaces_mod.double_derivation_space)}[source]
+    blocks = [b for k in range(k_max + 1) for b in solve(A, k).blocks]
     space = spaces_mod.GradedMapSpace(A, kind, blocks)
     return spaces_mod.maps_as_color_algebra(space)
 
@@ -293,12 +297,7 @@ def _cmd_tder(args):
     else:
         A2 = _build_map_algebra(A, source or "der", args.k_max)
     blocks = []
-    seen = set()
-    for k in range(args.k_max + 1):
-        key = A2.alpha_power(k).data
-        if key in seen:
-            continue
-        seen.add(key)
+    for k in spaces_mod.distinct_twists(A2, args.k_max):
         space = triple.triple_derivation_space(A2, k)
         blocks.extend(_space_blocks_json(space))
     results = {"algebra2": A2.name, "blocks": blocks}
@@ -314,35 +313,25 @@ def _cmd_tder(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _gate(conditions):
-    for ok, reason in conditions:
-        if not ok:
-            return reason
-    return None
-
-
 def _run_verify(A, k_max, triple_only):
     """Run every applicable verifier; returns (results, violations, notices)."""
     results = []
     violations = []
     notices = []
 
-    def record(name, fn, skip_reason=None):
+    def record(name, verifier, skip_reason=None):
         entry = {"check": name}
+        results.append(entry)
+        if skip_reason is None:
+            try:
+                report = verifier(A, k_max)
+            except (TruncationError, AlgebraValidationError, HypothesisError,
+                    InvertibilityError) as exc:
+                skip_reason = str(exc)
         if skip_reason is not None:
             entry["status"] = "skipped"
             entry["reason"] = skip_reason
             notices.append(f"{name}: skipped ({skip_reason})")
-            results.append(entry)
-            return
-        try:
-            report = fn()
-        except (TruncationError, AlgebraValidationError, HypothesisError,
-                InvertibilityError) as exc:
-            entry["status"] = "skipped"
-            entry["reason"] = str(exc)
-            notices.append(f"{name}: skipped ({exc})")
-            results.append(entry)
             return
         entry["status"] = "passed" if report.ok else "violated"
         entry["violations"] = [v.to_json() for v in report.violations]
@@ -355,90 +344,59 @@ def _run_verify(A, k_max, triple_only):
             doc["check"] = f"{name}:{doc['check']}"
             violations.append(doc)
         notices.extend(f"{name}: {n}" for n in report.notices)
-        results.append(entry)
 
     axioms = validate_bicharacter(A.eps)
     axioms.merge(validate_algebra(A))
     if not triple_only:
-        record("axioms", lambda: axioms)
+        record("axioms", lambda A, k_max: axioms)
     if not axioms.ok:
         notices.append("axioms failed; remaining checks skipped")
         return results, violations, notices
 
-    n_ok = A.arity >= 3
-    perfect = spaces_mod.is_perfect(A)
-    centerless = not spaces_mod.center(A)
-    has_inner = any(spaces_mod.inner_space(A, k).dimension() > 0
-                    for k in range(k_max + 1))
+    # hypothesis gates, tested in the order a verifier lists them; the
+    # reason of the first failing gate is the verifier's skip reason
+    gates = {
+        "arity": (A.arity >= 3, "arity < 3"),
+        "perfect": (spaces_mod.is_perfect(A), "algebra is not perfect"),
+        "centerless": (not spaces_mod.center(A), "algebra has nonzero center"),
+        "inner": (any(spaces_mod.inner_space(A, k).dimension() > 0
+                      for k in range(k_max + 1)),
+                  "no nonzero inner maps (no twist-fixed points)"),
+    }
+    delta_gates = ("arity", "perfect", "centerless")
 
-    arity_gate = None if n_ok else "arity < 3"
-    perfect_gate = None if perfect else "algebra is not perfect"
-    centerless_gate = None if centerless else "algebra has nonzero center"
-    inner_gate = None if has_inner else "no nonzero inner maps (no twist-fixed points)"
+    def triple_equals(source):
+        return lambda A, k_max: triple.verify_triple_equals_derivations(
+            _build_map_algebra(A, source, k_max), k_max)
 
-    if not triple_only:
-        record("double-derivation-closure",
-               lambda: spaces_mod.verify_double_derivation_closure(A, k_max),
-               skip_reason=arity_gate)
-        record("inner-ideal",
-               lambda: spaces_mod.verify_inner_ideal(A, k_max),
-               skip_reason=arity_gate or perfect_gate)
-
-        delta_gate = arity_gate or perfect_gate or centerless_gate
-
-        def well_defined_all():
-            rep = ValidationReport()
-            seen = set()
-            for k in range(k_max + 1):
-                key = A.alpha_power(k).data
-                if key in seen:
-                    continue
-                seen.add(key)
-                for D in spaces_mod.double_derivation_space(A, k).maps():
-                    rep.merge(delta_mod.verify_delta_well_defined(A, D, k))
-            return rep
-
-        record("delta-well-defined", well_defined_all, skip_reason=delta_gate)
-        record("delta-residual-laws",
-               lambda: delta_mod.verify_delta_residual_laws(A, k_max),
-               skip_reason=delta_gate)
-        record("delta-derivation-criterion",
-               lambda: delta_mod.verify_delta_derivation_criterion(A, k_max),
-               skip_reason=delta_gate)
-        record("delta-commutator-homomorphism",
-               lambda: delta_mod.verify_delta_homomorphism(A, k_max),
-               skip_reason=delta_gate)
-
-        def centralizer_check():
-            space = delta_mod.inner_centralizer_in_double_derivations(A, k_max)
-            rep = ValidationReport()
-            if space.dimension() > 0:
-                rep.add("inner-centralizer-trivial",
-                        witness=tuple((b.k, repr(b.degree), len(b.basis))
-                                      for b in space.blocks),
-                        expected="zero space",
-                        actual=f"dimension {space.dimension()}")
-            rep.details["dimension"] = space.dimension()
-            return rep
-
-        record("inner-centralizer-trivial", centralizer_check,
-               skip_reason=arity_gate or perfect_gate or inner_gate)
-
-    triple_gate = perfect_gate or centerless_gate
-    record("triple-invariance",
-           lambda: triple.verify_triple_invariance(A, k_max),
-           skip_reason=arity_gate or triple_gate or inner_gate)
-
-    def tder_equals(source):
-        A2 = _build_map_algebra(A, source, k_max)
-        return triple.verify_triple_equals_derivations(A2, k_max)
-
-    record("triple-equals-derivations[Inn]",
-           lambda: tder_equals("inn"),
-           skip_reason=triple_gate or inner_gate)
-    record("triple-equals-derivations[Der]",
-           lambda: tder_equals("der"),
-           skip_reason=triple_gate)
+    # (name, verifier(A, k_max), gates, runs under --triple)
+    table = [
+        ("double-derivation-closure",
+         spaces_mod.verify_double_derivation_closure, ("arity",), False),
+        ("inner-ideal", spaces_mod.verify_inner_ideal,
+         ("arity", "perfect"), False),
+        ("delta-well-defined", delta_mod.verify_delta_well_defined_all,
+         delta_gates, False),
+        ("delta-residual-laws", delta_mod.verify_delta_residual_laws,
+         delta_gates, False),
+        ("delta-derivation-criterion",
+         delta_mod.verify_delta_derivation_criterion, delta_gates, False),
+        ("delta-commutator-homomorphism", delta_mod.verify_delta_homomorphism,
+         delta_gates, False),
+        ("inner-centralizer-trivial",
+         delta_mod.verify_inner_centralizer_trivial,
+         ("arity", "perfect", "inner"), False),
+        ("triple-invariance", triple.verify_triple_invariance,
+         ("arity", "perfect", "centerless", "inner"), True),
+        ("triple-equals-derivations[Inn]", triple_equals("inn"),
+         ("perfect", "centerless", "inner"), True),
+        ("triple-equals-derivations[Der]", triple_equals("der"),
+         ("perfect", "centerless"), True),
+    ]
+    for name, verifier, needs, in_triple in table:
+        if in_triple or not triple_only:
+            reason = next((gates[g][1] for g in needs if not gates[g][0]), None)
+            record(name, verifier, reason)
     return results, violations, notices
 
 

@@ -12,12 +12,13 @@ from itertools import product
 
 from . import oracle
 from .algebra import HomMap
-from .errors import DecompositionError, HypothesisError
-from .linalg import F0, Matrix, nullspace, nullspace_of_rows, solve_particular
+from .errors import DecompositionError, DomainError, HypothesisError
+from .linalg import F0, F1, Matrix, nullspace, nullspace_of_rows, solve_particular
 from .report import ValidationReport
-from .spaces import (GradedMapSpace, MapBlock, ad_map, center,
-                     color_commutator, double_derivation_space,
-                     inner_generators, inner_space, is_perfect)
+from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
+                     distinct_twist_pairs, distinct_twists,
+                     double_derivation_space, inner_generators, inner_space,
+                     is_perfect, require_centerless_perfect)
 
 
 @dataclass
@@ -56,32 +57,32 @@ def bracket_decomposition(algebra, x):
                                 coefficients=sol, kernel_basis=nullspace(matrix))
 
 
-def _tuple_delta_image(algebra, t, D, k):
-    """One decomposition tuple's contribution: sum over slots of the
-    prefix-signed bracket with D in that slot and alpha^k elsewhere."""
+def _slot_terms(algebra, t, D, k):
+    """Per slot s of the tuple t: the bracket with D in slot s and alpha^k
+    elsewhere, times the Koszul prefix sign eps(|D|, |t_1| + .. + |t_(s-1)|)."""
     A = algebra
     ak = A.alpha_power(k)
-    d = D.degree
-    out = [F0] * A.dim
-    prefix = A.group.zero()
-    for s in range(A.arity):
-        sign = A.eps.value(d, prefix)
-        args = [ak.column(t[u]) for u in range(s)] + \
-               [D.matrix.column(t[s])] + \
-               [ak.column(t[u]) for u in range(s + 1, A.arity)]
-        term = A.bracket(args)
-        for r in range(A.dim):
-            if term[r]:
-                out[r] += sign * term[r]
-        prefix = A.group.add(prefix, A.degrees[t[s]])
+    acols = {i: ak.column(i) for i in t}
+    dcols = {i: D.matrix.column(i) for i in t}
+    return [[A.eps.value(D.degree, prefix) * x for x in term]
+            for prefix, term in oracle.slot_brackets(A, t, acols, dcols, [])]
+
+
+def _combine(coeffs, vectors, dim):
+    """sum_i coeffs[i] * vectors[i]."""
+    out = [F0] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for r in range(dim):
+                if v[r]:
+                    out[r] += c * v[r]
     return out
 
 
-def _require_centerless_perfect(algebra):
-    if not is_perfect(algebra):
-        raise HypothesisError(f"{algebra.name} is not perfect")
-    if center(algebra):
-        raise HypothesisError(f"{algebra.name} has nonzero center")
+def _tuple_delta_image(algebra, t, D, k):
+    """One decomposition tuple's contribution: the sum of its slot terms."""
+    terms = _slot_terms(algebra, t, D, k)
+    return _combine([F1] * len(terms), terms, algebra.dim)
 
 
 def delta_of(algebra, D, k, _trusted=False):
@@ -91,11 +92,11 @@ def delta_of(algebra, D, k, _trusted=False):
     it, on maps whose membership was already certified.
     """
     A = algebra
-    _require_centerless_perfect(A)
+    require_centerless_perfect(A)
     if not _trusted:
         ok, wit = oracle.is_double_derivation(A, D, k)
         if not ok:
-            raise ValueError(f"input map is not a double derivation: {wit}")
+            raise DomainError(f"input map is not a double derivation: {wit}")
     tuples, matrix = _decomposition_columns(A)
     images = [_tuple_delta_image(A, t, D, k) for t in tuples]
     cols = []
@@ -103,13 +104,7 @@ def delta_of(algebra, D, k, _trusted=False):
         sol = solve_particular(matrix, A.basis_vector(q))
         if sol is None:
             raise DecompositionError("algebra is not perfect")
-        col = [F0] * A.dim
-        for c, img in zip(sol, images):
-            if c:
-                for r in range(A.dim):
-                    if img[r]:
-                        col[r] += c * img[r]
-        cols.append(col)
+        cols.append(_combine(sol, images, A.dim))
     data = [[cols[q][r] for q in range(A.dim)] for r in range(A.dim)]
     return HomMap(D.degree, Matrix(data))
 
@@ -118,21 +113,28 @@ def verify_delta_well_defined(algebra, D, k):
     """Apply the slot-replacement formula to every kernel vector of the
     decomposition matrix; all images must vanish."""
     A = algebra
-    _require_centerless_perfect(A)
+    require_centerless_perfect(A)
     report = ValidationReport()
     tuples, matrix = _decomposition_columns(A)
     images = [_tuple_delta_image(A, t, D, k) for t in tuples]
-    for idx, kv in enumerate(nullspace(matrix)):
-        total = [F0] * A.dim
-        for c, img in zip(kv, images):
-            if c:
-                for r in range(A.dim):
-                    if img[r]:
-                        total[r] += c * img[r]
+    kernel = nullspace(matrix)
+    for idx, kv in enumerate(kernel):
+        total = _combine(kv, images, A.dim)
         if any(x != 0 for x in total):
             report.add("delta-well-defined", witness=("kernel-vector", idx),
                        expected=[F0] * A.dim, actual=total)
-    report.details["kernel_dimension"] = len(nullspace(matrix))
+    report.details["kernel_dimension"] = len(kernel)
+    return report
+
+
+def verify_delta_well_defined_all(algebra, k_max):
+    """verify_delta_well_defined on every double-derivation basis map, once
+    per distinct twist power alpha^k for k in [0, k_max]."""
+    A = algebra
+    report = ValidationReport()
+    for k in distinct_twists(A, k_max):
+        for D in double_derivation_space(A, k).maps():
+            report.merge(verify_delta_well_defined(A, D, k))
     return report
 
 
@@ -141,38 +143,22 @@ def verify_delta_residual_laws(algebra, k_max):
     E satisfies the single-slot replacement identity in every slot, and
     delta_E = -n E exactly."""
     A = algebra
-    _require_centerless_perfect(A)
+    require_centerless_perfect(A)
     report = ValidationReport()
     n = A.arity
-    seen = set()
     checks = 0
-    for k in range(k_max + 1):
-        key = A.alpha_power(k).data
-        if key in seen:
-            continue
-        seen.add(key)
-        ak = A.alpha_power(k)
-        acols = [ak.column(i) for i in range(A.dim)]
+    for k in distinct_twists(A, k_max):
         for idx, D in enumerate(double_derivation_space(A, k).maps()):
             delta = delta_of(A, D, k)
             E = HomMap(D.degree, D.matrix - delta.matrix)
-            ecols = [E.matrix.column(i) for i in range(A.dim)]
-            d = E.degree
             for t in product(range(A.dim), repeat=n):
                 lhs = E.apply(A.bracket_basis(t))
-                prefix = A.group.zero()
-                for slot in range(n):
-                    sign = A.eps.value(d, prefix)
-                    args = [acols[t[u]] for u in range(slot)] + [ecols[t[slot]]] + \
-                           [acols[t[u]] for u in range(slot + 1, n)]
-                    term = A.bracket(args)
-                    rhs = [sign * x for x in term]
+                for slot, rhs in enumerate(_slot_terms(A, t, E, k)):
                     checks += 1
                     if lhs != rhs:
                         report.add("residual-slot-identity",
                                    witness=(k, idx, slot, t),
                                    expected=lhs, actual=rhs)
-                    prefix = A.group.add(prefix, A.degrees[t[slot]])
             delta_e = delta_of(A, E, k)
             checks += 1
             if delta_e.matrix != E.matrix.scale(-n):
@@ -187,19 +173,12 @@ def verify_delta_derivation_criterion(algebra, k_max):
     D is, with delta_D = D exactly on derivations; and commutators with
     inner generators expand by the slot formula with delta_D in slot one."""
     A = algebra
-    _require_centerless_perfect(A)
+    require_centerless_perfect(A)
     report = ValidationReport()
     n = A.arity
-    deltas = {}
-    seen = set()
-    for k in range(k_max + 1):
-        key = A.alpha_power(k).data
-        if key in seen:
-            continue
-        seen.add(key)
+    for k in distinct_twists(A, k_max):
         for idx, D in enumerate(double_derivation_space(A, k).maps()):
             delta = delta_of(A, D, k)
-            deltas[(k, idx)] = (D, delta)
             d_is_der = oracle.is_derivation(A, D, k)[0]
             delta_is_der = oracle.is_derivation(A, delta, k)[0]
             if d_is_der != delta_is_der:
@@ -209,36 +188,29 @@ def verify_delta_derivation_criterion(algebra, k_max):
             if d_is_der and delta.matrix != D.matrix:
                 report.add("delta-fixes-derivations", witness=(k, idx),
                            expected="delta_D = D", actual="different matrix")
-    pair_seen = set()
-    for k in range(k_max + 1):
-        for s in range(k_max + 1 - k):
-            key = (A.alpha_power(k).data, A.alpha_power(s).data,
-                   A.alpha_power(k + s).data)
-            if key in pair_seen:
-                continue
-            pair_seen.add(key)
-            gens = inner_generators(A, s)
-            for idx, D in enumerate(double_derivation_space(A, k).maps()):
-                delta = delta_of(A, D, k)
-                d = D.degree
-                for gidx, (xs, inner) in enumerate(gens):
-                    lhs = color_commutator(D, inner, A.eps).matrix
-                    first = ad_map(A, [delta.apply(xs[0])] + xs[1:], k + s)
-                    rhs = first.matrix
-                    prefix = A.group.zero()
-                    degs = []
-                    for x in xs:
-                        dset = {A.degrees[i] for i, c in enumerate(x) if c != 0}
-                        degs.append(dset.pop() if dset else A.group.zero())
-                    for j in range(1, n - 1):
-                        prefix = A.group.add(prefix, degs[j - 1])
-                        sign = A.eps.value(d, prefix)
-                        args = xs[:j] + [D.apply(xs[j])] + xs[j + 1:]
-                        rhs = rhs + ad_map(A, args, k + s).matrix.scale(sign)
-                    if lhs != rhs:
-                        report.add("delta-inner-commutator",
-                                   witness=(k, s, idx, gidx),
-                                   expected="slot expansion", actual="mismatch")
+    for k, s in distinct_twist_pairs(A, k_max):
+        gens = inner_generators(A, s)
+        for idx, D in enumerate(double_derivation_space(A, k).maps()):
+            delta = delta_of(A, D, k)
+            d = D.degree
+            for gidx, (xs, inner) in enumerate(gens):
+                lhs = color_commutator(D, inner, A.eps).matrix
+                first = ad_map(A, [delta.apply(xs[0])] + xs[1:], k + s)
+                rhs = first.matrix
+                prefix = A.group.zero()
+                degs = []
+                for x in xs:
+                    dset = {A.degrees[i] for i, c in enumerate(x) if c != 0}
+                    degs.append(dset.pop() if dset else A.group.zero())
+                for j in range(1, n - 1):
+                    prefix = A.group.add(prefix, degs[j - 1])
+                    sign = A.eps.value(d, prefix)
+                    args = xs[:j] + [D.apply(xs[j])] + xs[j + 1:]
+                    rhs = rhs + ad_map(A, args, k + s).matrix.scale(sign)
+                if lhs != rhs:
+                    report.add("delta-inner-commutator",
+                               witness=(k, s, idx, gidx),
+                               expected="slot expansion", actual="mismatch")
     return report
 
 
@@ -246,33 +218,26 @@ def verify_delta_homomorphism(algebra, k_max):
     """delta turns color commutators of double derivations into color
     commutators of their images: delta_[D1,D2] = [delta_D1, delta_D2]."""
     A = algebra
-    _require_centerless_perfect(A)
+    require_centerless_perfect(A)
     report = ValidationReport()
-    pair_seen = set()
     checks = 0
-    for k in range(k_max + 1):
-        for s in range(k_max + 1 - k):
-            key = (A.alpha_power(k).data, A.alpha_power(s).data,
-                   A.alpha_power(k + s).data)
-            if key in pair_seen:
-                continue
-            pair_seen.add(key)
-            maps_k = double_derivation_space(A, k).maps()
-            maps_s = double_derivation_space(A, s).maps()
-            deltas_k = [delta_of(A, D, k) for D in maps_k]
-            deltas_s = [delta_of(A, D, s) for D in maps_s]
-            for i, D1 in enumerate(maps_k):
-                for j, D2 in enumerate(maps_s):
-                    C = color_commutator(D1, D2, A.eps)
-                    # commutators of double derivations are double
-                    # derivations; the closure verifier certifies that
-                    lhs = delta_of(A, C, k + s, _trusted=True).matrix
-                    rhs = color_commutator(deltas_k[i], deltas_s[j], A.eps).matrix
-                    checks += 1
-                    if lhs != rhs:
-                        report.add("delta-commutator-homomorphism",
-                                   witness=(k, s, i, j),
-                                   expected="equal matrices", actual="mismatch")
+    for k, s in distinct_twist_pairs(A, k_max):
+        maps_k = double_derivation_space(A, k).maps()
+        maps_s = double_derivation_space(A, s).maps()
+        deltas_k = [delta_of(A, D, k) for D in maps_k]
+        deltas_s = [delta_of(A, D, s) for D in maps_s]
+        for i, D1 in enumerate(maps_k):
+            for j, D2 in enumerate(maps_s):
+                C = color_commutator(D1, D2, A.eps)
+                # commutators of double derivations are double
+                # derivations; the closure verifier certifies that
+                lhs = delta_of(A, C, k + s, _trusted=True).matrix
+                rhs = color_commutator(deltas_k[i], deltas_s[j], A.eps).matrix
+                checks += 1
+                if lhs != rhs:
+                    report.add("delta-commutator-homomorphism",
+                               witness=(k, s, i, j),
+                               expected="equal matrices", actual="mismatch")
     report.details["checks"] = checks
     return report
 
@@ -310,7 +275,6 @@ def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
             kern = nullspace_of_rows(rows, len(basis))
             mats = []
             for v in kern:
-                m = Matrix.zeros(A.dim, A.dim)
                 acc = None
                 for c, B in zip(v, basis):
                     term = B.matrix.scale(c)
@@ -320,3 +284,18 @@ def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
                 blocks.append((k, d, [HomMap(d, m) for m in mats]))
     return GradedMapSpace(A, "centralizer",
                           [MapBlock(k, d, maps) for k, d, maps in blocks])
+
+
+def verify_inner_centralizer_trivial(algebra, k_max):
+    """The double derivations commuting with every inner map form the zero
+    space (perfect algebras with nonzero inner space)."""
+    space = inner_centralizer_in_double_derivations(algebra, k_max)
+    report = ValidationReport()
+    if space.dimension() > 0:
+        report.add("inner-centralizer-trivial",
+                   witness=tuple((b.k, repr(b.degree), len(b.basis))
+                                 for b in space.blocks),
+                   expected="zero space",
+                   actual=f"dimension {space.dimension()}")
+    report.details["dimension"] = space.dimension()
+    return report

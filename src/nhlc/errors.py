@@ -29,6 +29,10 @@ class DecompositionError(NhlcError):
     """A vector does not lie in the derived subalgebra."""
 
 
+class DomainError(NhlcError, ValueError):
+    """An argument lies outside the domain of an operation."""
+
+
 class FormatError(NhlcError):
     """Malformed algebra file or report payload."""
 

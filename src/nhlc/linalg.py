@@ -88,9 +88,6 @@ class Matrix:
     def column(self, j):
         return [row[j] for row in self.data]
 
-    def transpose(self):
-        return Matrix(list(zip(*self.data)) if self.data else [], cols=self.rows)
-
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
@@ -168,6 +165,21 @@ def _bareiss_echelon(int_rows, ncols, pivot_limit):
     return rows, piv_cols
 
 
+def _back_substitute(ech, piv_cols):
+    """Reduced rational rows from fraction-free echelon rows: each pivot
+    scaled to one and cleared from the rows above it."""
+    out = [[Fraction(x) for x in ech[i]] for i in range(len(piv_cols))]
+    for i in reversed(range(len(piv_cols))):
+        c = piv_cols[i]
+        pv = out[i][c]
+        out[i] = [x / pv for x in out[i]]
+        for u in range(i):
+            f = out[u][c]
+            if f:
+                out[u] = [a - f * b for a, b in zip(out[u], out[i])]
+    return out
+
+
 def rref(rows, pivot_limit=None):
     """Reduced row echelon form over the rationals.
 
@@ -182,16 +194,7 @@ def rref(rows, pivot_limit=None):
     limit = ncols if pivot_limit is None else pivot_limit
     int_rows = [_as_int_row(row) for row in rows]
     ech, piv_cols = _bareiss_echelon(int_rows, ncols, limit)
-    out = [[Fraction(x) for x in ech[i]] for i in range(len(piv_cols))]
-    for i in reversed(range(len(piv_cols))):
-        c = piv_cols[i]
-        pv = out[i][c]
-        out[i] = [x / pv for x in out[i]]
-        for u in range(i):
-            f = out[u][c]
-            if f:
-                out[u] = [a - f * b for a, b in zip(out[u], out[i])]
-    return out, piv_cols
+    return _back_substitute(ech, piv_cols), piv_cols
 
 
 def rank(M):
@@ -251,15 +254,7 @@ def solve_particular(M, b):
     for row in ech[len(piv_cols):]:
         if row[ncols] != 0:
             return None
-    red = [[Fraction(x) for x in ech[i]] for i in range(len(piv_cols))]
-    for i in reversed(range(len(piv_cols))):
-        c = piv_cols[i]
-        pv = red[i][c]
-        red[i] = [x / pv for x in red[i]]
-        for u in range(i):
-            f = red[u][c]
-            if f:
-                red[u] = [a - f * b2 for a, b2 in zip(red[u], red[i])]
+    red = _back_substitute(ech, piv_cols)
     x = [F0] * ncols
     for r, c in enumerate(piv_cols):
         x[c] = red[r][ncols]
@@ -292,41 +287,6 @@ def _reduce_against(basis, v):
 def subspace_contains(basis, v):
     """Membership test against a canonical basis as produced by span_basis."""
     return all(x == 0 for x in _reduce_against(basis, v))
-
-
-def subspace_le(span_a, span_b):
-    """span(a) subseteq span(b); both given by arbitrary spanning vectors."""
-    basis_b = span_basis(span_b)
-    return all(subspace_contains(basis_b, v) for v in span_a)
-
-
-def subspace_eq(span_a, span_b):
-    # canonical RREF bases are unique per subspace, so compare directly
-    return span_basis(span_a) == span_basis(span_b)
-
-
-def subspace_sum(span_a, span_b):
-    return span_basis(list(span_a) + list(span_b))
-
-
-def subspace_intersection(span_a, span_b):
-    """Canonical basis of span(a) intersect span(b)."""
-    a = span_basis(span_a)
-    b = span_basis(span_b)
-    if not a or not b:
-        return []
-    dims = {len(v) for v in a} | {len(v) for v in b}
-    if len(dims) != 1:
-        raise ShapeError("ambient dimensions differ")
-    n = dims.pop()
-    cols = len(a) + len(b)
-    rows = [[a[i][r] for i in range(len(a))] + [-b[j][r] for j in range(len(b))]
-            for r in range(n)]
-    out = []
-    for v in nullspace_of_rows(rows, cols):
-        vec = [sum((v[i] * a[i][r] for i in range(len(a))), F0) for r in range(n)]
-        out.append(vec)
-    return span_basis(out)
 
 
 def coords_in_basis(basis, v):

@@ -1,19 +1,88 @@
 """Pointwise checkers for the defining identities of map spaces.
 
-These evaluate both sides of each identity by direct bracket evaluation on
-explicit vectors.  They deliberately share no constraint-assembly code with
-the nullspace solvers in spaces/triple, so the two routes cross-check each
-other; agreement on bases and on random maps is part of the test contract.
+Derivations, double derivations and triple derivations all satisfy one
+identity.  For a map D of degree d, twist power k and a multilinear map M,
+
+    D(M(xs, ys)) = sum over the leaves t of M of
+                   eps(d, degree of the leaves before t) * M(..., D t, ...)
+
+where every leaf other than t is replaced by alpha^k t.  M(xs, ys) is the
+bracket [ys] when the outer tuple set is [()], and the nested bracket
+[xs, [ys]] otherwise; the leaves are xs followed by ys.  The kinds differ
+only in their tuple sets (xtuples, ytuples):
+
+- der:  ([()], sorted n-tuples);
+- dder: (sorted (n-1)-tuples, sorted n-tuples);
+- tder: (singletons, all ordered pairs), for binary algebras.
+
+Every kind also requires D to commute with the twist.  The checkers
+evaluate both sides by direct bracket evaluation on explicit vectors.  They
+deliberately share no constraint-assembly code with the nullspace solvers
+in spaces/triple, so the two routes cross-check each other; agreement on
+bases and on random maps is part of the test contract.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .errors import ArityError
 from .linalg import F0
 
 
-def _commutes_with_twist(algebra, D):
-    return D.matrix * algebra.alpha == algebra.alpha * D.matrix
+def slot_brackets(algebra, ts, acols, dcols, tail):
+    """For every slot q of ts: [acols[t_1], .., dcols[t_q], .., acols[t_m], *tail],
+    paired with the degree |t_1| + .. + |t_(q-1)| of the leaves before it."""
+    A = algebra
+    out = []
+    prefix = A.group.zero()
+    for q, t in enumerate(ts):
+        args = [acols[i] for i in ts] + tail
+        args[q] = dcols[t]
+        out.append((prefix, A.bracket(args)))
+        prefix = A.group.add(prefix, A.degrees[t])
+    return out
+
+
+def _leibniz(algebra, D, k, xtuples, ytuples, witness):
+    """(ok, witness): twist commutation, then the identity on every pair
+    (xs, ys); witness(xs, ys) names the first failing pair."""
+    A = algebra
+    if D.matrix * A.alpha != A.alpha * D.matrix:
+        return False, ("twist-commute",)
+    d = D.degree
+    ak = A.alpha_power(k)
+    acols = [ak.column(i) for i in range(A.dim)]
+    dcols = [D.matrix.column(i) for i in range(A.dim)]
+    nested = xtuples != [()]
+    inner = {}
+    for xs in xtuples:
+        xargs = [acols[i] for i in xs]
+        xunits = [A.basis_vector(i) for i in xs]
+        xdeg = A.degree_sum(A.degrees[i] for i in xs)
+        for ys in ytuples:
+            if ys not in inner:
+                inner[ys] = (A.bracket_basis(ys),
+                             A.bracket([acols[i] for i in ys]) if nested else None,
+                             slot_brackets(A, ys, acols, dcols, []))
+            value, value_k, yslots = inner[ys]
+            terms = yslots
+            if nested:
+                value = A.bracket(xunits + [value])
+                terms = slot_brackets(A, xs, acols, dcols, [value_k]) + [
+                    (A.group.add(xdeg, p), A.bracket(xargs + [v]))
+                    for p, v in yslots]
+            rhs = [F0] * A.dim
+            for prefix, term in terms:
+                sign = A.eps.value(d, prefix)
+                for r in range(A.dim):
+                    if term[r]:
+                        rhs[r] += sign * term[r]
+            if D.apply(value) != rhs:
+                return False, witness(xs, ys)
+    return True, None
+
+
+def _sorted_tuples(algebra, m):
+    return list(combinations_with_replacement(range(algebra.dim), m))
 
 
 def is_derivation(algebra, D, k):
@@ -21,108 +90,24 @@ def is_derivation(algebra, D, k):
 
     Returns (ok, witness); witness names the failing check or tuple.
     """
-    A = algebra
-    if not _commutes_with_twist(A, D):
-        return False, ("twist-commute",)
-    n = A.arity
-    d = D.degree
-    ak = A.alpha_power(k)
-    acols = [ak.column(i) for i in range(A.dim)]
-    dcols = [D.matrix.column(i) for i in range(A.dim)]
-    for t in combinations_with_replacement(range(A.dim), n):
-        lhs = D.apply(A.bracket_basis(t))
-        rhs = [F0] * A.dim
-        prefix = A.group.zero()
-        for s in range(n):
-            sign = A.eps.value(d, prefix)
-            args = [acols[t[u]] for u in range(s)] + [dcols[t[s]]] + \
-                   [acols[t[u]] for u in range(s + 1, n)]
-            term = A.bracket(args)
-            for r in range(A.dim):
-                if term[r]:
-                    rhs[r] += sign * term[r]
-            prefix = A.group.add(prefix, A.degrees[t[s]])
-        if lhs != rhs:
-            return False, ("tuple", t)
-    return True, None
+    return _leibniz(algebra, D, k, [()], _sorted_tuples(algebra, algebra.arity),
+                    lambda xs, ys: ("tuple", ys))
 
 
 def is_double_derivation(algebra, D, k):
     """Leibniz-type rule on nested brackets, over all sorted tuple pairs."""
-    A = algebra
-    n = A.arity
+    n = algebra.arity
     if n < 3:
         raise ArityError("double derivations need arity >= 3")
-    if not _commutes_with_twist(A, D):
-        return False, ("twist-commute",)
-    d = D.degree
-    g = A.group
-    ak = A.alpha_power(k)
-    acols = [ak.column(i) for i in range(A.dim)]
-    dcols = [D.matrix.column(i) for i in range(A.dim)]
-    ydata = []
-    for ys in combinations_with_replacement(range(A.dim), n):
-        prefixes = []
-        p = g.zero()
-        for j in range(n):
-            prefixes.append(p)
-            p = g.add(p, A.degrees[ys[j]])
-        ydata.append((ys, A.bracket_basis(ys),
-                      A.bracket([acols[i] for i in ys]), prefixes))
-    for xs in combinations_with_replacement(range(A.dim), n - 1):
-        xdeg = A.degree_sum(A.degrees[i] for i in xs)
-        xargs = [acols[i] for i in xs]
-        xunits = [A.basis_vector(i) for i in xs]
-        xprefixes = []
-        p = g.zero()
-        for s in range(n - 1):
-            xprefixes.append(p)
-            p = g.add(p, A.degrees[xs[s]])
-        for ys, inner, inner_k, yprefixes in ydata:
-            lhs = D.apply(A.bracket(xunits + [inner]))
-            rhs = [F0] * A.dim
-            for s in range(n - 1):
-                sign = A.eps.value(d, xprefixes[s])
-                args = [acols[xs[u]] for u in range(s)] + [dcols[xs[s]]] + \
-                       [acols[xs[u]] for u in range(s + 1, n - 1)] + [inner_k]
-                term = A.bracket(args)
-                for r in range(A.dim):
-                    if term[r]:
-                        rhs[r] += sign * term[r]
-            for j in range(n):
-                sign = A.eps.value(d, g.add(xdeg, yprefixes[j]))
-                inner_j = A.bracket([acols[ys[u]] for u in range(j)] + [dcols[ys[j]]] +
-                                    [acols[ys[u]] for u in range(j + 1, n)])
-                term = A.bracket(xargs + [inner_j])
-                for r in range(A.dim):
-                    if term[r]:
-                        rhs[r] += sign * term[r]
-            if lhs != rhs:
-                return False, ("tuple-pair", xs, ys)
-    return True, None
+    return _leibniz(algebra, D, k, _sorted_tuples(algebra, n - 1),
+                    _sorted_tuples(algebra, n),
+                    lambda xs, ys: ("tuple-pair", xs, ys))
 
 
 def is_triple_derivation(algebra, D, k):
     """Nested-bracket rule for binary algebras, over all basis triples."""
-    A = algebra
-    if A.arity != 2:
+    if algebra.arity != 2:
         raise ArityError("triple derivations are defined for arity 2")
-    if not _commutes_with_twist(A, D):
-        return False, ("twist-commute",)
-    d = D.degree
-    ak = A.alpha_power(k)
-    acols = [ak.column(i) for i in range(A.dim)]
-    dcols = [D.matrix.column(i) for i in range(A.dim)]
-    for x in range(A.dim):
-        sx = A.eps.value(d, A.degrees[x])
-        for y in range(A.dim):
-            sxy = A.eps.value(d, A.group.add(A.degrees[x], A.degrees[y]))
-            for z in range(A.dim):
-                lhs = D.apply(A.bracket([A.basis_vector(x), A.bracket_basis((y, z))]))
-                t1 = A.bracket([dcols[x], A.bracket([acols[y], acols[z]])])
-                t2 = A.bracket([acols[x], A.bracket([dcols[y], acols[z]])])
-                t3 = A.bracket([acols[x], A.bracket([acols[y], dcols[z]])])
-                rhs = [t1[r] + sx * t2[r] + sxy * t3[r] for r in range(A.dim)]
-                if lhs != rhs:
-                    return False, ("triple", (x, y, z))
-    return True, None
+    return _leibniz(algebra, D, k, [(x,) for x in range(algebra.dim)],
+                    list(product(range(algebra.dim), repeat=2)),
+                    lambda xs, ys: ("triple", xs + ys))

@@ -1,8 +1,22 @@
 """Derived linear-algebraic objects of a color algebra.
 
-Twisted-derivation-type spaces are computed as exact nullspaces: for each
-candidate map degree the defining identity is imposed on every sorted basis
-tuple, together with commutation with the twist, and the kernel of the
+Twisted-derivation-type spaces are computed as exact nullspaces.
+Derivations, double derivations and triple derivations satisfy one
+identity: for a map D of degree d, twist power k and a multilinear map M,
+
+    D(M(xs, ys)) = sum over the leaves t of M of
+                   eps(d, degree of the leaves before t) * M(..., D t, ...)
+
+with alpha^k on every leaf other than t.  M(xs, ys) is [ys] when the outer
+tuple set is [()] and [xs, [ys]] otherwise; the leaves are xs, then ys.
+The kinds differ only in their tuple sets (xtuples, ytuples):
+
+- der:  ([()], sorted n-tuples);
+- dder: (sorted (n-1)-tuples, sorted n-tuples);
+- tder: (singletons, all ordered pairs), in triple.py.
+
+For each candidate map degree the identity is imposed on every pair of the
+tuple sets, together with commutation with the twist, and the kernel of the
 resulting rational system is returned as a homogeneous map basis.
 
 Spaces depend on the twist power only through the matrix alpha^k, so results
@@ -11,12 +25,12 @@ repeat and the cache collapses them.
 """
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from . import oracle
 from .algebra import ColorAlgebra, HomMap, validate_algebra
-from .errors import (AlgebraValidationError, ArityError, HypothesisError,
-                     ShapeError, TruncationError)
+from .errors import (AlgebraValidationError, ArityError, DomainError,
+                     HypothesisError, ShapeError, TruncationError)
 from .linalg import (F0, F1, Matrix, RowReducer, coords_in_basis,
                      nullspace_of_rows, span_basis, subspace_contains)
 from .report import ValidationReport
@@ -49,9 +63,6 @@ class GradedMapSpace:
             if b.degree == degree:
                 return b.basis
         return []
-
-    def dims_by_degree(self):
-        return [(b.degree, len(b.basis)) for b in self.blocks]
 
 
 def candidate_degrees(algebra):
@@ -90,8 +101,13 @@ def _alpha_commute_rows(A, var_index, nvars):
     return rows
 
 
-def _unflatten(dim, flat):
-    return Matrix([flat[r * dim:(r + 1) * dim] for r in range(dim)])
+def _span_by_degree(A, maps):
+    """[(degree, canonical basis of the span of the maps of that degree)]."""
+    bydeg = {}
+    for m in maps:
+        bydeg.setdefault(m.degree, []).append(m.matrix.flatten())
+    return [(d, [Matrix([row[r * A.dim:(r + 1) * A.dim] for r in range(A.dim)])
+                 for row in span_basis(bydeg[d])]) for d in sorted(bydeg)]
 
 
 def _cached_blocks(A, kind, k, builder):
@@ -103,8 +119,9 @@ def _cached_blocks(A, kind, k, builder):
     return got
 
 
-def _solve_blocks(A, k, rows_fn):
-    """Kernel blocks [(degree, [Matrix...])] of an identity's linear system."""
+def _solve_blocks(A, k, xtuples, ytuples):
+    """Kernel blocks [(degree, [Matrix...])] of the Leibniz system of the
+    tuple sets xtuples and ytuples (see _leibniz_rows)."""
     out = []
     for d in candidate_degrees(A):
         vars_ = _allowed_positions(A, d)
@@ -113,15 +130,12 @@ def _solve_blocks(A, k, rows_fn):
         var_index = {v: x for x, v in enumerate(vars_)}
         nvars = len(vars_)
         red = RowReducer(nvars)
-        for row in _alpha_commute_rows(A, var_index, nvars):
+        for row in chain(_alpha_commute_rows(A, var_index, nvars),
+                         _leibniz_rows(A, k, d, var_index, nvars,
+                                       xtuples, ytuples)):
             red.add(row)
             if red.rank == nvars:
                 break
-        if red.rank < nvars:
-            for row in rows_fn(A, k, d, var_index, nvars):
-                red.add(row)
-                if red.rank == nvars:
-                    break
         mats = []
         for v in red.nullspace():
             data = [[F0] * A.dim for _ in range(A.dim)]
@@ -139,96 +153,78 @@ def _blocks_to_space(A, kind, k, blocks):
         MapBlock(k, d, [HomMap(d, M) for M in mats]) for d, mats in blocks])
 
 
-def _derivation_rows(A, k, d, var_index, nvars):
-    n = A.arity
+def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
+    """Rows of the identity for the unknown map of degree d, one pair
+    (xs, ys) after the other; the values [ys], [alpha^k ys] and [ys] with
+    the unknown in each slot are computed once per inner tuple ys."""
+    dim = A.dim
+    g = A.group
     ak = A.alpha_power(k)
-    acols = [ak.column(i) for i in range(A.dim)]
-    for t in combinations_with_replacement(range(A.dim), n):
-        rows = [[F0] * nvars for _ in range(A.dim)]
-        w = A.bracket_basis(t)
-        for i in range(A.dim):
-            if w[i]:
-                for r in range(A.dim):
-                    vx = var_index.get((r, i))
-                    if vx is not None:
-                        rows[r][vx] += w[i]
-        prefix = A.group.zero()
-        for s in range(n):
-            sign = A.eps.value(d, prefix)
-            ts = t[s]
-            for j in range(A.dim):
-                vx = var_index.get((j, ts))
+    acols = [ak.column(i) for i in range(dim)]
+    nested = xtuples != [()]
+
+    def unknown_slots(ts, tail):
+        # per slot of ts: (degree of the leaves before it, [(vx, term)]),
+        # term = [alpha^k ts with e_j in the slot, *tail] for unknowns (j, t)
+        out = []
+        prefix = g.zero()
+        for q, t in enumerate(ts):
+            args = [acols[i] for i in ts] + tail
+            terms = []
+            for j in range(dim):
+                vx = var_index.get((j, t))
                 if vx is not None:
-                    args = [acols[t[u]] for u in range(s)] + [A.basis_vector(j)] + \
-                           [acols[t[u]] for u in range(s + 1, n)]
-                    term = A.bracket(args)
-                    for r in range(A.dim):
+                    args[q] = A.basis_vector(j)
+                    terms.append((vx, A.bracket(args)))
+            out.append((prefix, terms))
+            prefix = g.add(prefix, A.degrees[t])
+        return out
+
+    inner = {}
+    for xs in xtuples:
+        xargs = [acols[i] for i in xs]
+        xunits = [A.basis_vector(i) for i in xs]
+        xdeg = A.degree_sum(A.degrees[i] for i in xs)
+        for ys in ytuples:
+            if ys not in inner:
+                inner[ys] = (A.bracket_basis(ys),
+                             A.bracket([acols[i] for i in ys]) if nested else None,
+                             unknown_slots(ys, []))
+            value, value_k, yslots = inner[ys]
+            slots = [(g.add(xdeg, p), terms) for p, terms in yslots]
+            if nested:
+                value = A.bracket(xunits + [value])
+                slots = unknown_slots(xs, [value_k]) + [
+                    (p, [(vx, A.bracket(xargs + [v])) for vx, v in terms])
+                    for p, terms in slots]
+            rows = [[F0] * nvars for _ in range(dim)]
+            for i in range(dim):
+                if value[i]:
+                    for r in range(dim):
+                        vx = var_index.get((r, i))
+                        if vx is not None:
+                            rows[r][vx] += value[i]
+            for prefix, terms in slots:
+                sign = A.eps.value(d, prefix)
+                for vx, term in terms:
+                    for r in range(dim):
                         if term[r]:
                             rows[r][vx] -= sign * term[r]
-            prefix = A.group.add(prefix, A.degrees[ts])
-        for row in rows:
-            if any(row):
-                yield row
+            for row in rows:
+                if any(row):
+                    yield row
+
+
+def _sorted_tuples(A, m):
+    return list(combinations_with_replacement(range(A.dim), m))
 
 
 def derivation_space(algebra, k):
     """Basis of the twisted derivations for one twist power, per degree."""
     A = algebra
-    blocks = _cached_blocks(A, "der", k,
-                            lambda: _solve_blocks(A, k, _derivation_rows))
+    blocks = _cached_blocks(A, "der", k, lambda: _solve_blocks(
+        A, k, [()], _sorted_tuples(A, A.arity)))
     return _blocks_to_space(A, "der", k, blocks)
-
-
-def _double_derivation_rows(A, k, d, var_index, nvars):
-    n = A.arity
-    ak = A.alpha_power(k)
-    acols = [ak.column(i) for i in range(A.dim)]
-    ytuples = list(combinations_with_replacement(range(A.dim), n))
-    for xs in combinations_with_replacement(range(A.dim), n - 1):
-        xdeg = A.degree_sum(A.degrees[i] for i in xs)
-        xker = [acols[i] for i in xs]
-        for ys in ytuples:
-            rows = [[F0] * nvars for _ in range(A.dim)]
-            w = A.bracket([A.basis_vector(i) for i in xs] + [A.bracket_basis(ys)])
-            for i in range(A.dim):
-                if w[i]:
-                    for r in range(A.dim):
-                        vx = var_index.get((r, i))
-                        if vx is not None:
-                            rows[r][vx] += w[i]
-            inner_k = A.bracket([acols[i] for i in ys])
-            prefix = A.group.zero()
-            for s in range(n - 1):
-                sign = A.eps.value(d, prefix)
-                xss = xs[s]
-                for j in range(A.dim):
-                    vx = var_index.get((j, xss))
-                    if vx is not None:
-                        args = [acols[xs[u]] for u in range(s)] + [A.basis_vector(j)] + \
-                               [acols[xs[u]] for u in range(s + 1, n - 1)] + [inner_k]
-                        term = A.bracket(args)
-                        for r in range(A.dim):
-                            if term[r]:
-                                rows[r][vx] -= sign * term[r]
-                prefix = A.group.add(prefix, A.degrees[xss])
-            yprefix = A.group.zero()
-            for jy in range(n):
-                sign = A.eps.value(d, A.group.add(xdeg, yprefix))
-                ysj = ys[jy]
-                for j in range(A.dim):
-                    vx = var_index.get((j, ysj))
-                    if vx is not None:
-                        inner_j = A.bracket([acols[ys[u]] for u in range(jy)] +
-                                            [A.basis_vector(j)] +
-                                            [acols[ys[u]] for u in range(jy + 1, n)])
-                        term = A.bracket(xker + [inner_j])
-                        for r in range(A.dim):
-                            if term[r]:
-                                rows[r][vx] -= sign * term[r]
-                yprefix = A.group.add(yprefix, A.degrees[ysj])
-            for row in rows:
-                if any(row):
-                    yield row
 
 
 def double_derivation_space(algebra, k):
@@ -236,8 +232,8 @@ def double_derivation_space(algebra, k):
     A = algebra
     if A.arity < 3:
         raise ArityError("double derivations need arity >= 3")
-    blocks = _cached_blocks(A, "dder", k,
-                            lambda: _solve_blocks(A, k, _double_derivation_rows))
+    blocks = _cached_blocks(A, "dder", k, lambda: _solve_blocks(
+        A, k, _sorted_tuples(A, A.arity - 1), _sorted_tuples(A, A.arity)))
     return _blocks_to_space(A, "dder", k, blocks)
 
 
@@ -249,7 +245,7 @@ def ad_map(algebra, xs, k):
     """The map y -> [x_1, ..., x_{n-1}, alpha^k(y)] for twist-fixed x_i."""
     A = algebra
     if k < 0:
-        raise ValueError("inner twist power must be nonnegative")
+        raise DomainError("inner twist power must be nonnegative")
     if len(xs) != A.arity - 1:
         raise ShapeError(f"expected {A.arity - 1} arguments")
     xs = [[F1 * c for c in x] for x in xs]
@@ -259,10 +255,10 @@ def ad_map(algebra, xs, k):
             raise ShapeError("argument length does not match dimension")
         dset = {A.degrees[i] for i, c in enumerate(x) if c != 0}
         if len(dset) > 1:
-            raise ValueError("inner generator argument is not homogeneous")
+            raise DomainError("inner generator argument is not homogeneous")
         degs.append(dset.pop() if dset else A.group.zero())
         if A.alpha.apply(x) != x:
-            raise ValueError("inner generator argument is not fixed by the twist")
+            raise DomainError("inner generator argument is not fixed by the twist")
     ak = A.alpha_power(k)
     cols = [A.bracket(xs + [ak.column(q)]) for q in range(A.dim)]
     data = [[cols[q][r] for q in range(A.dim)] for r in range(A.dim)]
@@ -302,16 +298,10 @@ def inner_space(algebra, k):
     """Span of the inner ad maps for one twist power, per degree."""
     A = algebra
     if k < 0:
-        raise ValueError("inner twist power must be nonnegative")
+        raise DomainError("inner twist power must be nonnegative")
 
-    def build():
-        bydeg = {}
-        for _, m in inner_generators(A, k):
-            bydeg.setdefault(m.degree, []).append(m.matrix.flatten())
-        return [(d, [_unflatten(A.dim, row) for row in span_basis(bydeg[d])])
-                for d in sorted(bydeg)]
-
-    blocks = _cached_blocks(A, "inner", k, build)
+    blocks = _cached_blocks(A, "inner", k, lambda: _span_by_degree(
+        A, [m for _, m in inner_generators(A, k)]))
     return _blocks_to_space(A, "inner", k, blocks)
 
 
@@ -340,6 +330,13 @@ def center(algebra):
             if any(row):
                 rows.append(row)
     return nullspace_of_rows(rows, A.dim)
+
+
+def require_centerless_perfect(algebra):
+    if not is_perfect(algebra):
+        raise HypothesisError(f"{algebra.name} is not perfect")
+    if center(algebra):
+        raise HypothesisError(f"{algebra.name} has nonzero center")
 
 
 def centralizer(algebra, span_vectors):
@@ -377,6 +374,42 @@ def alpha_shift(algebra, D):
     return HomMap(D.degree, D.matrix * algebra.alpha)
 
 
+def _first_of_each(items, key):
+    """The items whose key has not occurred at an earlier item, in order."""
+    seen = set()
+    for item in items:
+        kv = key(item)
+        if kv not in seen:
+            seen.add(kv)
+            yield item
+
+
+def distinct_twists(algebra, k_max):
+    """The k in [0, k_max] whose twist power alpha^k is new; verdicts and
+    spaces depend on k only through alpha^k."""
+    return _first_of_each(range(k_max + 1),
+                          lambda k: algebra.alpha_power(k).data)
+
+
+def _distinct_shifts(algebra, k_max):
+    """The k in [0, k_max] whose pair (alpha^k, alpha^(k+1)) is new."""
+    P = algebra.alpha_power
+    return _first_of_each(range(k_max + 1),
+                          lambda k: (P(k).data, P(k + 1).data))
+
+
+def _twist_pairs(k_max):
+    return ((k, s) for k in range(k_max + 1) for s in range(k_max + 1 - k))
+
+
+def distinct_twist_pairs(algebra, k_max):
+    """The (k, s) with k + s <= k_max whose powers (alpha^k, alpha^s,
+    alpha^(k+s)) are new."""
+    P = algebra.alpha_power
+    return _first_of_each(_twist_pairs(k_max), lambda p: (
+        P(p[0]).data, P(p[1]).data, P(p[0] + p[1]).data))
+
+
 def verify_double_derivation_closure(algebra, k_max):
     """Closure of the double-derivation spaces under the induced twist and
     the color commutator, certified pointwise by the oracle."""
@@ -384,14 +417,10 @@ def verify_double_derivation_closure(algebra, k_max):
     if A.arity < 3:
         raise ArityError("closure check needs arity >= 3")
     report = ValidationReport()
+    P = A.alpha_power
     spaces = {k: double_derivation_space(A, k) for k in range(k_max + 1)}
-    shift_seen = set()
     checks = 0
-    for k in range(k_max + 1):
-        key = (A.alpha_power(k).data, A.alpha_power(k + 1).data)
-        if key in shift_seen:
-            continue
-        shift_seen.add(key)
+    for k in _distinct_shifts(A, k_max):
         for idx, D in enumerate(spaces[k].maps()):
             ok, wit = oracle.is_double_derivation(A, alpha_shift(A, D), k + 1)
             checks += 1
@@ -399,29 +428,23 @@ def verify_double_derivation_closure(algebra, k_max):
                 report.add("closure-shift", witness=(k, idx, wit),
                            expected="double derivation at twist k+1",
                            actual="identity fails")
-    pair_seen = set()
-    for k in range(k_max + 1):
-        for s in range(k_max + 1 - k):
-            # [D2, D1] is a scalar multiple of [D1, D2], so the class of
-            # (k, s) and (s, k) carries the same verdicts
-            key = (frozenset((A.alpha_power(k).data, A.alpha_power(s).data)),
-                   A.alpha_power(k + s).data)
-            if key in pair_seen:
-                continue
-            pair_seen.add(key)
-            maps_k = spaces[k].maps()
-            maps_s = spaces[s].maps()
-            for i, D1 in enumerate(maps_k):
-                for j, D2 in enumerate(maps_s):
-                    if k == s and j < i:
-                        continue
-                    C = color_commutator(D1, D2, A.eps)
-                    ok, wit = oracle.is_double_derivation(A, C, k + s)
-                    checks += 1
-                    if not ok:
-                        report.add("closure-commutator", witness=(k, s, i, j, wit),
-                                   expected="double derivation at twist k+s",
-                                   actual="identity fails")
+    # [D2, D1] is a scalar multiple of [D1, D2], so the class of (k, s) and
+    # (s, k) carries the same verdicts
+    for k, s in _first_of_each(_twist_pairs(k_max), lambda p: (
+            frozenset((P(p[0]).data, P(p[1]).data)), P(p[0] + p[1]).data)):
+        maps_k = spaces[k].maps()
+        maps_s = spaces[s].maps()
+        for i, D1 in enumerate(maps_k):
+            for j, D2 in enumerate(maps_s):
+                if k == s and j < i:
+                    continue
+                C = color_commutator(D1, D2, A.eps)
+                ok, wit = oracle.is_double_derivation(A, C, k + s)
+                checks += 1
+                if not ok:
+                    report.add("closure-commutator", witness=(k, s, i, j, wit),
+                               expected="double derivation at twist k+s",
+                               actual="identity fails")
     report.details["checks"] = checks
     return report
 
@@ -443,12 +466,7 @@ def verify_inner_ideal(algebra, k_max):
         for block in sp.blocks:
             inn_bases[(k, block.degree)] = span_basis(
                 [m.matrix.flatten() for m in block.basis])
-    shift_seen = set()
-    for k in range(k_max + 1):
-        key = (A.alpha_power(k).data, A.alpha_power(k + 1).data)
-        if key in shift_seen:
-            continue
-        shift_seen.add(key)
+    for k in _distinct_shifts(A, k_max):
         for block in inns[k].blocks:
             target = inn_bases.get((k + 1, block.degree), [])
             for idx, I in enumerate(block.basis):
@@ -459,26 +477,19 @@ def verify_inner_ideal(algebra, k_max):
                     report.add("inner-shift", witness=(k, block.degree, idx),
                                expected="contained in inner span at k+1",
                                actual="outside")
-    pair_seen = set()
-    for s in range(k_max + 1):
-        for k in range(k_max + 1 - s):
-            key = (A.alpha_power(s).data, A.alpha_power(k).data,
-                   A.alpha_power(k + s).data)
-            if key in pair_seen:
-                continue
-            pair_seen.add(key)
-            for i, D in enumerate(dds[s].maps()):
-                for block in inns[k].blocks:
-                    for j, I in enumerate(block.basis):
-                        C = color_commutator(D, I, A.eps)
-                        if C.matrix.is_zero():
-                            continue
-                        target = inn_bases.get((k + s, C.degree), [])
-                        if not subspace_contains(target, C.matrix.flatten()):
-                            report.add("inner-commutator",
-                                       witness=(s, k, i, block.degree, j),
-                                       expected="contained in inner span at k+s",
-                                       actual="outside")
+    for s, k in distinct_twist_pairs(A, k_max):
+        for i, D in enumerate(dds[s].maps()):
+            for block in inns[k].blocks:
+                for j, I in enumerate(block.basis):
+                    C = color_commutator(D, I, A.eps)
+                    if C.matrix.is_zero():
+                        continue
+                    target = inn_bases.get((k + s, C.degree), [])
+                    if not subspace_contains(target, C.matrix.flatten()):
+                        report.add("inner-commutator",
+                                   witness=(s, k, i, block.degree, j),
+                                   expected="contained in inner span at k+s",
+                                   actual="outside")
     return report
 
 
@@ -489,16 +500,8 @@ def merged_map_basis(space):
     blocks coincide as subspaces of the endomorphisms, and the map algebra
     is built on the actual span.
     """
-    A = space.algebra
-    bydeg = {}
-    for block in space.blocks:
-        for m in block.basis:
-            bydeg.setdefault(block.degree, []).append(m.matrix.flatten())
-    out = []
-    for d in sorted(bydeg):
-        for row in span_basis(bydeg[d]):
-            out.append(HomMap(d, _unflatten(A.dim, row)))
-    return out
+    return [HomMap(d, M) for d, mats in _span_by_degree(space.algebra, space.maps())
+            for M in mats]
 
 
 def map_coordinates(basis_maps, hom_map):

@@ -7,58 +7,16 @@ centerless perfect algebra against the plain derivation space; equality is
 expected exactly under those hypotheses.
 """
 
+from itertools import product
+
 from .errors import ArityError, HypothesisError
-from .linalg import F0, RowReducer, span_basis, subspace_contains
+from .linalg import RowReducer, span_basis, subspace_contains
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, _blocks_to_space, _cached_blocks,
                      _solve_blocks, center, derivation_space,
-                     double_derivation_space, inner_space, is_perfect,
-                     map_coordinates, maps_as_color_algebra, merged_map_basis)
-
-
-def _triple_rows(A, k, d, var_index, nvars):
-    ak = A.alpha_power(k)
-    acols = [ak.column(i) for i in range(A.dim)]
-    for x in range(A.dim):
-        sx = A.eps.value(d, A.degrees[x])
-        for y in range(A.dim):
-            sxy = A.eps.value(d, A.group.add(A.degrees[x], A.degrees[y]))
-            for z in range(A.dim):
-                rows = [[F0] * nvars for _ in range(A.dim)]
-                w = A.bracket([A.basis_vector(x), A.bracket_basis((y, z))])
-                for i in range(A.dim):
-                    if w[i]:
-                        for r in range(A.dim):
-                            vx = var_index.get((r, i))
-                            if vx is not None:
-                                rows[r][vx] += w[i]
-                inner_k = A.bracket([acols[y], acols[z]])
-                for j in range(A.dim):
-                    vx = var_index.get((j, x))
-                    if vx is not None:
-                        term = A.bracket([A.basis_vector(j), inner_k])
-                        for r in range(A.dim):
-                            if term[r]:
-                                rows[r][vx] -= term[r]
-                for j in range(A.dim):
-                    vx = var_index.get((j, y))
-                    if vx is not None:
-                        term = A.bracket([acols[x],
-                                          A.bracket([A.basis_vector(j), acols[z]])])
-                        for r in range(A.dim):
-                            if term[r]:
-                                rows[r][vx] -= sx * term[r]
-                for j in range(A.dim):
-                    vx = var_index.get((j, z))
-                    if vx is not None:
-                        term = A.bracket([acols[x],
-                                          A.bracket([acols[y], A.basis_vector(j)])])
-                        for r in range(A.dim):
-                            if term[r]:
-                                rows[r][vx] -= sxy * term[r]
-                for row in rows:
-                    if any(row):
-                        yield row
+                     distinct_twists, double_derivation_space, inner_space,
+                     is_perfect, map_coordinates, maps_as_color_algebra,
+                     merged_map_basis, require_centerless_perfect)
 
 
 def triple_derivation_space(algebra, k):
@@ -66,8 +24,9 @@ def triple_derivation_space(algebra, k):
     A = algebra
     if A.arity != 2:
         raise ArityError("triple derivations are defined for arity 2")
-    blocks = _cached_blocks(A, "tder", k,
-                            lambda: _solve_blocks(A, k, _triple_rows))
+    blocks = _cached_blocks(A, "tder", k, lambda: _solve_blocks(
+        A, k, [(x,) for x in range(A.dim)],
+        list(product(range(A.dim), repeat=2))))
     return _blocks_to_space(A, "tder", k, blocks)
 
 
@@ -77,10 +36,7 @@ def verify_triple_invariance(algebra, k_max):
     A = algebra
     if A.arity < 3:
         raise ArityError("invariance check needs arity >= 3")
-    if not is_perfect(A):
-        raise HypothesisError(f"{A.name} is not perfect")
-    if center(A):
-        raise HypothesisError(f"{A.name} has nonzero center")
+    require_centerless_perfect(A)
     dd_union = GradedMapSpace(A, "dder", [
         b for k in range(k_max + 1)
         for b in double_derivation_space(A, k).blocks])
@@ -99,12 +55,7 @@ def verify_triple_invariance(algebra, k_max):
     report = ValidationReport()
     report.details["algebra"] = A2.name
     report.details["inner_dim"] = len(inn_basis)
-    seen = set()
-    for k in range(k_max + 1):
-        key = A2.alpha_power(k).data
-        if key in seen:
-            continue
-        seen.add(key)
+    for k in distinct_twists(A2, k_max):
         tder = triple_derivation_space(A2, k)
         for block in tder.blocks:
             for idx, T in enumerate(block.basis):
@@ -149,12 +100,7 @@ def verify_triple_equals_derivations(algebra2, k_max):
     report.details["algebra"] = A2.name
     report.details["hypothesis_met"] = hypothesis_met
     table = []
-    seen = set()
-    for k in range(k_max + 1):
-        key = A2.alpha_power(k).data
-        if key in seen:
-            continue
-        seen.add(key)
+    for k in distinct_twists(A2, k_max):
         der = derivation_space(A2, k)
         tder = triple_derivation_space(A2, k)
         degrees = sorted({b.degree for b in der.blocks} |

@@ -51,3 +51,22 @@ def color_heis3():
     return ColorAlgebra("COLOR_HEIS3", 3, g, eps,
                         [("x1", odd), ("x2", odd), ("y", even), ("z", even)],
                         Matrix.identity(4), constants)
+
+
+@pytest.fixture(scope="session")
+def rational_heis():
+    """Binary Heisenberg algebra on Z^2 whose bicharacter takes the values
+    eps(g1, g2) = 2 and eps(g2, g1) = 1/2: x, y, z of degrees g1, g2,
+    g1 + g2, with [x, y] = z and the identity twist.  Its Koszul signs are
+    neither 1 nor -1, so a sign rule with swapped arguments shows."""
+    from fractions import Fraction
+    from nhlc.algebra import ColorAlgebra
+    from nhlc.grading import Bicharacter, GradingGroup
+    from nhlc.linalg import Matrix
+    g = GradingGroup(free_rank=2)
+    eps = Bicharacter(g, [[Fraction(1), Fraction(2)],
+                          [Fraction(1, 2), Fraction(1)]])
+    basis = [("x", g.element(free=(1, 0))), ("y", g.element(free=(0, 1))),
+             ("z", g.element(free=(1, 1)))]
+    return ColorAlgebra("RATIONAL_HEIS", 2, g, eps, basis,
+                        Matrix.identity(3), {(0, 1): {2: Fraction(1)}})

@@ -229,6 +229,12 @@ def project_onto_maps(basis_maps, target):
                   Matrix([flat[r * dim:(r + 1) * dim] for r in range(dim)]))
 
 
+def subspace_eq(span_a, span_b):
+    """Equality of spans; canonical RREF bases are unique per subspace."""
+    from nhlc.linalg import span_basis
+    return span_basis(span_a) == span_basis(span_b)
+
+
 def in_map_span(basis_maps, target):
     from nhlc.linalg import span_basis, subspace_contains
     rows = span_basis([m.matrix.flatten() for m in basis_maps

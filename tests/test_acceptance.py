@@ -19,7 +19,7 @@ import pytest
 from fractions import Fraction
 
 from helpers import (in_map_span, naive_space_dimension, project_onto_maps,
-                     random_hom_map)
+                     random_hom_map, subspace_eq)
 from nhlc import oracle
 from nhlc.algebra import ColorAlgebra, HomMap, validate_algebra
 from nhlc.builders import build_abelian
@@ -28,7 +28,6 @@ from nhlc.delta import (delta_of, inner_centralizer_in_double_derivations,
                         verify_delta_homomorphism, verify_delta_residual_laws,
                         verify_delta_well_defined)
 from nhlc.errors import HypothesisError
-from nhlc.linalg import subspace_eq
 from nhlc.spaces import (candidate_degrees, center, derivation_space,
                          double_derivation_space, inner_space, is_perfect,
                          maps_as_color_algebra,

@@ -305,3 +305,71 @@ def test_tder_from_double_derivations(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert sum(b["dim"] for b in doc["results"]["blocks"]) == 6
+
+
+# -- map files and input errors -------------------------------------------------
+
+X_TO_X = [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"degree": [1], "matrix": X_TO_X}, "not homogeneous of degree (1)"),
+    ({"matrix": [["1", "0", "0"], ["0", "0", "0"], ["1", "0", "0"]]},
+     "not homogeneous of degree (0)"),
+    ({"degree": [0]}, "no 'matrix' field"),
+], ids=["declared-degree-contradicted", "inhomogeneous", "no-matrix"])
+def test_check_rejects_bad_map_file(tmp_path, doc, error):
+    """On SUPER_HEIS (x, y odd, z even), x -> x has degree 0: a file that
+    declares degree 1 for it used to be checked at degree 1."""
+    path = tmp_path / "sh.json"
+    io_json.save(build_super_heis(), path)
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps(doc))
+    proc = _run_cli(["check", "--kind", "der", "--map", str(mp), "--json",
+                     str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert error in json.loads(proc.stdout)["results"]["error"]
+
+
+def test_map_degree_inferred_from_support(tmp_path):
+    """Without a "degree" field the degree comes from the support."""
+    from nhlc.cli import _load_map
+    from nhlc.spaces import derivation_space
+    A = build_super_heis()
+    odd = A.group.element(torsion=(1,))
+    odd_der = next(m for m in derivation_space(A, 0).maps() if m.degree == odd)
+    mp = tmp_path / "map.json"
+    for grid, degree in ((X_TO_X, A.group.zero()),
+                         (io_json.matrix_to_grid(odd_der.matrix), odd),
+                         ([["0"] * 3 for _ in range(3)], A.group.zero())):
+        mp.write_text(json.dumps({"matrix": grid}))
+        assert _load_map(A, str(mp)).degree == degree
+
+
+@pytest.mark.parametrize("args, code", [
+    (["spaces", "--kind", "inner", "--k", "-1"], 1),
+    (["spaces", "--kind", "der", "--k", "3000"], 0),
+    (["centralizer", "--span", "missing.json"], 1),
+    (["centralizer", "--span", "not-json.json"], 1),
+    (["centralizer", "--span", "no-vectors.json"], 1),
+    (["delta", "--map", "not-dder.json"], 1),
+    (["check", "--kind", "dder", "--map", "missing.json"], 1),
+])
+def test_bad_input_gets_a_report(tmp_path, args, code):
+    """No input ends in a traceback: the exit code is 0 or 1 and stdout
+    carries a report."""
+    path = tmp_path / "a4.json"
+    io_json.save(build_simple_nlie(3), path)
+    (tmp_path / "not-json.json").write_text("{")
+    (tmp_path / "no-vectors.json").write_text("{}")
+    projection = [["0"] * 4 for _ in range(4)]
+    projection[0][0] = "1"
+    (tmp_path / "not-dder.json").write_text(json.dumps({"matrix": projection}))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    proc = _run_cli([*args, "--json", str(path)])
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == args[0]
+    assert bool(doc["violations"]) == (code == 1)

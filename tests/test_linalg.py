@@ -1,14 +1,11 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhlc.errors import ShapeError
+from helpers import subspace_eq
 from nhlc.linalg import (Matrix, RowReducer, coords_in_basis, nullspace, rank,
-                         solve_particular, span_basis, subspace_contains,
-                         subspace_eq, subspace_intersection, subspace_le,
-                         subspace_sum)
+                         solve_particular, span_basis, subspace_contains)
 
 F = Fraction
 
@@ -46,27 +43,6 @@ def test_solve_free_variables_zero():
     # minimal-pivot convention: free columns stay at zero
     sol = solve_particular(Matrix([[1, 1, 0], [0, 0, 1]]), [F(5), F(7)])
     assert sol == [F(5), F(0), F(7)]
-
-
-def test_subspace_examples():
-    e1, e2 = [F(1), F(0)], [F(0), F(1)]
-    assert subspace_le([e1], [e1, e2])
-    assert subspace_intersection([e1], [e2]) == []
-    assert subspace_eq([[F(1), F(1)]], [[F(2), F(2)]])
-    assert not subspace_le([e2], [e1])
-
-
-def test_subspace_sum_and_intersection():
-    u = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
-    v = [[F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    assert len(subspace_sum(u, v)) == 3
-    inter = subspace_intersection(u, v)
-    assert subspace_eq(inter, [[F(0), F(1), F(0)]])
-
-
-def test_subspace_shape_mismatch():
-    with pytest.raises(ShapeError):
-        subspace_intersection([[F(1)]], [[F(1), F(0)]])
 
 
 def test_coords_in_basis():

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import in_map_span, project_onto_maps, random_hom_map
+from helpers import (in_map_span, naive_space_dimension, project_onto_maps,
+                     random_hom_map)
 from nhlc import oracle
-from nhlc.algebra import HomMap
+from nhlc.algebra import HomMap, validate_algebra
 from nhlc.errors import ArityError
+from nhlc.grading import validate_bicharacter
 from nhlc.linalg import Matrix
-from nhlc.spaces import derivation_space, double_derivation_space
+from nhlc.spaces import (candidate_degrees, derivation_space,
+                         double_derivation_space)
+from nhlc.triple import triple_derivation_space
 
 F = Fraction
 
@@ -104,3 +108,28 @@ def test_projected_random_maps_pass_in_span_fail_out_of_span(a4):
             assert not oracle.is_derivation(a4, raw, 0)[0]
             hits += 1
     assert hits > 0
+
+
+def test_rational_bicharacter_routes_agree(rational_heis):
+    """Koszul signs 2 and 1/2: solver, oracle and the naive route agree on
+    Der and TDer, and the oracle rejects random maps outside the span."""
+    A = rational_heis
+    assert validate_bicharacter(A.eps).ok and validate_algebra(A).ok
+    rng = random.Random(7)
+    outside = 0
+    for k in (0, 1):
+        for kind, build, check, dim in (
+                ("der", derivation_space, oracle.is_derivation, 6),
+                ("tder", triple_derivation_space, oracle.is_triple_derivation, 9)):
+            space = build(A, k)
+            assert space.dimension() == dim == naive_space_dimension(A, kind, k)
+            for D in space.maps():
+                assert check(A, D, k)[0], (kind, k, D.degree)
+            for d in candidate_degrees(A):
+                raw = random_hom_map(A, d, rng)
+                span = [m for m in space.maps() if m.degree == d]
+                assert check(A, project_onto_maps(span, raw), k)[0]
+                if not in_map_span(span, raw):
+                    assert not check(A, raw, k)[0], (kind, k, d)
+                    outside += 1
+    assert outside > 0

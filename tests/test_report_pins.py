@@ -1,0 +1,92 @@
+"""Byte pins of CLI reports.
+
+Each command runs in process and the sha256 of its stdout is compared with
+a hash recorded before the Leibniz engines of the solver, the oracle and
+delta were unified.  A mismatch means a report changed by at least one
+byte, which a refactor must not do.
+"""
+
+import hashlib
+
+import pytest
+
+from nhlc import io_json
+from nhlc.cli import main
+
+# "<fixture>: <arguments>" -> sha256 of stdout; the algebra file comes last
+PINS = {
+    "a4: spaces --kind der --k 0 --json":
+        "843d07ad7ad5c864ecb941469004d841474a5151c70708ac879ba646b5dd8a52",
+    "a4: spaces --kind der --k 1 --json":
+        "d89277b752e8a38f036fa59993335ffca8cbc90d5639104c82e0f38394414db3",
+    "a4: spaces --kind dder --k 0 --json":
+        "022137afcce2d96ddf2c9fcfe46657b7007dddc2333277cbe334bd3efb3332f9",
+    "a4: spaces --kind dder --k 1 --json":
+        "114845d1a9719d4c363522cc091e14556f34a4efc3c63f52157a08b5d200a481",
+    "a4: spaces --kind inner --k 0 --json":
+        "a0e89e82d895f98b0152a378e0b8bc86e244b74b65fbf6aac54c6fe00bb7141f",
+    "a4: spaces --kind inner --k 1 --json":
+        "92a58d25b6dc37ae1731aab3012228db62400d4c17a467cd3fddb36eae331d25",
+    "twisted_a4: spaces --kind der --k 0 --json":
+        "aa85bd9a0616b393a407b7b30df818d4d95f3e63725c0527d4c708428b7847a5",
+    "twisted_a4: spaces --kind der --k 1 --json":
+        "35571946a9b28339f43157a48bb7e3693e77dfb9f3583c0bdc0ad03c1ad9b77e",
+    "twisted_a4: spaces --kind dder --k 0 --json":
+        "c56a12dbd1b8ad1548a9a00224512ef4d79b1780f76b028e0c2b8e709237718e",
+    "twisted_a4: spaces --kind dder --k 1 --json":
+        "5aa6724de5b11184cd348fdf6c6772ae9fbc19ac8b631b302530e4cd8e4d281a",
+    "twisted_a4: spaces --kind inner --k 0 --json":
+        "d9431c537d93a48b33151fc9ab0a204eebe81aac6ff55be8d3048e375ec7a16f",
+    "twisted_a4: spaces --kind inner --k 1 --json":
+        "d0804c30053f9aa1cfe567bdaa574d0dd9d0caa112514f1100fc8dc83c1ac171",
+    "super_heis: spaces --kind der --k 0 --json":
+        "6ef9a0dd52741b61dceac26516167baeba186c3b8b90178b7c410d6418139bdb",
+    "super_heis: spaces --kind der --k 1 --json":
+        "09c72397b6dd3383c2dcf31283df8dd51c9460064896aef0734d0ecfdb2b920c",
+    "super_heis: spaces --kind inner --k 0 --json":
+        "8e4782e4cf7da3c6135dca1f11cde2785a511dcc6b3191e888566fbe5abfaf42",
+    "super_heis: spaces --kind inner --k 1 --json":
+        "a2c976b904f6547e8b55e0233d0b81643a159119e10bd54506309221223de82e",
+    "color_heis3: spaces --kind der --k 0 --json":
+        "cd681bb7eace5be2104b7b555c068e2e8363e0d8862b08a99b209d8bb576fdb9",
+    "color_heis3: spaces --kind der --k 1 --json":
+        "2d51c48cedb90a67439dbc015eebe72f6be848ce20d53b5be0316eb76ff76110",
+    "color_heis3: spaces --kind dder --k 0 --json":
+        "cedfd9d31cb137877d690b6a4316892a448ec5c0fc8cf0d246fdd8b1ebe0ecfa",
+    "color_heis3: spaces --kind dder --k 1 --json":
+        "1c3aeb06fa940d0f7690bf0c8c079b1e4f21cd84b3593be571d2f9f935ac8715",
+    "color_heis3: spaces --kind inner --k 0 --json":
+        "3200e0a5126be2e82918d3bbe83fee0d7a70dddf1b9cceac6e652544dd4594b1",
+    "color_heis3: spaces --kind inner --k 1 --json":
+        "76e64eef62e8a3151f9433e75e9f4ab3d34333340c1c7d60f0afb27c74895b4d",
+    "a4: tder --source inn --k-max 1 --json":
+        "ec912753eb2bdaed665f3d886e85174fe39719b8c1dc14de81e60d153fb49d0d",
+    "a4: tder --source der --k-max 1 --json":
+        "5b76d0dda76e5d1d46720b16929c02e782f7e59fe776453ba4dd18b29c415f18",
+    "a4: tder --source dder --k-max 1 --json":
+        "96caea44f232c51696ec52ae21edb1bc52b0b48698faee2dba44cf5a0fa8e2d1",
+    "a4: verify --all --k-max 1 --json":
+        "2a19737f95cb6913b869d0fa8dc77feec661fd89a7aee659b2b5ae10b6d71fb0",
+    "super_heis: verify --all --k-max 1 --json":
+        "577e677ec46cadf677e6f767f15127bea2980ce94c20f4dd2a79d795e700a17b",
+}
+
+
+@pytest.fixture(scope="module")
+def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3):
+    root = tmp_path_factory.mktemp("pins")
+    paths = {}
+    for name, A in (("a4", a4), ("twisted_a4", twisted_a4),
+                    ("super_heis", super_heis), ("color_heis3", color_heis3)):
+        path = root / f"{name}.json"
+        io_json.save(A, path)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("command", sorted(PINS))
+def test_report_bytes_pinned(command, algebra_files, capsys):
+    name, args = command.split(": ")
+    main(args.split() + [algebra_files[name]])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS[command]

@@ -1,13 +1,13 @@
 import pytest
 from fractions import Fraction
 
-from helpers import naive_space_dimension
+from helpers import naive_space_dimension, subspace_eq
 from nhlc import oracle
 from nhlc.algebra import HomMap, validate_algebra
 from nhlc.builders import build_abelian
 from nhlc.errors import ArityError, HypothesisError, InvertibilityError
 from nhlc.grading import GradingGroup
-from nhlc.linalg import Matrix, span_basis, subspace_contains, subspace_eq
+from nhlc.linalg import Matrix, span_basis, subspace_contains
 from nhlc.spaces import (GradedMapSpace, MapBlock, ad_map, alpha_shift,
                          candidate_degrees, center,
                          centralizer, color_commutator, derivation_space,
