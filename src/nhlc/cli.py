@@ -2,10 +2,10 @@
 
 Every subcommand prints a report (machine JSON with --json, readable text
 otherwise) and exits 0 on success, 1 when violations were found or an input
-is unusable, 2 on usage errors.  Hypothesis-gated verifiers that do not
-apply to the given algebra are skipped with a notice and do not fail the
-run.  The NHLC_THREADS variable caps internal parallelism; results never
-depend on it.
+is unusable, 2 on usage errors.  `verify` skips a verifier that raises
+HypothesisError (the algebra is outside the hypotheses of its law) with the
+error's message as a notice that does not fail the run.  The NHLC_THREADS
+variable caps internal parallelism; results never depend on it.
 """
 
 import argparse
@@ -319,19 +319,16 @@ def _run_verify(A, k_max, triple_only):
     violations = []
     notices = []
 
-    def record(name, verifier, skip_reason=None):
+    def record(name, verifier):
         entry = {"check": name}
         results.append(entry)
-        if skip_reason is None:
-            try:
-                report = verifier(A, k_max)
-            except (TruncationError, AlgebraValidationError, HypothesisError,
-                    InvertibilityError) as exc:
-                skip_reason = str(exc)
-        if skip_reason is not None:
+        try:
+            report = verifier(A, k_max)
+        except (TruncationError, AlgebraValidationError, HypothesisError,
+                InvertibilityError) as exc:
             entry["status"] = "skipped"
-            entry["reason"] = skip_reason
-            notices.append(f"{name}: skipped ({skip_reason})")
+            entry["reason"] = str(exc)
+            notices.append(f"{name}: skipped ({exc})")
             return
         entry["status"] = "passed" if report.ok else "violated"
         entry["violations"] = [v.to_json() for v in report.violations]
@@ -353,50 +350,36 @@ def _run_verify(A, k_max, triple_only):
         notices.append("axioms failed; remaining checks skipped")
         return results, violations, notices
 
-    # hypothesis gates, tested in the order a verifier lists them; the
-    # reason of the first failing gate is the verifier's skip reason
-    gates = {
-        "arity": (A.arity >= 3, "arity < 3"),
-        "perfect": (spaces_mod.is_perfect(A), "algebra is not perfect"),
-        "centerless": (not spaces_mod.center(A), "algebra has nonzero center"),
-        "inner": (any(spaces_mod.inner_space(A, k).dimension() > 0
-                      for k in range(k_max + 1)),
-                  "no nonzero inner maps (no twist-fixed points)"),
-    }
-    delta_gates = ("arity", "perfect", "centerless")
+    def triple_equals(source, *hypotheses):
+        def verifier(A, k_max):
+            spaces_mod.require(A, k_max, *hypotheses)
+            return triple.verify_triple_equals_derivations(
+                _build_map_algebra(A, source, k_max), k_max)
+        return verifier
 
-    def triple_equals(source):
-        return lambda A, k_max: triple.verify_triple_equals_derivations(
-            _build_map_algebra(A, source, k_max), k_max)
-
-    # (name, verifier(A, k_max), gates, runs under --triple)
+    # (name, verifier(A, k_max), runs under --triple); a verifier that
+    # raises HypothesisError is skipped with the error's message
     table = [
         ("double-derivation-closure",
-         spaces_mod.verify_double_derivation_closure, ("arity",), False),
-        ("inner-ideal", spaces_mod.verify_inner_ideal,
-         ("arity", "perfect"), False),
-        ("delta-well-defined", delta_mod.verify_delta_well_defined_all,
-         delta_gates, False),
-        ("delta-residual-laws", delta_mod.verify_delta_residual_laws,
-         delta_gates, False),
+         spaces_mod.verify_double_derivation_closure, False),
+        ("inner-ideal", spaces_mod.verify_inner_ideal, False),
+        ("delta-well-defined", delta_mod.verify_delta_well_defined_all, False),
+        ("delta-residual-laws", delta_mod.verify_delta_residual_laws, False),
         ("delta-derivation-criterion",
-         delta_mod.verify_delta_derivation_criterion, delta_gates, False),
+         delta_mod.verify_delta_derivation_criterion, False),
         ("delta-commutator-homomorphism", delta_mod.verify_delta_homomorphism,
-         delta_gates, False),
+         False),
         ("inner-centralizer-trivial",
-         delta_mod.verify_inner_centralizer_trivial,
-         ("arity", "perfect", "inner"), False),
-        ("triple-invariance", triple.verify_triple_invariance,
-         ("arity", "perfect", "centerless", "inner"), True),
-        ("triple-equals-derivations[Inn]", triple_equals("inn"),
-         ("perfect", "centerless", "inner"), True),
-        ("triple-equals-derivations[Der]", triple_equals("der"),
-         ("perfect", "centerless"), True),
+         delta_mod.verify_inner_centralizer_trivial, False),
+        ("triple-invariance", triple.verify_triple_invariance, True),
+        ("triple-equals-derivations[Inn]",
+         triple_equals("inn", "perfect", "centerless", "inner"), True),
+        ("triple-equals-derivations[Der]",
+         triple_equals("der", "perfect", "centerless"), True),
     ]
-    for name, verifier, needs, in_triple in table:
+    for name, verifier, in_triple in table:
         if in_triple or not triple_only:
-            reason = next((gates[g][1] for g in needs if not gates[g][0]), None)
-            record(name, verifier, reason)
+            record(name, verifier)
     return results, violations, notices
 
 
@@ -429,6 +412,14 @@ def _cmd_verify(args):
 
 
 # ---------------------------------------------------------------------------
+
+def nonnegative_int(text):
+    """argparse type of --k-max: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -484,7 +475,7 @@ def build_parser():
     sp = sub.add_parser("tder", help="triple derivations of a map algebra")
     sp.add_argument("file")
     sp.add_argument("--source", choices=["self", "inn", "der", "dder"])
-    sp.add_argument("--k-max", type=int, default=2, dest="k_max")
+    sp.add_argument("--k-max", type=nonnegative_int, default=2, dest="k_max")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_tder)
 
@@ -492,7 +483,7 @@ def build_parser():
     sp.add_argument("file")
     sp.add_argument("--all", action="store_true", default=False)
     sp.add_argument("--triple", action="store_true", default=False)
-    sp.add_argument("--k-max", type=int, default=2, dest="k_max")
+    sp.add_argument("--k-max", type=nonnegative_int, default=2, dest="k_max")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_verify)
 

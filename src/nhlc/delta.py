@@ -12,13 +12,13 @@ from itertools import product
 
 from . import oracle
 from .algebra import HomMap
-from .errors import DecompositionError, DomainError, HypothesisError
+from .errors import DecompositionError, DomainError
 from .linalg import F0, F1, Matrix, nullspace, nullspace_of_rows, solve_particular
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
                      distinct_twist_pairs, distinct_twists,
                      double_derivation_space, inner_generators, inner_space,
-                     is_perfect, require_centerless_perfect)
+                     require)
 
 
 @dataclass
@@ -85,26 +85,22 @@ def _tuple_delta_image(algebra, t, D, k):
     return _combine([F1] * len(terms), terms, algebra.dim)
 
 
-def delta_of(algebra, D, k, _trusted=False):
+def delta_of(algebra, D, k):
     """The induced map delta_D for a double derivation D at twist power k.
 
-    _trusted skips the double-derivation input check; only the verifiers use
-    it, on maps whose membership was already certified.
+    The algebra must have arity >= 3 and be perfect and centerless
+    (HypothesisError otherwise), and D must lie in DDer^k, the solved
+    double-derivation space at twist power k (DomainError otherwise).
     """
     A = algebra
-    require_centerless_perfect(A)
-    if not _trusted:
-        ok, wit = oracle.is_double_derivation(A, D, k)
-        if not ok:
-            raise DomainError(f"input map is not a double derivation: {wit}")
+    require(A, k, "arity", "perfect", "centerless")
+    if not double_derivation_space(A, k).contains(D):
+        raise DomainError("input map is not a double derivation")
     tuples, matrix = _decomposition_columns(A)
     images = [_tuple_delta_image(A, t, D, k) for t in tuples]
-    cols = []
-    for q in range(A.dim):
-        sol = solve_particular(matrix, A.basis_vector(q))
-        if sol is None:
-            raise DecompositionError("algebra is not perfect")
-        cols.append(_combine(sol, images, A.dim))
+    # A is perfect, so every basis vector decomposes
+    cols = [_combine(solve_particular(matrix, A.basis_vector(q)), images, A.dim)
+            for q in range(A.dim)]
     data = [[cols[q][r] for q in range(A.dim)] for r in range(A.dim)]
     return HomMap(D.degree, Matrix(data))
 
@@ -113,7 +109,7 @@ def verify_delta_well_defined(algebra, D, k):
     """Apply the slot-replacement formula to every kernel vector of the
     decomposition matrix; all images must vanish."""
     A = algebra
-    require_centerless_perfect(A)
+    require(A, k, "arity", "perfect", "centerless")
     report = ValidationReport()
     tuples, matrix = _decomposition_columns(A)
     images = [_tuple_delta_image(A, t, D, k) for t in tuples]
@@ -131,6 +127,7 @@ def verify_delta_well_defined_all(algebra, k_max):
     """verify_delta_well_defined on every double-derivation basis map, once
     per distinct twist power alpha^k for k in [0, k_max]."""
     A = algebra
+    require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     for k in distinct_twists(A, k_max):
         for D in double_derivation_space(A, k).maps():
@@ -143,7 +140,7 @@ def verify_delta_residual_laws(algebra, k_max):
     E satisfies the single-slot replacement identity in every slot, and
     delta_E = -n E exactly."""
     A = algebra
-    require_centerless_perfect(A)
+    require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     n = A.arity
     checks = 0
@@ -173,12 +170,14 @@ def verify_delta_derivation_criterion(algebra, k_max):
     D is, with delta_D = D exactly on derivations; and commutators with
     inner generators expand by the slot formula with delta_D in slot one."""
     A = algebra
-    require_centerless_perfect(A)
+    require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     n = A.arity
+    deltas = {}
     for k in distinct_twists(A, k_max):
-        for idx, D in enumerate(double_derivation_space(A, k).maps()):
-            delta = delta_of(A, D, k)
+        maps = double_derivation_space(A, k).maps()
+        deltas[k] = [delta_of(A, D, k) for D in maps]
+        for idx, (D, delta) in enumerate(zip(maps, deltas[k])):
             d_is_der = oracle.is_derivation(A, D, k)[0]
             delta_is_der = oracle.is_derivation(A, delta, k)[0]
             if d_is_der != delta_is_der:
@@ -188,10 +187,12 @@ def verify_delta_derivation_criterion(algebra, k_max):
             if d_is_der and delta.matrix != D.matrix:
                 report.add("delta-fixes-derivations", witness=(k, idx),
                            expected="delta_D = D", actual="different matrix")
+    # if alpha^k = alpha^k' for some k' < k, the pair (k', s) has the same
+    # powers as (k, s), so every k here is a distinct twist of the loop above
     for k, s in distinct_twist_pairs(A, k_max):
         gens = inner_generators(A, s)
-        for idx, D in enumerate(double_derivation_space(A, k).maps()):
-            delta = delta_of(A, D, k)
+        maps = double_derivation_space(A, k).maps()
+        for idx, (D, delta) in enumerate(zip(maps, deltas[k])):
             d = D.degree
             for gidx, (xs, inner) in enumerate(gens):
                 lhs = color_commutator(D, inner, A.eps).matrix
@@ -218,7 +219,7 @@ def verify_delta_homomorphism(algebra, k_max):
     """delta turns color commutators of double derivations into color
     commutators of their images: delta_[D1,D2] = [delta_D1, delta_D2]."""
     A = algebra
-    require_centerless_perfect(A)
+    require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     checks = 0
     for k, s in distinct_twist_pairs(A, k_max):
@@ -229,9 +230,7 @@ def verify_delta_homomorphism(algebra, k_max):
         for i, D1 in enumerate(maps_k):
             for j, D2 in enumerate(maps_s):
                 C = color_commutator(D1, D2, A.eps)
-                # commutators of double derivations are double
-                # derivations; the closure verifier certifies that
-                lhs = delta_of(A, C, k + s, _trusted=True).matrix
+                lhs = delta_of(A, C, k + s).matrix
                 rhs = color_commutator(deltas_k[i], deltas_s[j], A.eps).matrix
                 checks += 1
                 if lhs != rhs:
@@ -250,8 +249,7 @@ def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
     empty list removes all constraints and returns the full space.
     """
     A = algebra
-    if not is_perfect(A):
-        raise HypothesisError(f"{A.name} is not perfect")
+    require(A, k_max, "arity", "perfect")
     if inner_maps is None:
         inner_maps = []
         for s in range(k_max + 1):
@@ -289,6 +287,7 @@ def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
 def verify_inner_centralizer_trivial(algebra, k_max):
     """The double derivations commuting with every inner map form the zero
     space (perfect algebras with nonzero inner space)."""
+    require(algebra, k_max, "arity", "perfect", "inner")
     space = inner_centralizer_in_double_derivations(algebra, k_max)
     report = ValidationReport()
     if space.dimension() > 0:

@@ -64,6 +64,12 @@ class GradedMapSpace:
                 return b.basis
         return []
 
+    def contains(self, D):
+        """Whether D lies in the span of the space's maps of degree D.degree."""
+        basis = span_basis([m.matrix.flatten() for b in self.blocks
+                            if b.degree == D.degree for m in b.basis])
+        return subspace_contains(basis, D.matrix.flatten())
+
 
 def candidate_degrees(algebra):
     """All degrees a nonzero homogeneous endomorphism can have."""
@@ -332,11 +338,25 @@ def center(algebra):
     return nullspace_of_rows(rows, A.dim)
 
 
-def require_centerless_perfect(algebra):
-    if not is_perfect(algebra):
-        raise HypothesisError(f"{algebra.name} is not perfect")
-    if center(algebra):
-        raise HypothesisError(f"{algebra.name} has nonzero center")
+# the hypotheses of the verified laws: name -> (test(algebra, k_max), message)
+_HYPOTHESES = {
+    "arity": (lambda A, k_max: A.arity >= 3, "arity < 3"),
+    "perfect": (lambda A, k_max: is_perfect(A), "algebra is not perfect"),
+    "centerless": (lambda A, k_max: not center(A), "algebra has nonzero center"),
+    "inner": (lambda A, k_max: any(inner_space(A, k).dimension() > 0
+                                   for k in range(k_max + 1)),
+              "no nonzero inner maps (no twist-fixed points)"),
+}
+
+
+def require(algebra, k_max, *names):
+    """Raise HypothesisError for the first named hypothesis, in the given
+    order, that the algebra fails; "inner" asks for a nonzero inner map at
+    some twist power in [0, k_max]."""
+    for name in names:
+        holds, message = _HYPOTHESES[name]
+        if not holds(algebra, k_max):
+            raise HypothesisError(message)
 
 
 def centralizer(algebra, span_vectors):
@@ -414,8 +434,7 @@ def verify_double_derivation_closure(algebra, k_max):
     """Closure of the double-derivation spaces under the induced twist and
     the color commutator, certified pointwise by the oracle."""
     A = algebra
-    if A.arity < 3:
-        raise ArityError("closure check needs arity >= 3")
+    require(A, k_max, "arity")
     report = ValidationReport()
     P = A.alpha_power
     spaces = {k: double_derivation_space(A, k) for k in range(k_max + 1)}
@@ -454,26 +473,17 @@ def verify_inner_ideal(algebra, k_max):
     the induced twist shifts inner levels up, and commutators with double
     derivations land back in the inner span."""
     A = algebra
-    if A.arity < 3:
-        raise ArityError("inner ideal check needs arity >= 3")
-    if not is_perfect(A):
-        raise HypothesisError(f"{A.name} is not perfect")
+    require(A, k_max, "arity", "perfect")
     report = ValidationReport()
     inns = {k: inner_space(A, k) for k in range(k_max + 2)}
     dds = {k: double_derivation_space(A, k) for k in range(k_max + 1)}
-    inn_bases = {}
-    for k, sp in inns.items():
-        for block in sp.blocks:
-            inn_bases[(k, block.degree)] = span_basis(
-                [m.matrix.flatten() for m in block.basis])
     for k in _distinct_shifts(A, k_max):
         for block in inns[k].blocks:
-            target = inn_bases.get((k + 1, block.degree), [])
             for idx, I in enumerate(block.basis):
-                shifted = I.matrix * A.alpha
-                if shifted.is_zero():
+                shifted = alpha_shift(A, I)
+                if shifted.matrix.is_zero():
                     continue
-                if not subspace_contains(target, shifted.flatten()):
+                if not inns[k + 1].contains(shifted):
                     report.add("inner-shift", witness=(k, block.degree, idx),
                                expected="contained in inner span at k+1",
                                actual="outside")
@@ -484,8 +494,7 @@ def verify_inner_ideal(algebra, k_max):
                     C = color_commutator(D, I, A.eps)
                     if C.matrix.is_zero():
                         continue
-                    target = inn_bases.get((k + s, C.degree), [])
-                    if not subspace_contains(target, C.matrix.flatten()):
+                    if not inns[k + s].contains(C):
                         report.add("inner-commutator",
                                    witness=(s, k, i, block.degree, j),
                                    expected="contained in inner span at k+s",

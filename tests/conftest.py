@@ -70,3 +70,24 @@ def rational_heis():
              ("z", g.element(free=(1, 1)))]
     return ColorAlgebra("RATIONAL_HEIS", 2, g, eps, basis,
                         Matrix.identity(3), {(0, 1): {2: Fraction(1)}})
+
+
+@pytest.fixture(scope="session")
+def sl2_heis3():
+    """sl2 acting on the Heisenberg algebra: ungraded, binary, identity
+    twist, basis h, e, f, p, q, z with [h,e] = 2e, [h,f] = -2f, [e,f] = h,
+    [h,p] = p, [h,q] = -q, [e,q] = p, [f,p] = q, [p,q] = z.  Perfect with
+    center span(z): the stock input whose verify report skips a check for
+    a nonzero center."""
+    from fractions import Fraction
+    from nhlc.algebra import ColorAlgebra
+    from nhlc.grading import GradingGroup, trivial_bicharacter
+    from nhlc.linalg import Matrix
+    g = GradingGroup()
+    F = Fraction
+    constants = {(0, 1): {1: F(2)}, (0, 2): {2: F(-2)}, (1, 2): {0: F(1)},
+                 (0, 3): {3: F(1)}, (0, 4): {4: F(-1)}, (1, 4): {3: F(1)},
+                 (2, 3): {4: F(1)}, (3, 4): {5: F(1)}}
+    basis = [(name, g.zero()) for name in ("h", "e", "f", "p", "q", "z")]
+    return ColorAlgebra("SL2_HEIS3", 2, g, trivial_bicharacter(g), basis,
+                        Matrix.identity(6), constants)

@@ -70,9 +70,9 @@ def test_delta_fixes_derivations(a4, twisted_a4, skewed_sum):
     for A in (a4, twisted_a4):
         for D in derivation_space(A, 0).maps():
             assert delta_of(A, D, 0).matrix == D.matrix
-    # derivations are double derivations, so the input check may be skipped
+    # derivations are double derivations, so they pass the input check
     for D in derivation_space(skewed_sum, 0).maps()[:2]:
-        assert delta_of(skewed_sum, D, 0, _trusted=True).matrix == D.matrix
+        assert delta_of(skewed_sum, D, 0).matrix == D.matrix
 
 
 def test_delta_of_zero_map(a4):
@@ -86,9 +86,9 @@ def test_delta_linear_in_map(skewed_sum):
     D1, D2 = maps[0], maps[5]
     lam = F(5, 3)
     combo = HomMap(D1.degree, D1.matrix + D2.matrix.scale(lam))
-    got = delta_of(A, combo, 0, _trusted=True).matrix
-    expect = delta_of(A, D1, 0, _trusted=True).matrix + \
-        delta_of(A, D2, 0, _trusted=True).matrix.scale(lam)
+    got = delta_of(A, combo, 0).matrix
+    expect = delta_of(A, D1, 0).matrix + \
+        delta_of(A, D2, 0).matrix.scale(lam)
     assert got == expect
 
 

@@ -200,6 +200,29 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", [["verify", "--all"], ["tder"]])
+def test_negative_k_max_is_usage_error(tmp_path, capsys, command):
+    """--k-max -1 leaves every twist-power range empty; it is refused
+    before any check runs instead of passing checks that test nothing."""
+    path = tmp_path / "a4.json"
+    io_json.save(build_simple_nlie(3), path)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--k-max", "-1", "--json", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--k-max: must be nonnegative, got -1" in err
+
+
+def test_negative_spaces_k_stays_valid(tmp_path, capsys):
+    """A negative --k of spaces asks for a power of the inverse twist."""
+    path = tmp_path / "a4.json"
+    io_json.save(build_simple_nlie(3), path)
+    assert main(["spaces", "--kind", "der", "--k", "-1", "--json",
+                 str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["dimension"] == 6
+
+
 def test_missing_file_is_failure():
     proc = _run_cli(["validate", "/nonexistent/algebra.json"])
     assert proc.returncode == 1

@@ -1,9 +1,9 @@
 """Byte pins of CLI reports.
 
 Each command runs in process and the sha256 of its stdout is compared with
-a hash recorded before the Leibniz engines of the solver, the oracle and
-delta were unified.  A mismatch means a report changed by at least one
-byte, which a refactor must not do.
+a hash recorded at the parent of the change that added the pin, before any
+source file of that change was edited.  A mismatch means a report changed
+by at least one byte, which a refactor must not do.
 """
 
 import hashlib
@@ -69,15 +69,25 @@ PINS = {
         "2a19737f95cb6913b869d0fa8dc77feec661fd89a7aee659b2b5ae10b6d71fb0",
     "super_heis: verify --all --k-max 1 --json":
         "577e677ec46cadf677e6f767f15127bea2980ce94c20f4dd2a79d795e700a17b",
+    "twisted_a4: verify --all --k-max 1 --json":
+        "bee1c86c96c41daf9574196cc2f387419fb0edd7da8d839bcd3513b961f2e385",
+    "color_heis3: verify --all --k-max 1 --json":
+        "07f75060e32ad0bc038f8a680a04699ddbaecb932f77861c50aa46ee10ae2665",
+    "sl2_heis3: verify --all --k-max 1 --json":
+        "1a1f88f5a3ccd9b8e40f1e5f8902525d8913f5cd5600a683924d5f42b16b4e68",
+    "a4: verify --triple --k-max 1 --json":
+        "0d5c02463dc6eaffdc1c5d8b6aa88533085bb13675d552c5d310c608e2f78481",
 }
 
 
 @pytest.fixture(scope="module")
-def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3):
+def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
+                  sl2_heis3):
     root = tmp_path_factory.mktemp("pins")
     paths = {}
     for name, A in (("a4", a4), ("twisted_a4", twisted_a4),
-                    ("super_heis", super_heis), ("color_heis3", color_heis3)):
+                    ("super_heis", super_heis), ("color_heis3", color_heis3),
+                    ("sl2_heis3", sl2_heis3)):
         path = root / f"{name}.json"
         io_json.save(A, path)
         paths[name] = str(path)
