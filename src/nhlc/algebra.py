@@ -83,6 +83,7 @@ class ColorAlgebra:
         self._basis_vecs = {}
         self._alpha_powers = {0: Matrix.identity(self.dim), 1: self.alpha}
         self._space_cache = {}
+        self._hypotheses = {}
 
     # -- basic helpers ----------------------------------------------------
     def degree_sum(self, degs):

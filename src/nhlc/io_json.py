@@ -82,12 +82,18 @@ def dict_to_algebra(doc, validate=True):
         raise FormatError(f"malformed algebra file: {exc}") from None
     A = ColorAlgebra(name, arity, group, eps, basis, alpha, constants)
     if validate:
-        report = validate_bicharacter(eps)
-        report.merge(validate_algebra(A))
-        if not report.ok:
-            raise AlgebraValidationError(
-                f"algebra {A.name!r} fails validation", report)
+        check_axioms(A)
     return A
+
+
+def check_axioms(A):
+    """The axiom report of A (its bicharacter, then its identities); raises
+    AlgebraValidationError when the algebra fails it."""
+    report = validate_bicharacter(A.eps)
+    report.merge(validate_algebra(A))
+    if not report.ok:
+        raise AlgebraValidationError(f"algebra {A.name!r} fails validation", report)
+    return report
 
 
 def dumps(A):

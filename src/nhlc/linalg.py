@@ -1,9 +1,13 @@
 """Deterministic exact linear algebra over the rationals.
 
-Elimination is fraction-free (Bareiss) on integer-scaled rows with rational
-normalization only when producing the final reduced echelon form.  Pivoting
-is leftmost-column-first with first-nonzero-row selection, so every result
-is bit-identical across runs.
+There is one elimination engine, the echelon of RowReducer.  Each row is
+scaled to a primitive integer row and reduced against the pivot rows,
+leftmost pivot first, by integer cross-multiplication and gcd division, so
+elimination runs without Fraction arithmetic.  Reduced row echelon forms,
+kernels, ranks, span bases, particular solutions and inverses are all read
+off that echelon by one rational back substitution.  A row space has exactly
+one reduced row echelon form, so every result is independent of the order
+in which rows arrive and bit-identical across runs.
 """
 
 from fractions import Fraction
@@ -117,113 +121,66 @@ def _as_int_row(row):
         d = x.denominator
         den = den * d // gcd(den, d)
     out = [int(x.numerator * (den // x.denominator)) for x in row]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
+    g = gcd(*out)
     if g > 1:
         out = [v // g for v in out]
     return out
 
 
-def _bareiss_echelon(int_rows, ncols, pivot_limit):
-    """Fraction-free row echelon; returns (rows, pivot_cols).
+def _cancel(v, p, c):
+    """The elimination step on integer rows: a v - b p with a = p[c] / g and
+    b = v[c] / g for g = gcd(p[c], v[c]), so column c cancels, divided by
+    the gcd of its entries."""
+    g = gcd(p[c], v[c])
+    a, b = p[c] // g, v[c] // g
+    v = [a * s - b * t for s, t in zip(v, p)]
+    g = gcd(*v)
+    return [s // g for s in v] if g > 1 else v
 
-    One-step Bareiss: every division below is exact in the integers.
-    """
-    rows = [r for r in int_rows if any(r)]
-    piv_cols = []
-    r = 0
-    prev = 1
-    for c in range(pivot_limit):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        pc = prow[c]
-        keep = rows[: r + 1]
-        for i in range(r + 1, len(rows)):
-            row = rows[i]
-            ric = row[c]
-            if ric == 0:
-                if pc != prev:
-                    row = [v * pc // prev for v in row]
-            else:
-                row = [(pc * row[j] - ric * prow[j]) // prev for j in range(ncols)]
-            if any(row):
-                keep.append(row)
-        rows = keep
-        prev = pc
-        piv_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, piv_cols
+
+def _insert(pivots, row):
+    """Reduce a rational row against the pivot rows (pivot column ->
+    primitive integer row, zero left of its pivot), leftmost pivot first,
+    and keep a nonzero remainder under its leading column.  Returns whether
+    the row was independent of the pivot rows."""
+    v = _as_int_row(row)
+    for c in range(len(v)):
+        if v[c]:
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = v
+                return True
+            # the columns left of c are zero in both rows and stay zero
+            v = _cancel(v, p, c)
+    return False
 
 
 def _back_substitute(ech, piv_cols):
-    """Reduced rational rows from fraction-free echelon rows: each pivot
-    scaled to one and cleared from the rows above it."""
-    out = [[Fraction(x) for x in ech[i]] for i in range(len(piv_cols))]
+    """Reduced rational rows from integer echelon rows: each pivot cleared
+    from the rows above it, then scaled to one."""
+    out = list(ech)
     for i in reversed(range(len(piv_cols))):
         c = piv_cols[i]
-        pv = out[i][c]
-        out[i] = [x / pv for x in out[i]]
         for u in range(i):
-            f = out[u][c]
-            if f:
-                out[u] = [a - f * b for a, b in zip(out[u], out[i])]
-    return out
+            if out[u][c]:
+                out[u] = _cancel(out[u], out[i], c)
+    return [[Fraction(x, row[c]) if x else F0 for x in row]
+            for row, c in zip(out, piv_cols)]
 
 
-def rref(rows, pivot_limit=None):
-    """Reduced row echelon form over the rationals.
-
-    rows: list of rational rows (all the same length).  pivot_limit
-    restricts pivot search to the first columns (used for augmented solves).
-    Returns (rref_rows, pivot_cols); rref_rows has one row per pivot.
-    """
-    rows = [[Fraction(x) for x in row] for row in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    limit = ncols if pivot_limit is None else pivot_limit
-    int_rows = [_as_int_row(row) for row in rows]
-    ech, piv_cols = _bareiss_echelon(int_rows, ncols, limit)
-    return _back_substitute(ech, piv_cols), piv_cols
+def _rref(pivots):
+    cols = sorted(pivots)
+    return _back_substitute([pivots[c] for c in cols], cols), cols
 
 
-def rank(M):
-    rows = M.data if isinstance(M, Matrix) else M
-    return len(rref(rows)[1])
-
-
-def nullspace(M):
-    """Basis of the right kernel in reduced echelon form of the kernel.
-
-    Deterministic: leftmost pivot order; basis vectors indexed by the free
-    columns in increasing order, size cols - rank.
-    """
-    if isinstance(M, Matrix):
-        rows, ncols = M.data, M.cols
-    else:
-        rows = M
-        ncols = len(rows[0]) if rows else 0
-    return nullspace_of_rows(rows, ncols)
-
-
-def nullspace_of_rows(rows, ncols):
-    if ncols == 0:
-        return []
-    red, piv_cols = rref(rows)
+def _kernel(red, piv_cols, ncols):
+    """Kernel basis of an RREF, one vector per free column in increasing
+    order, with a one in that column."""
     piv_set = set(piv_cols)
-    free_cols = [c for c in range(ncols) if c not in piv_set]
     basis = []
-    for f in free_cols:
+    for f in range(ncols):
+        if f in piv_set:
+            continue
         v = [F0] * ncols
         v[f] = F1
         for r, c in enumerate(piv_cols):
@@ -232,29 +189,60 @@ def nullspace_of_rows(rows, ncols):
     return basis
 
 
+def rref(rows, pivot_limit=None):
+    """Reduced row echelon form over the rationals.
+
+    rows: rows of int or Fraction entries, all the same length.  With
+    pivot_limit, only the rows whose pivot lies in the first pivot_limit
+    columns are returned (used for augmented solves).
+    Returns (rref_rows, pivot_cols); rref_rows has one row per pivot.
+    """
+    pivots = {}
+    for row in rows:
+        _insert(pivots, row)
+    red, piv_cols = _rref(pivots)
+    if pivot_limit is not None:
+        n = sum(c < pivot_limit for c in piv_cols)
+        red, piv_cols = red[:n], piv_cols[:n]
+    return red, piv_cols
+
+
+def _rows_and_cols(M):
+    """(rows, column count) of a Matrix or of a list of rows."""
+    if isinstance(M, Matrix):
+        return M.data, M.cols
+    return M, len(M[0]) if M else 0
+
+
+def rank(M):
+    return len(rref(_rows_and_cols(M)[0])[1])
+
+
+def nullspace(M):
+    """Basis of the right kernel in reduced echelon form of the kernel.
+
+    Deterministic: leftmost pivot order; basis vectors indexed by the free
+    columns in increasing order, size cols - rank.
+    """
+    return nullspace_of_rows(*_rows_and_cols(M))
+
+
+def nullspace_of_rows(rows, ncols):
+    return _kernel(*rref(rows), ncols)
+
+
 def solve_particular(M, b):
     """Deterministic particular solution of Mx = b, or None if inconsistent.
 
     Free variables are set to zero (minimal-pivot convention).
     """
-    if isinstance(M, Matrix):
-        rows, ncols = [list(r) for r in M.data], M.cols
-    else:
-        rows = [list(r) for r in M]
-        ncols = len(rows[0]) if rows else 0
+    rows, ncols = _rows_and_cols(M)
     if len(b) != len(rows):
         raise ShapeError("right-hand side length does not match row count")
-    if ncols == 0:
-        return None if any(x != 0 for x in b) else []
-    aug = [row + [Fraction(bv)] for row, bv in zip(rows, b)]
-    if not aug:
-        return [F0] * ncols
-    int_rows = [_as_int_row([Fraction(x) for x in row]) for row in aug]
-    ech, piv_cols = _bareiss_echelon(int_rows, ncols + 1, ncols)
-    for row in ech[len(piv_cols):]:
-        if row[ncols] != 0:
-            return None
-    red = _back_substitute(ech, piv_cols)
+    red, piv_cols = rref([list(row) + [bv] for row, bv in zip(rows, b)])
+    # a pivot in the right-hand column is a row 0 = nonzero
+    if ncols in piv_cols:
+        return None
     x = [F0] * ncols
     for r, c in enumerate(piv_cols):
         x[c] = red[r][ncols]
@@ -267,36 +255,12 @@ def solve_particular(M, b):
 
 def span_basis(vectors):
     """Canonical (RREF-row) basis of the span of the given vectors."""
-    vectors = [v for v in vectors if any(x != 0 for x in v)]
-    if not vectors:
-        return []
-    red, _ = rref(vectors)
-    return red
+    return rref(vectors)[0]
 
 
-def _reduce_against(basis, v):
-    v = [Fraction(x) for x in v]
-    for row in basis:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def subspace_contains(basis, v):
-    """Membership test against a canonical basis as produced by span_basis."""
-    return all(x == 0 for x in _reduce_against(basis, v))
-
-
-def coords_in_basis(basis, v):
-    """Coordinates of v in a canonical RREF basis, or None when outside.
-
-    Exploits the pivot structure: the coefficient of each basis row is just
-    the value of v at that row's pivot column.
-    """
-    if not basis:
-        return [] if all(x == 0 for x in v) else None
+def _split(basis, v):
+    """(coefficients, residue) of v against a canonical RREF basis: the
+    coefficient of each basis row is the value of v at that row's pivot."""
     coeffs = []
     residue = [Fraction(x) for x in v]
     for row in basis:
@@ -305,48 +269,40 @@ def coords_in_basis(basis, v):
         coeffs.append(c)
         if c:
             residue = [a - c * b for a, b in zip(residue, row)]
-    if any(x != 0 for x in residue):
-        return None
-    return coeffs
+    return coeffs, residue
+
+
+def subspace_contains(basis, v):
+    """Membership test against a canonical basis as produced by span_basis."""
+    return not any(_split(basis, v)[1])
+
+
+def coords_in_basis(basis, v):
+    """Coordinates of v in a canonical RREF basis, or None when outside."""
+    coeffs, residue = _split(basis, v)
+    return None if any(residue) else coeffs
 
 
 class RowReducer:
-    """Incremental collector of independent constraint rows.
+    """Incremental echelon of constraint rows: the one elimination engine.
 
-    Rows arrive as dense rational lists; internally a forward-echelon set of
-    reduced rows decides independence, and the original independent rows are
-    retained so the final canonical reduction runs fraction-free on them.
-    Processing order is the arrival order, so the selected subset (and hence
-    everything downstream) is deterministic.
+    add() reduces each row against the pivot rows kept so far and keeps it
+    when it is independent; the kernel is read off the echelon by back
+    substitution.  The selected rows depend on the arrival order, but the
+    row space and so its unique reduced echelon form, the rank and the
+    kernel basis do not.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self._echelon = {}   # pivot col -> normalized reduced row
-        self.kept = []       # original independent rows
+        self._pivots = {}   # pivot column -> primitive integer row
 
     def add(self, row):
-        v = [Fraction(x) for x in row]
-        i = 0
-        while i < self.ncols:
-            x = v[i]
-            if x == 0:
-                i += 1
-                continue
-            pivot_row = self._echelon.get(i)
-            if pivot_row is None:
-                self._echelon[i] = [y / x for y in v]
-                self.kept.append(list(row))
-                return True
-            # pivot rows have leading 1 at i and zeros before, so entries
-            # left of i stay zero and the scan can resume at i + 1
-            v = [a - x * b for a, b in zip(v, pivot_row)]
-            i += 1
-        return False
+        return _insert(self._pivots, row)
 
     @property
     def rank(self):
-        return len(self.kept)
+        return len(self._pivots)
 
     def nullspace(self):
-        return nullspace_of_rows(self.kept, self.ncols)
+        return _kernel(*_rref(self._pivots), self.ncols)

@@ -338,7 +338,8 @@ def center(algebra):
     return nullspace_of_rows(rows, A.dim)
 
 
-# the hypotheses of the verified laws: name -> (test(algebra, k_max), message)
+# the hypotheses of the verified laws: name -> (test(algebra, k_max), message);
+# only "inner" depends on k_max
 _HYPOTHESES = {
     "arity": (lambda A, k_max: A.arity >= 3, "arity < 3"),
     "perfect": (lambda A, k_max: is_perfect(A), "algebra is not perfect"),
@@ -352,10 +353,14 @@ _HYPOTHESES = {
 def require(algebra, k_max, *names):
     """Raise HypothesisError for the first named hypothesis, in the given
     order, that the algebra fails; "inner" asks for a nonzero inner map at
-    some twist power in [0, k_max]."""
+    some twist power in [0, k_max].  Verdicts are kept on the algebra."""
+    memo = algebra._hypotheses
     for name in names:
         holds, message = _HYPOTHESES[name]
-        if not holds(algebra, k_max):
+        key = (name, k_max) if name == "inner" else name
+        if key not in memo:
+            memo[key] = holds(algebra, k_max)
+        if not memo[key]:
             raise HypothesisError(message)
 
 

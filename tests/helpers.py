@@ -4,6 +4,8 @@ Nothing here shares constraint-assembly or elimination code with the
 package: identities are turned into residual vectors by pointwise
 evaluation at elementary matrices, and the resulting systems are reduced by
 plain rational Gauss elimination pivoting on the RIGHTMOST column first.
+reference_rref and reference_nullspace are textbook Gauss-Jordan over
+Fraction, the other side of the tests of the package's elimination engine.
 """
 
 from fractions import Fraction
@@ -36,6 +38,43 @@ def gauss_nullity_rightmost(rows, ncols):
                 work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
         rank += 1
     return ncols - rank
+
+
+def reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fraction: (reduced nonzero rows, pivot
+    columns); each pivot column is cleared above and below its pivot."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    piv_cols = []
+    for col in range(ncols):
+        r = len(piv_cols)
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        piv_cols.append(col)
+    return work[:len(piv_cols)], piv_cols
+
+
+def reference_nullspace(rows, ncols):
+    """Kernel basis from reference_rref: per free column f in increasing
+    order, x_f = 1, the other free variables 0, each pivot variable solved."""
+    red, piv_cols = reference_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in piv_cols:
+            continue
+        x = [F0] * ncols
+        x[f] = F1
+        for row, c in zip(red, piv_cols):
+            x[c] = -row[f]
+        basis.append(x)
+    return basis
 
 
 def _unit(dim, i):
@@ -179,13 +218,17 @@ def direct_sum(A, B, name):
 
 
 def conjugate_algebra(A, P, name):
-    """Transport the structure constants through the invertible map P.
+    """A rewritten in the basis {P e_i}: constants P^-1 [P e_i, ...] and
+    twist P^-1 alpha P.
 
-    Only for trivially graded algebras with identity twist; the result is
-    isomorphic to A, so it validates, but its bracket table is dense.
+    P must be invertible and map each degree's basis vectors into their own
+    degree (block-diagonal by degree).  The result is isomorphic to A, so it
+    validates, but its bracket table is dense.
     """
     Pinv = P.inverse()
     assert Pinv is not None
+    assert all(P[j][i] == 0 for j in range(A.dim) for i in range(A.dim)
+               if A.degrees[j] != A.degrees[i])
     pcols = [P.column(i) for i in range(A.dim)]
     constants = {}
     for t in A.all_tuples():
@@ -195,7 +238,21 @@ def conjugate_algebra(A, P, name):
         if entry:
             constants[t] = entry
     return ColorAlgebra(name, A.arity, A.group, A.eps, list(A.basis),
-                        Matrix.identity(A.dim), constants)
+                        Pinv * A.alpha * P, constants)
+
+
+def random_basis_change(A, rng):
+    """Random invertible P, block-diagonal by degree, with small rational
+    entries."""
+    while True:
+        data = [[F0] * A.dim for _ in range(A.dim)]
+        for j in range(A.dim):
+            for i in range(A.dim):
+                if A.degrees[j] == A.degrees[i]:
+                    data[j][i] = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+        P = Matrix(data)
+        if P.inverse() is not None:
+            return P
 
 
 def random_hom_map(A, degree, rng):

@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import subspace_eq
+from helpers import reference_nullspace, reference_rref, subspace_eq
 from nhlc.linalg import (Matrix, RowReducer, coords_in_basis, nullspace, rank,
-                         solve_particular, span_basis, subspace_contains)
+                         rref, solve_particular, span_basis, subspace_contains)
 
 F = Fraction
 
@@ -102,14 +102,98 @@ def test_solve_solution_is_exact(rows):
 @given(small_matrix)
 @settings(max_examples=60, deadline=None)
 def test_determinism_and_reducer_agreement(rows):
-    """Same canonical results twice, and the incremental reducer selects a
-    row subset with identical row space."""
+    """Same canonical results twice, and the incremental reducer agrees
+    with the textbook reference."""
     m = Matrix(rows)
     assert nullspace(m) == nullspace(Matrix(rows))
     red = RowReducer(m.cols)
     for r in rows:
         red.add(r)
-    assert red.nullspace() == nullspace(m)
+    assert red.nullspace() == reference_nullspace(rows, m.cols)
+    assert red.rank == len(reference_rref(rows, m.cols)[1])
+
+
+def _degenerate(rows):
+    """rows plus a zero row and up to three rational multiples of its rows,
+    in a drawn order."""
+    ncols = len(rows[0])
+    extra = st.lists(st.tuples(st.integers(0, len(rows) - 1), rational), max_size=3)
+    return extra.map(lambda ex: rows + [[F(0)] * ncols] + [
+        [c * x for x in rows[i]] for i, c in ex]).flatmap(st.permutations)
+
+
+degenerate_matrix = small_matrix.flatmap(_degenerate)
+
+
+@given(degenerate_matrix, st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_reference(rows, data):
+    """rref (with and without pivot_limit), nullspace, span_basis and rank
+    agree with textbook Gauss-Jordan, zero and repeated rows included."""
+    ncols = len(rows[0])
+    red, piv = reference_rref(rows, ncols)
+    assert rref(rows) == (red, piv)
+    limit = data.draw(st.integers(0, ncols))
+    n = sum(c < limit for c in piv)
+    assert rref(rows, pivot_limit=limit) == (red[:n], piv[:n])
+    assert nullspace(Matrix(rows)) == reference_nullspace(rows, ncols)
+    assert span_basis(rows) == red
+    assert rank(Matrix(rows)) == len(piv)
+
+
+@given(degenerate_matrix, st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_matches_reference(rows, data):
+    """solve_particular reads the reference RREF of [M | b]: None when the
+    right-hand column is a pivot, else the pivot values with free variables
+    zero.  b is M x for a drawn x (consistent) or drawn at random."""
+    m = Matrix(rows)
+    if data.draw(st.booleans()):
+        b = m.apply(data.draw(st.lists(rational, min_size=m.cols, max_size=m.cols)))
+    else:
+        b = data.draw(st.lists(rational, min_size=m.rows, max_size=m.rows))
+    red, piv = reference_rref([list(r) + [bv] for r, bv in zip(rows, b)], m.cols + 1)
+    got = solve_particular(m, b)
+    if m.cols in piv:
+        assert got is None
+    else:
+        want = [F(0)] * m.cols
+        for row, c in zip(red, piv):
+            want[c] = row[m.cols]
+        assert got == want
+
+
+square_matrix = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(rational, min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@given(square_matrix)
+@settings(max_examples=80, deadline=None)
+def test_inverse_matches_reference(rows):
+    n = len(rows)
+    aug = [list(r) + [F(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    red, piv = reference_rref(aug, 2 * n)
+    inv = Matrix(rows).inverse()
+    if piv[:n] == list(range(n)):
+        assert inv == Matrix([row[n:] for row in red])
+    else:
+        assert inv is None
+
+
+@given(degenerate_matrix.flatmap(lambda rows: st.tuples(st.just(rows),
+                                                         st.permutations(rows))))
+@settings(max_examples=60, deadline=None)
+def test_reducer_ignores_row_order(pair):
+    rows, shuffled = pair
+    reducers = []
+    for order in (rows, shuffled):
+        red = RowReducer(len(rows[0]))
+        for r in order:
+            red.add(r)
+        reducers.append(red)
+    assert reducers[0].rank == reducers[1].rank
+    assert reducers[0].nullspace() == reducers[1].nullspace()
 
 
 @given(small_matrix)

@@ -2,16 +2,23 @@
 
 Each command runs in process and the sha256 of its stdout is compared with
 a hash recorded at the parent of the change that added the pin, before any
-source file of that change was edited.  A mismatch means a report changed
-by at least one byte, which a refactor must not do.
+source file of that change was edited; so is its exit code.  A mismatch
+means a report changed by at least one byte, which a refactor must not do.
+Commands run in the directory of the fixture files, so the map and span
+files they name are relative paths and the reports that echo them are
+stable.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
 from nhlc import io_json
+from nhlc.algebra import ColorAlgebra
 from nhlc.cli import main
+from nhlc.spaces import double_derivation_space
 
 # "<fixture>: <arguments>" -> sha256 of stdout; the algebra file comes last
 PINS = {
@@ -77,7 +84,47 @@ PINS = {
         "1a1f88f5a3ccd9b8e40f1e5f8902525d8913f5cd5600a683924d5f42b16b4e68",
     "a4: verify --triple --k-max 1 --json":
         "0d5c02463dc6eaffdc1c5d8b6aa88533085bb13675d552c5d310c608e2f78481",
+    "a4: center --json":
+        "9e94715b8b883cfc4811f2a42a52b1cee9134a28021c213c480ed00389d35d46",
+    "twisted_a4: center --json":
+        "da85e0347f38cd839a50c44b4d68eabbcfcc3cf70117bd12fd0c7df1d75385f1",
+    "super_heis: center --json":
+        "7e8e2cb1e7fb53381804b3add9ad4a2ddfe3f5b7895c315de2e0f5d022a8e451",
+    "color_heis3: center --json":
+        "79f36621a46aa71d532438ac3ca0a14e7b955f23b6a864dd4925bba4a3a83e37",
+    "sl2_heis3: center --json":
+        "e460879fe23b6bb15676e34539a9f062ed79630b93ce486e06e812dc73124abc",
+    "a4_mutant: center --json":
+        "3ee97c43ceca128fb4262438782f0deb305415e08987f65e85b43be43d04d191",
+    "twisted_a4: spaces --kind der --k -1 --json":
+        "3a55eb368396f319156ce7eb7802f1d27a5b3af2120ba54266b0b82abc226469",
+    "twisted_a4: spaces --kind dder --k -1 --json":
+        "cf867d6fc02da30fda9d4c93ee41fb2d4723805cc86f5623c41ef2ec0a6b461c",
+    "a4: delta --k 0 --map a4_dder0_map.json --json":
+        "8d2997c29ae2a2f8011b3c765235efaf379c234ac5847d1cb1b404e91f9c6c5d",
+    "a4: centralizer --span a4_span.json --json":
+        "b2eee2a396eb524efa98e90205ae0751eb6f59b6e3f81c1b3df798cc26560e30",
+    "a4_mutant: verify --all --k-max 1 --json":
+        "4bd03455bb2b39df9009c2ffd1574af7532ce5f0982f040cfc898298a025b1a6",
+    "a4_mutant: verify --all --k-max 0":
+        "44673e2042084eff8a7f1f5c732ab96c6860da79c4fc0ec997b03b9738548150",
 }
+
+# commands whose exit code is not 0
+EXIT_CODES = {
+    "a4_mutant: center --json": 1,
+    "a4_mutant: verify --all --k-max 1 --json": 1,
+    "a4_mutant: verify --all --k-max 0": 1,
+}
+
+
+def _a4_mutant(a4):
+    """A4 with 1 added to the e1 coefficient of [e1, e2, e3]: it breaks the
+    Jacobi identity (the first injection of the acceptance axiom suite)."""
+    constants = {t: dict(v) for t, v in a4.constants.items()}
+    constants[(0, 1, 2)][0] = constants[(0, 1, 2)].get(0, Fraction(0)) + 1
+    return ColorAlgebra("A4_mutant", 3, a4.group, a4.eps, list(a4.basis),
+                        a4.alpha, constants)
 
 
 @pytest.fixture(scope="module")
@@ -87,16 +134,24 @@ def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
     paths = {}
     for name, A in (("a4", a4), ("twisted_a4", twisted_a4),
                     ("super_heis", super_heis), ("color_heis3", color_heis3),
-                    ("sl2_heis3", sl2_heis3)):
+                    ("sl2_heis3", sl2_heis3), ("a4_mutant", _a4_mutant(a4))):
         path = root / f"{name}.json"
         io_json.save(A, path)
         paths[name] = str(path)
-    return paths
+    first = double_derivation_space(a4, 0).maps()[0]
+    (root / "a4_dder0_map.json").write_text(
+        json.dumps({"matrix": io_json.matrix_to_grid(first.matrix)}))
+    (root / "a4_span.json").write_text(
+        json.dumps({"vectors": [["1", "1/2", "0", "-1"]]}))
+    return root, paths
 
 
 @pytest.mark.parametrize("command", sorted(PINS))
-def test_report_bytes_pinned(command, algebra_files, capsys):
+def test_report_bytes_pinned(command, algebra_files, capsys, monkeypatch):
+    root, paths = algebra_files
+    monkeypatch.chdir(root)
     name, args = command.split(": ")
-    main(args.split() + [algebra_files[name]])
+    code = main(args.split() + [paths[name]])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS[command]
+    assert code == EXIT_CODES.get(command, 0)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from fractions import Fraction
 
-from helpers import naive_space_dimension, subspace_eq
+from helpers import (conjugate_algebra, naive_space_dimension,
+                     random_basis_change, subspace_eq)
 from nhlc import oracle
 from nhlc.algebra import HomMap, validate_algebra
 from nhlc.builders import build_abelian
@@ -370,3 +373,30 @@ def test_map_algebra_truncation_on_unclosed_span(a4):
                              [MapBlock(0, block.degree, block.basis[:2])])
     with pytest.raises(TruncationError):
         maps_as_color_algebra(partial)
+
+
+# -- change of basis -------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "super_heis"])
+def test_invariants_under_change_of_basis(name, request):
+    """B is A in the basis {P e_i} for a seeded P with dense rational
+    entries; the dimensions of every solved space per (k, degree), of the
+    center and of the derived subalgebra, and perfectness agree."""
+    A = request.getfixturevalue(name)
+    B = conjugate_algebra(A, random_basis_change(A, random.Random(4)), A.name + "_P")
+    assert validate_algebra(B).ok
+    assert B.constants != A.constants
+
+    def dims(space):
+        return [(b.k, b.degree, len(b.basis)) for b in space.blocks]
+
+    solvers = [derivation_space, inner_space]
+    if A.arity >= 3:
+        solvers.append(double_derivation_space)
+    for k in (0, 1):
+        for solve in solvers:
+            assert dims(solve(A, k)) == dims(solve(B, k))
+    assert any(dims(solve(A, 0)) for solve in solvers)
+    assert len(center(A)) == len(center(B))
+    assert len(derived_subalgebra(A)) == len(derived_subalgebra(B))
+    assert is_perfect(A) == is_perfect(B)
