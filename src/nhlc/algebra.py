@@ -3,14 +3,15 @@
 An algebra is a graded basis, a sparse table of bracket values on
 non-decreasing index tuples, a twist endomorphism alpha, and a bicharacter
 supplying the Koszul signs.  Arbitrary bracket arguments are reduced to the
-stored tuples by sign-normalizing adjacent swaps.
+stored tuples by sign-normalizing adjacent swaps.  Brackets are evaluated
+on sparse arguments against a memo of sparse basis-bracket values.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .errors import ArityError, InvertibilityError, ShapeError
-from .linalg import F0, F1, Matrix
+from .linalg import F0, F1, Matrix, accumulate, dense, support
 from .report import ValidationReport
 
 
@@ -80,10 +81,12 @@ class ColorAlgebra:
             if vec:
                 self.constants[t] = vec
         self._bracket_memo = {}
+        self._sparse_memo = {}
         self._basis_vecs = {}
         self._alpha_powers = {0: Matrix.identity(self.dim), 1: self.alpha}
         self._space_cache = {}
         self._hypotheses = {}
+        self._decomposition = None   # delta._decomposition of the algebra
 
     # -- basic helpers ----------------------------------------------------
     def degree_sum(self, degs):
@@ -137,32 +140,38 @@ class ColorAlgebra:
         self._bracket_memo[indices] = out
         return out
 
+    def sparse_bracket(self, args):
+        """Multilinear bracket of arity-many sparse vectors [(i, c), ...]
+        (see linalg.support), as a sparse vector.
+
+        The one evaluation path of every bracket: each ordered index tuple
+        of the arguments' supports is looked up in a memo of the sparse
+        value of its basis bracket, so a zero coefficient or a vanishing
+        basis bracket costs no arithmetic.
+        """
+        memo = self._sparse_memo
+        acc = {}
+        for combo in product(*args):
+            indices = tuple([i for i, _ in combo])
+            term = memo.get(indices)
+            if term is None:
+                term = memo[indices] = support(self.bracket_basis(indices))
+            if term:
+                coeff = None
+                for _, c in combo:
+                    if c is not F1:
+                        coeff = c if coeff is None else coeff * c
+                accumulate(acc, term, coeff)
+        return [(r, c) for r, c in acc.items() if c]
+
     def bracket(self, args):
         """Multilinear bracket of arity-many coordinate vectors."""
         if len(args) != self.arity:
             raise ShapeError(f"bracket takes {self.arity} arguments")
-        dim = self.dim
-        supports = []
         for v in args:
-            if len(v) != dim:
+            if len(v) != self.dim:
                 raise ShapeError("argument length does not match dimension")
-            supports.append([(i, c) for i, c in enumerate(v) if c])
-        out = [F0] * dim
-        for combo in product(*supports):
-            term = self.bracket_basis(tuple(i for i, _ in combo))
-            coeff = None
-            for _, c in combo:
-                if c is not F1:
-                    coeff = c if coeff is None else coeff * c
-            if coeff is None or coeff == 1:
-                for r in range(dim):
-                    if term[r]:
-                        out[r] += term[r]
-            else:
-                for r in range(dim):
-                    if term[r]:
-                        out[r] += coeff * term[r]
-        return out
+        return dense(self.sparse_bracket([support(v) for v in args]), self.dim)
 
     def stored_tuples(self):
         return sorted(self.constants)
@@ -240,15 +249,15 @@ def validate_algebra(algebra):
         # signs below would be meaningless with a broken grading layer
         return report
 
-    acols = [A.alpha.column(i) for i in range(A.dim)]
+    n = A.arity
+    dim = A.dim
+    acols = [support(A.alpha.column(i)) for i in range(dim)]
     for t in A.all_tuples():
         lhs = A.alpha.apply(A.bracket_basis(t))
-        rhs = A.bracket([acols[i] for i in t])
+        rhs = dense(A.sparse_bracket([acols[i] for i in t]), dim)
         if lhs != rhs:
             report.add("twist-multiplicative", witness=t, expected=lhs, actual=rhs)
 
-    n = A.arity
-    dim = A.dim
     ydata = []
     for ys in product(range(dim), repeat=n):
         prefixes = []
@@ -256,27 +265,21 @@ def validate_algebra(algebra):
         for i in range(n):
             prefixes.append(p)
             p = g.add(p, A.degrees[ys[i]])
-        ydata.append((ys, A.bracket_basis(ys), prefixes))
+        ydata.append((ys, support(A.bracket_basis(ys)), prefixes))
     for xs in product(range(dim), repeat=n - 1):
         xdeg = A.degree_sum(A.degrees[i] for i in xs)
         xac = [acols[i] for i in xs]
+        # [xs, y] for every basis vector y, the inner value of each slot
+        inners = [support(A.bracket_basis(xs + (y,))) for y in range(dim)]
         for ys, inner, prefixes in ydata:
-            lhs = A.bracket(xac + [inner])
-            rhs = [F0] * dim
+            lhs = dense(A.sparse_bracket(xac + [inner]), dim)
+            rhs = {}
             for i in range(n):
                 sign = A.eps.value(xdeg, prefixes[i])
-                inner_i = A.bracket_basis(xs + (ys[i],))
-                args = [acols[ys[u]] for u in range(i)] + [inner_i] + \
-                       [acols[ys[u]] for u in range(i + 1, n)]
-                term = A.bracket(args)
-                if sign == 1:
-                    for r in range(dim):
-                        if term[r]:
-                            rhs[r] += term[r]
-                else:
-                    for r in range(dim):
-                        if term[r]:
-                            rhs[r] += sign * term[r]
+                args = [acols[y] for y in ys]
+                args[i] = inners[ys[i]]
+                accumulate(rhs, A.sparse_bracket(args), None if sign == 1 else sign)
+            rhs = dense(rhs.items(), dim)
             if lhs != rhs:
                 report.add("jacobi", witness=(xs, ys), expected=rhs, actual=lhs)
     return report

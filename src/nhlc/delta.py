@@ -13,7 +13,8 @@ from itertools import product
 from . import oracle
 from .algebra import HomMap
 from .errors import DecompositionError, DomainError
-from .linalg import F0, F1, Matrix, nullspace, nullspace_of_rows, solve_particular
+from .linalg import (F0, F1, Matrix, dense, nullspace, nullspace_of_rows,
+                     solve_particular, support)
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
                      distinct_twist_pairs, distinct_twists,
@@ -31,30 +32,37 @@ class BracketDecomposition:
     kernel_basis: list
 
 
-def _decomposition_columns(algebra):
-    """Nonzero basis-tuple bracket values, lexicographic tuple order."""
+def _decomposition(algebra):
+    """(tuples, matrix, solutions, kernel), computed once per algebra: the
+    nonzero basis-tuple bracket values in lexicographic tuple order and the
+    matrix with them as columns, a particular solution of matrix x = e_q
+    for every basis vector q (None outside the derived subalgebra), and a
+    kernel basis of the matrix."""
     A = algebra
-    tuples = []
-    cols = []
-    for t in A.all_tuples():
-        v = A.bracket_basis(t)
-        if any(c != 0 for c in v):
-            tuples.append(t)
-            cols.append(v)
-    matrix = Matrix([[cols[c][r] for c in range(len(cols))]
-                     for r in range(A.dim)], cols=len(cols))
-    return tuples, matrix
+    if A._decomposition is None:
+        tuples = []
+        cols = []
+        for t in A.all_tuples():
+            v = A.bracket_basis(t)
+            if any(v):
+                tuples.append(t)
+                cols.append(v)
+        matrix = Matrix([[cols[c][r] for c in range(len(cols))]
+                         for r in range(A.dim)], cols=len(cols))
+        solutions = [solve_particular(matrix, A.basis_vector(q))
+                     for q in range(A.dim)]
+        A._decomposition = (tuples, matrix, solutions, nullspace(matrix))
+    return A._decomposition
 
 
 def bracket_decomposition(algebra, x):
     """Deterministic decomposition of x over basis-tuple brackets."""
-    A = algebra
-    tuples, matrix = _decomposition_columns(A)
+    tuples, matrix, _, kernel = _decomposition(algebra)
     sol = solve_particular(matrix, x)
     if sol is None:
         raise DecompositionError("vector lies outside the derived subalgebra")
     return BracketDecomposition(target=list(x), tuples=tuples,
-                                coefficients=sol, kernel_basis=nullspace(matrix))
+                                coefficients=sol, kernel_basis=kernel)
 
 
 def _slot_terms(algebra, t, D, k):
@@ -62,10 +70,13 @@ def _slot_terms(algebra, t, D, k):
     elsewhere, times the Koszul prefix sign eps(|D|, |t_1| + .. + |t_(s-1)|)."""
     A = algebra
     ak = A.alpha_power(k)
-    acols = {i: ak.column(i) for i in t}
-    dcols = {i: D.matrix.column(i) for i in t}
-    return [[A.eps.value(D.degree, prefix) * x for x in term]
-            for prefix, term in oracle.slot_brackets(A, t, acols, dcols, [])]
+    acols = {i: support(ak.column(i)) for i in t}
+    dcols = {i: support(D.matrix.column(i)) for i in t}
+    out = []
+    for prefix, term in oracle.slot_brackets(A, t, acols, dcols, []):
+        sign = A.eps.value(D.degree, prefix)
+        out.append(dense([(r, sign * c) for r, c in term], A.dim))
+    return out
 
 
 def _combine(coeffs, vectors, dim):
@@ -96,11 +107,10 @@ def delta_of(algebra, D, k):
     require(A, k, "arity", "perfect", "centerless")
     if not double_derivation_space(A, k).contains(D):
         raise DomainError("input map is not a double derivation")
-    tuples, matrix = _decomposition_columns(A)
+    tuples, _, solutions, _ = _decomposition(A)
     images = [_tuple_delta_image(A, t, D, k) for t in tuples]
     # A is perfect, so every basis vector decomposes
-    cols = [_combine(solve_particular(matrix, A.basis_vector(q)), images, A.dim)
-            for q in range(A.dim)]
+    cols = [_combine(sol, images, A.dim) for sol in solutions]
     data = [[cols[q][r] for q in range(A.dim)] for r in range(A.dim)]
     return HomMap(D.degree, Matrix(data))
 
@@ -111,9 +121,8 @@ def verify_delta_well_defined(algebra, D, k):
     A = algebra
     require(A, k, "arity", "perfect", "centerless")
     report = ValidationReport()
-    tuples, matrix = _decomposition_columns(A)
+    tuples, _, _, kernel = _decomposition(A)
     images = [_tuple_delta_image(A, t, D, k) for t in tuples]
-    kernel = nullspace(matrix)
     for idx, kv in enumerate(kernel):
         total = _combine(kv, images, A.dim)
         if any(x != 0 for x in total):

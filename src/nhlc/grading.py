@@ -42,6 +42,9 @@ class GradingGroup:
         object.__setattr__(self, "torsion", tuple(int(m) for m in self.torsion))
         if any(m < 2 for m in self.torsion):
             raise ShapeError("torsion moduli must be >= 2")
+        # memo of add on checked pairs, keyed like Bicharacter.value; not a
+        # field, so not compared or hashed
+        object.__setattr__(self, "_sums", {})
 
     @property
     def generator_count(self):
@@ -75,11 +78,16 @@ class GradingGroup:
             raise ShapeError("element does not match group shape")
 
     def add(self, a, b):
-        self._check(a)
-        self._check(b)
-        free = tuple(x + y for x, y in zip(a.free, b.free))
-        torsion = tuple((x + y) % m for x, y, m in zip(a.torsion, b.torsion, self.torsion))
-        return GroupElement(free, torsion)
+        key = (a.free, a.torsion, b.free, b.torsion)
+        got = self._sums.get(key)
+        if got is None:
+            self._check(a)
+            self._check(b)
+            free = tuple(x + y for x, y in zip(a.free, b.free))
+            torsion = tuple((x + y) % m
+                            for x, y, m in zip(a.torsion, b.torsion, self.torsion))
+            got = self._sums[key] = GroupElement(free, torsion)
+        return got
 
     def neg(self, a):
         self._check(a)
@@ -115,7 +123,8 @@ class Bicharacter:
 
     def value(self, g, h):
         """Evaluate on a pair of degrees; always a nonzero rational."""
-        key = (g, h)
+        # keyed on the coordinate tuples, whose hash and equality run in C
+        key = (g.free, g.torsion, h.free, h.torsion)
         cached = self._memo.get(key)
         if cached is not None:
             return cached

@@ -8,6 +8,9 @@ kernels, ranks, span bases, particular solutions and inverses are all read
 off that echelon by one rational back substitution.  A row space has exactly
 one reduced row echelon form, so every result is independent of the order
 in which rows arrive and bit-identical across runs.
+
+A sparse vector is the list [(i, x), ...] of its nonzero entries (support);
+matrix products and matrix-vector products visit only nonzero entries.
 """
 
 from fractions import Fraction
@@ -19,13 +22,40 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def support(vec):
+    """The sparse form [(i, x), ...] of a vector: its nonzero entries in
+    index order."""
+    return [(i, x) for i, x in enumerate(vec) if x]
+
+
+def accumulate(acc, sparse, coeff=None):
+    """acc[i] += coeff * x for every (i, x) of a sparse vector, on a dict
+    {i: rational}; coeff None stands for one.  Entries that cancel stay in
+    acc as zeros."""
+    for i, x in sparse:
+        if coeff is not None:
+            x = coeff * x
+        got = acc.get(i)
+        acc[i] = x if got is None else got + x
+
+
+def dense(sparse, n):
+    """The vector of length n with the entries (i, x) of sparse, zero
+    elsewhere."""
+    out = [F0] * n
+    for i, x in sparse:
+        out[i] = x
+    return out
+
+
 class Matrix:
     """Dense immutable rational matrix."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(Fraction(x) for x in row) for row in data)
+        data = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                     for row in data)
         if data:
             cols = len(data[0])
             if any(len(row) != cols for row in data):
@@ -68,9 +98,15 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError("inner dimensions do not match")
-            bt = list(zip(*other.data)) if other.data else []
-            return Matrix([[sum((a * b for a, b in zip(row, col)), F0) for col in bt]
-                           for row in self.data], cols=other.cols)
+            orows = [support(row) for row in other.data]
+            data = []
+            for row in self.data:
+                acc = {}
+                for i, a in enumerate(row):
+                    if a:
+                        accumulate(acc, orows[i], a)
+                data.append(dense(acc.items(), other.cols))
+            return Matrix(data, cols=other.cols)
         return self.scale(other)
 
     def scale(self, c):
@@ -87,7 +123,16 @@ class Matrix:
     def apply(self, vec):
         if len(vec) != self.cols:
             raise ShapeError("vector length does not match column count")
-        return [sum((a * b for a, b in zip(row, vec)), F0) for row in self.data]
+        vsup = support(vec)
+        out = []
+        for row in self.data:
+            acc = None
+            for j, b in vsup:
+                a = row[j]
+                if a:
+                    acc = a * b if acc is None else acc + a * b
+            out.append(F0 if acc is None else acc)
+        return out
 
     def column(self, j):
         return [row[j] for row in self.data]

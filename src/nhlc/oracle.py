@@ -25,19 +25,20 @@ bases and on random maps is part of the test contract.
 from itertools import combinations_with_replacement, product
 
 from .errors import ArityError
-from .linalg import F0
+from .linalg import F1, accumulate, support
 
 
 def slot_brackets(algebra, ts, acols, dcols, tail):
     """For every slot q of ts: [acols[t_1], .., dcols[t_q], .., acols[t_m], *tail],
-    paired with the degree |t_1| + .. + |t_(q-1)| of the leaves before it."""
+    paired with the degree |t_1| + .. + |t_(q-1)| of the leaves before it.
+    Columns, tail and values are sparse vectors."""
     A = algebra
     out = []
     prefix = A.group.zero()
     for q, t in enumerate(ts):
         args = [acols[i] for i in ts] + tail
         args[q] = dcols[t]
-        out.append((prefix, A.bracket(args)))
+        out.append((prefix, A.sparse_bracket(args)))
         prefix = A.group.add(prefix, A.degrees[t])
     return out
 
@@ -50,33 +51,35 @@ def _leibniz(algebra, D, k, xtuples, ytuples, witness):
         return False, ("twist-commute",)
     d = D.degree
     ak = A.alpha_power(k)
-    acols = [ak.column(i) for i in range(A.dim)]
-    dcols = [D.matrix.column(i) for i in range(A.dim)]
+    acols = [support(ak.column(i)) for i in range(A.dim)]
+    dcols = [support(D.matrix.column(i)) for i in range(A.dim)]
     nested = xtuples != [()]
     inner = {}
     for xs in xtuples:
         xargs = [acols[i] for i in xs]
-        xunits = [A.basis_vector(i) for i in xs]
+        xunits = [[(i, F1)] for i in xs]
         xdeg = A.degree_sum(A.degrees[i] for i in xs)
         for ys in ytuples:
             if ys not in inner:
-                inner[ys] = (A.bracket_basis(ys),
-                             A.bracket([acols[i] for i in ys]) if nested else None,
+                inner[ys] = (support(A.bracket_basis(ys)),
+                             A.sparse_bracket([acols[i] for i in ys])
+                             if nested else None,
                              slot_brackets(A, ys, acols, dcols, []))
             value, value_k, yslots = inner[ys]
             terms = yslots
             if nested:
-                value = A.bracket(xunits + [value])
+                value = A.sparse_bracket(xunits + [value])
                 terms = slot_brackets(A, xs, acols, dcols, [value_k]) + [
-                    (A.group.add(xdeg, p), A.bracket(xargs + [v]))
+                    (A.group.add(xdeg, p), A.sparse_bracket(xargs + [v]))
                     for p, v in yslots]
-            rhs = [F0] * A.dim
+            # rhs - D(value), accumulated in one dict
+            diff = {}
             for prefix, term in terms:
                 sign = A.eps.value(d, prefix)
-                for r in range(A.dim):
-                    if term[r]:
-                        rhs[r] += sign * term[r]
-            if D.apply(value) != rhs:
+                accumulate(diff, term, None if sign == 1 else sign)
+            for i, c in value:
+                accumulate(diff, dcols[i], -c)
+            if any(diff.values()):
                 return False, witness(xs, ys)
     return True, None
 

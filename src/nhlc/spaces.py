@@ -31,8 +31,8 @@ from . import oracle
 from .algebra import ColorAlgebra, HomMap, validate_algebra
 from .errors import (AlgebraValidationError, ArityError, DomainError,
                      HypothesisError, ShapeError, TruncationError)
-from .linalg import (F0, F1, Matrix, RowReducer, coords_in_basis,
-                     nullspace_of_rows, span_basis, subspace_contains)
+from .linalg import (F0, F1, Matrix, RowReducer, accumulate, coords_in_basis,
+                     nullspace_of_rows, span_basis, subspace_contains, support)
 from .report import ValidationReport
 
 KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn", "tder": "TDer",
@@ -166,7 +166,7 @@ def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
     dim = A.dim
     g = A.group
     ak = A.alpha_power(k)
-    acols = [ak.column(i) for i in range(dim)]
+    acols = [support(ak.column(i)) for i in range(dim)]
     nested = xtuples != [()]
 
     def unknown_slots(ts, tail):
@@ -180,8 +180,8 @@ def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
             for j in range(dim):
                 vx = var_index.get((j, t))
                 if vx is not None:
-                    args[q] = A.basis_vector(j)
-                    terms.append((vx, A.bracket(args)))
+                    args[q] = [(j, F1)]
+                    terms.append((vx, A.sparse_bracket(args)))
             out.append((prefix, terms))
             prefix = g.add(prefix, A.degrees[t])
         return out
@@ -189,33 +189,37 @@ def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
     inner = {}
     for xs in xtuples:
         xargs = [acols[i] for i in xs]
-        xunits = [A.basis_vector(i) for i in xs]
+        xunits = [[(i, F1)] for i in xs]
         xdeg = A.degree_sum(A.degrees[i] for i in xs)
         for ys in ytuples:
             if ys not in inner:
-                inner[ys] = (A.bracket_basis(ys),
-                             A.bracket([acols[i] for i in ys]) if nested else None,
+                inner[ys] = (support(A.bracket_basis(ys)),
+                             A.sparse_bracket([acols[i] for i in ys])
+                             if nested else None,
                              unknown_slots(ys, []))
             value, value_k, yslots = inner[ys]
             slots = [(g.add(xdeg, p), terms) for p, terms in yslots]
             if nested:
-                value = A.bracket(xunits + [value])
+                value = A.sparse_bracket(xunits + [value])
                 slots = unknown_slots(xs, [value_k]) + [
-                    (p, [(vx, A.bracket(xargs + [v])) for vx, v in terms])
+                    (p, [(vx, A.sparse_bracket(xargs + [v])) for vx, v in terms])
                     for p, terms in slots]
-            rows = [[F0] * nvars for _ in range(dim)]
-            for i in range(dim):
-                if value[i]:
-                    for r in range(dim):
-                        vx = var_index.get((r, i))
-                        if vx is not None:
-                            rows[r][vx] += value[i]
+            # row r is D(value)_r minus the signed slot terms; the
+            # coefficients of each unknown vx are gathered as {r: c}
+            cols = {}
+            for i, c in value:
+                for r in range(dim):
+                    vx = var_index.get((r, i))
+                    if vx is not None:
+                        cols[vx] = {r: c}
             for prefix, terms in slots:
-                sign = A.eps.value(d, prefix)
+                sign = -A.eps.value(d, prefix)
                 for vx, term in terms:
-                    for r in range(dim):
-                        if term[r]:
-                            rows[r][vx] -= sign * term[r]
+                    accumulate(cols.setdefault(vx, {}), term, sign)
+            rows = [[F0] * nvars for _ in range(dim)]
+            for vx, col in cols.items():
+                for r, c in col.items():
+                    rows[r][vx] = c
             for row in rows:
                 if any(row):
                     yield row

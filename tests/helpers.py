@@ -5,11 +5,13 @@ package: identities are turned into residual vectors by pointwise
 evaluation at elementary matrices, and the resulting systems are reduced by
 plain rational Gauss elimination pivoting on the RIGHTMOST column first.
 reference_rref and reference_nullspace are textbook Gauss-Jordan over
-Fraction, the other side of the tests of the package's elimination engine.
+Fraction, the other side of the tests of the package's elimination engine;
+reference_bracket is the textbook multilinear expansion of a bracket, the
+other side of the tests of its kernel.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from nhlc.algebra import ColorAlgebra, HomMap
 from nhlc.linalg import Matrix
@@ -75,6 +77,38 @@ def reference_nullspace(rows, ncols):
             x[c] = -row[f]
         basis.append(x)
     return basis
+
+
+def _reference_basis_bracket(A, indices):
+    """[e_i1, ..., e_in] as {target: coefficient}, read from A.constants:
+    bubble sort the indices, each swap of adjacent a > b contributing
+    -eps(|a|, |b|); a repeated index of degree g with eps(g, g) = 1 makes
+    the bracket vanish."""
+    idx = list(indices)
+    sign = F1
+    for end in range(len(idx) - 1, 0, -1):
+        for a in range(end):
+            if idx[a] > idx[a + 1]:
+                sign *= -A.eps.value(A.degrees[idx[a]], A.degrees[idx[a + 1]])
+                idx[a], idx[a + 1] = idx[a + 1], idx[a]
+    for a, b in zip(idx, idx[1:]):
+        if a == b and A.eps.value(A.degrees[a], A.degrees[a]) == 1:
+            return {}
+    return {r: sign * c for r, c in A.constants.get(tuple(idx), {}).items()}
+
+
+def reference_bracket(A, args):
+    """Dense multilinear expansion: the sum over every index tuple
+    (i_1, ..., i_n) of args[0][i_1] * ... * args[n-1][i_n] * [e_i1, ..., e_in],
+    zero coefficients included."""
+    out = [F0] * A.dim
+    for indices in product(range(A.dim), repeat=A.arity):
+        coeff = F1
+        for v, i in zip(args, indices):
+            coeff *= Fraction(v[i])
+        for r, c in _reference_basis_bracket(A, indices).items():
+            out[r] += coeff * c
+    return out
 
 
 def _unit(dim, i):

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import conjugate_algebra, random_basis_change, reference_bracket
 from nhlc.algebra import ColorAlgebra, HomMap, normalize_tuple, validate_algebra
 from nhlc.builders import build_abelian, build_simple_nlie, build_yau_twist
 from nhlc.errors import ShapeError
 from nhlc.grading import Bicharacter, GradingGroup, trivial_bicharacter
-from nhlc.linalg import Matrix
+from nhlc.linalg import F1, Matrix, dense, support
 
 F = Fraction
 
@@ -243,3 +246,44 @@ def test_validated_algebra_satisfies_identity_on_random_vectors(a4):
             for r in range(A.dim):
                 rhs[r] += term[r]
         assert lhs == rhs
+
+
+# -- the bracket kernel against the textbook expansion ------------------------
+
+@pytest.fixture(scope="module")
+def a4_rebased(a4):
+    """A4 in a dense rational basis: every stored value is dense."""
+    return conjugate_algebra(a4, random_basis_change(a4, random.Random(4)),
+                             "A4_REBASED")
+
+
+def _argument(dim):
+    """A zero, basis, sparse (at most two entries) or dense rational vector."""
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.one_of(
+        st.just([F(0)] * dim),
+        st.integers(0, dim - 1).map(lambda i: [F(int(j == i)) for j in range(dim)]),
+        st.dictionaries(st.integers(0, dim - 1), rational, max_size=2).map(
+            lambda d: [d.get(j, F(0)) for j in range(dim)]),
+        st.lists(rational, min_size=dim, max_size=dim))
+
+
+@pytest.mark.parametrize("name", ["a4", "super_heis", "color_heis3",
+                                  "rational_heis", "a4_rebased"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bracket_matches_reference(name, request, data):
+    """bracket and sparse_bracket (fed supports, with unit coefficients as
+    the shared F1 or not) equal the dense expansion over all index tuples."""
+    A = request.getfixturevalue(name)
+    args = [data.draw(_argument(A.dim)) for _ in range(A.arity)]
+    want = reference_bracket(A, args)
+    got = A.bracket(args)
+    assert got == want
+    assert all(type(x) is F for x in got)
+    supports = [support(v) for v in args]
+    units = [[(i, F1 if c == 1 else c) for i, c in sup] for sup in supports]
+    for sparse in (A.sparse_bracket(supports), A.sparse_bracket(units)):
+        assert dense(sparse, A.dim) == want
+        assert all(c for _, c in sparse)

@@ -42,6 +42,22 @@ def test_group_shape_errors():
         GradingGroup(torsion=(1,))
 
 
+def test_group_add_memo_keeps_shape_check():
+    """add memoises its sums; an element of the wrong shape still raises
+    once the memo holds sums of well-shaped elements."""
+    g = GradingGroup(free_rank=1, torsion=(2,))
+    a = g.element(free=(1,), torsion=(1,))
+    for _ in range(2):
+        assert g.add(a, a) == g.element(free=(2,), torsion=(0,))
+        assert g.add(a, g.zero()) == a
+    for bad in (GradingGroup(free_rank=1).element(free=(1,)),
+                GradingGroup(free_rank=2, torsion=(2,)).zero()):
+        with pytest.raises(ShapeError):
+            g.add(a, bad)
+        with pytest.raises(ShapeError):
+            g.add(bad, a)
+
+
 def test_eps_zero_is_one():
     g = GradingGroup(free_rank=2)
     eps = Bicharacter(g, [[F(1), F(3)], [F(1, 3), F(1)]])

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_nullspace, reference_rref, subspace_eq
+from nhlc.errors import ShapeError
 from nhlc.linalg import (Matrix, RowReducer, coords_in_basis, nullspace, rank,
                          rref, solve_particular, span_basis, subspace_contains)
 
@@ -202,3 +204,47 @@ def test_span_membership(rows):
     basis = span_basis(rows)
     for r in rows:
         assert subspace_contains(basis, r)
+
+
+def _matrix(n, m):
+    """n x m rational matrices, about half of the entries zero, with a
+    drawn row and column set to zero when n and m allow."""
+    entry = st.one_of(st.just(F(0)), rational)
+    rows = st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)
+
+    def zero_lines(args):
+        rows, i, j = args
+        return [[F(0) if r == i or c == j else x for c, x in enumerate(row)]
+                for r, row in enumerate(rows)]
+    return st.tuples(rows, st.integers(-1, n - 1), st.integers(-1, m - 1)).map(zero_lines)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_matrix_kernels_match_textbook(data):
+    """Matrix products and matrix-vector products skip zero entries; they
+    agree with the textbook sums over every index, and every entry stays a
+    Fraction, on any shape including 0-row and 0-column matrices."""
+    n, m, p = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(_matrix(n, m)), data.draw(_matrix(m, p))
+    v = data.draw(st.lists(st.one_of(rational, st.integers(-3, 3)),
+                           min_size=m, max_size=m))
+    prod = Matrix(a, cols=m) * Matrix(b, cols=p)
+    assert (prod.rows, prod.cols) == (n, p)
+    assert [list(row) for row in prod.data] == [
+        [sum((a[i][k] * b[k][j] for k in range(m)), F(0)) for j in range(p)]
+        for i in range(n)]
+    image = Matrix(a, cols=m).apply(v)
+    assert image == [sum((a[i][k] * v[k] for k in range(m)), F(0))
+                     for i in range(n)]
+    assert all(type(x) is F for row in prod.data for x in row)
+    assert all(type(x) is F for x in image)
+
+
+def test_matrix_kernels_reject_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        Matrix([[1, 2]]) * Matrix([[1, 2]])
+    with pytest.raises(ShapeError):
+        Matrix([[1, 2], [3, 4]]).apply([F(1)])
+    with pytest.raises(ShapeError):
+        Matrix([], cols=2).apply([F(1)])

@@ -16,9 +16,11 @@ from fractions import Fraction
 import pytest
 
 from nhlc import io_json
-from nhlc.algebra import ColorAlgebra
+from nhlc.algebra import ColorAlgebra, HomMap
 from nhlc.cli import main
+from nhlc.linalg import Matrix
 from nhlc.spaces import double_derivation_space
+from nhlc.triple import triple_derivation_space
 
 # "<fixture>: <arguments>" -> sha256 of stdout; the algebra file comes last
 PINS = {
@@ -108,6 +110,50 @@ PINS = {
         "4bd03455bb2b39df9009c2ffd1574af7532ce5f0982f040cfc898298a025b1a6",
     "a4_mutant: verify --all --k-max 0":
         "44673e2042084eff8a7f1f5c732ab96c6860da79c4fc0ec997b03b9738548150",
+    "a4: check --kind der --k 0 --map a4_dder0_map.json --json":
+        "2635b38440d11929d931319ee43100f77ba027c206444458cb44d07d0ed00677",
+    "a4: check --kind der --k 0 --map a4_identity_map.json --json":
+        "255bdc26eb396e55834e591783b30b0bcdff0f1c7e6c43a1862f1aa0f4e0f5d3",
+    "a4: check --kind der --k 1 --map a4_dder0_map.json --json":
+        "d432a1f253a2344021b5d69cba2cfcf72052cd869e4e0e617815ccbb4dbcc771",
+    "a4: check --kind der --k 1 --map a4_identity_map.json --json":
+        "f91ce5e1cc5cb2189eda97e825e5c49b07ffb3262372b13d53634222c59a232e",
+    "a4: check --kind dder --k 0 --map a4_dder0_map.json --json":
+        "14e82f22b43cca1014cac92f0c5ba7d84e949e20a8ca6bcfae7dadfba66354e4",
+    "a4: check --kind dder --k 0 --map a4_identity_map.json --json":
+        "f98197ba7121aff186bccd57bf2921a35c1c4e966d3ac68f900f0aee31dfe5a5",
+    "a4: check --kind dder --k 1 --map a4_dder0_map.json --json":
+        "7b6e1f273b3482bc9c02a13a2cccc39a3bf71d740f18d6a725561027b3751389",
+    "a4: check --kind dder --k 1 --map a4_identity_map.json --json":
+        "6d22b24ef66924812d9b1e6cebd0ef215f6505d0da210e511c2b94e245bc561b",
+    "twisted_a4: check --kind der --k 0 --map twisted_a4_dder0_map.json --json":
+        "8ffdea31a0ca9bc65e2c8fa59c9efffc8bb7ae5443c940fcf7d70f49e07aa656",
+    "twisted_a4: check --kind der --k 0 --map twisted_a4_identity_map.json --json":
+        "9f811b7e3b627c4ebbebc62631d90084219eda786af7e36bbb83d7fb53af0921",
+    "twisted_a4: check --kind der --k 1 --map twisted_a4_dder0_map.json --json":
+        "c3b63b08a264051ff525bef89bb5532d62d9a66fa6e4190feae9e0436244fa81",
+    "twisted_a4: check --kind der --k 1 --map twisted_a4_identity_map.json --json":
+        "06280467dd1aa4334f422f25bfce57fd074ddc66b6fb64b02f2a855735c47d04",
+    "twisted_a4: check --kind dder --k 0 --map twisted_a4_dder0_map.json --json":
+        "cf62dac4f2cd520f069018c0e033410f2a637e917fdbcabd59d665a993038461",
+    "twisted_a4: check --kind dder --k 0 --map twisted_a4_identity_map.json --json":
+        "e22391266608b91a034e58c30c9ed08e89084c4a8768a8b93ef1f31320bf7b76",
+    "twisted_a4: check --kind dder --k 1 --map twisted_a4_dder0_map.json --json":
+        "6fcddefed141424d138cb01f14c246ef29139d2fb61db8d2f8b0ca3d162852f3",
+    "twisted_a4: check --kind dder --k 1 --map twisted_a4_identity_map.json --json":
+        "60d99c9c915b9ead45fb4dc5d3d313b43fc423225d153827e3db1d52cc041d3b",
+    "super_heis: check --kind tder --k 0 --map super_heis_tder0_map.json --json":
+        "c37095ee8efdc96c3c9523521e82e265f541f8937827cf83286d597b12f3fd83",
+    "super_heis: check --kind tder --k 0 --map super_heis_tder0_map.json":
+        "b9abc1ac6413b4f0721b41e996153eea670c750019c2c83d0db40bdf2e8a8c04",
+    "super_heis: check --kind tder --k 0 --map super_heis_identity_map.json --json":
+        "2175a33b993ed7d194ece50743e2bb1d1a57501dbad8ee2cc54dc0769abf6dd9",
+    "super_heis: check --kind tder --k 0 --map super_heis_identity_map.json":
+        "d3b44b3261f45067411d9230e69e1a5d0a46eee9355543bbecfac911427e4c30",
+    "sl2_heis3: check --kind tder --k 0 --map sl2_heis3_identity_map.json --json":
+        "93a49185cf83bd7d17aa53de435d7c3860803b355fdb10c72e9e183361d811c7",
+    "sl2_heis3: check --kind tder --k 0 --map sl2_heis3_identity_map.json":
+        "280e0507555d5f85e4bb3e497f44de97fd88971806bcea015e93adb2bf99bf57",
 }
 
 # commands whose exit code is not 0
@@ -115,6 +161,16 @@ EXIT_CODES = {
     "a4_mutant: center --json": 1,
     "a4_mutant: verify --all --k-max 1 --json": 1,
     "a4_mutant: verify --all --k-max 0": 1,
+    "a4: check --kind der --k 0 --map a4_identity_map.json --json": 1,
+    "a4: check --kind der --k 1 --map a4_identity_map.json --json": 1,
+    "a4: check --kind dder --k 0 --map a4_identity_map.json --json": 1,
+    "a4: check --kind dder --k 1 --map a4_identity_map.json --json": 1,
+    "twisted_a4: check --kind der --k 0 --map twisted_a4_identity_map.json --json": 1,
+    "twisted_a4: check --kind der --k 1 --map twisted_a4_identity_map.json --json": 1,
+    "twisted_a4: check --kind dder --k 0 --map twisted_a4_identity_map.json --json": 1,
+    "twisted_a4: check --kind dder --k 1 --map twisted_a4_identity_map.json --json": 1,
+    "sl2_heis3: check --kind tder --k 0 --map sl2_heis3_identity_map.json --json": 1,
+    "sl2_heis3: check --kind tder --k 0 --map sl2_heis3_identity_map.json": 1,
 }
 
 
@@ -138,9 +194,18 @@ def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
         path = root / f"{name}.json"
         io_json.save(A, path)
         paths[name] = str(path)
-    first = double_derivation_space(a4, 0).maps()[0]
-    (root / "a4_dder0_map.json").write_text(
-        json.dumps({"matrix": io_json.matrix_to_grid(first.matrix)}))
+    maps = {"a4_dder0_map.json": double_derivation_space(a4, 0).maps()[0],
+            "twisted_a4_dder0_map.json":
+                double_derivation_space(twisted_a4, 0).maps()[0],
+            "super_heis_tder0_map.json":
+                triple_derivation_space(super_heis, 0).maps()[0]}
+    for name, A in (("a4", a4), ("twisted_a4", twisted_a4),
+                    ("super_heis", super_heis), ("sl2_heis3", sl2_heis3)):
+        maps[f"{name}_identity_map.json"] = HomMap(A.group.zero(),
+                                                   Matrix.identity(A.dim))
+    for file_name, D in maps.items():
+        (root / file_name).write_text(
+            json.dumps({"matrix": io_json.matrix_to_grid(D.matrix)}))
     (root / "a4_span.json").write_text(
         json.dumps({"vectors": [["1", "1/2", "0", "-1"]]}))
     return root, paths
