@@ -1,32 +1,51 @@
 """Triple derivations of binary map algebras.
 
 A triple derivation of a binary color algebra satisfies the Leibniz-type
-rule only on nested brackets [x, [y, z]].  The instance theorems compare the
-triple-derivation space of the inner- and derivation-map algebras of a
-centerless perfect algebra against the plain derivation space; equality is
-expected exactly under those hypotheses.
+rule only on nested brackets [x, [y, z]].  The solver imposes it on the
+basis triples with y <= z, which carry every constraint (see
+triple_derivation_space); the oracle checks all basis triples.  The
+instance theorems compare the triple-derivation space of the inner- and
+derivation-map algebras of a centerless perfect algebra against the plain
+derivation space; equality is expected exactly under those hypotheses.
 """
-
-from itertools import product
 
 from .errors import ArityError, HypothesisError
 from .linalg import RowReducer, span_basis, subspace_contains
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, _blocks_to_space, _cached_blocks,
-                     _solve_blocks, center, derivation_space,
+                     _solve_blocks, _sorted_tuples, center, derivation_space,
                      distinct_twists, double_derivation_space, inner_space,
                      is_perfect, map_coordinates, maps_as_color_algebra,
                      merged_map_basis, require)
 
 
 def triple_derivation_space(algebra, k):
-    """Nullspace of the nested-bracket rule over all basis triples."""
+    """Nullspace of the nested-bracket rule on the basis triples (x, y, z)
+    with y <= z.
+
+    The triples with y > z add no constraint.  For D of degree d write
+    R(x, y, z) = D[x, [y, z]] - [Dx, [ay, az]] - eps(d, x) [ax, [Dy, az]]
+    - eps(d, x + y) [ax, [ay, Dz]], with a = alpha^k and basis elements
+    named by their degrees.  The twist is even, so ay has the degree of y,
+    and Dy has degree d + y.  Skew symmetry [u, v] = -eps(u, v) [v, u] and
+    bimultiplicativity of eps give
+
+    - D[x, [z, y]] = -eps(z, y) D[x, [y, z]];
+    - [Dx, [az, ay]] = -eps(z, y) [Dx, [ay, az]];
+    - eps(d, x) [ax, [Dz, ay]] = -eps(z, y) eps(d, x + y) [ax, [ay, Dz]],
+      since eps(d + z, y) = eps(d, y) eps(z, y);
+    - eps(d, x + z) [ax, [az, Dy]] = -eps(z, y) eps(d, x) [ax, [Dy, az]],
+      since eps(z, y + d) = eps(z, y) eps(z, d) and eps(d, z) eps(z, d) = 1.
+
+    So R(x, z, y) = -eps(z, y) R(x, y, z): the rows of (x, z, y) are nonzero
+    multiples of those of (x, y, z), the row space is the same, and so are
+    its unique reduced echelon form and the kernel basis read off it.
+    """
     A = algebra
     if A.arity != 2:
         raise ArityError("triple derivations are defined for arity 2")
     blocks = _cached_blocks(A, "tder", k, lambda: _solve_blocks(
-        A, k, [(x,) for x in range(A.dim)],
-        list(product(range(A.dim), repeat=2))))
+        A, k, [(x,) for x in range(A.dim)], _sorted_tuples(A, 2)))
     return _blocks_to_space(A, "tder", k, blocks)
 
 

@@ -3,18 +3,21 @@ import random
 import pytest
 from fractions import Fraction
 
-from helpers import (conjugate_algebra, naive_space_dimension,
+from helpers import (conjugate_algebra, in_map_span, naive_space_dimension,
                      random_basis_change, subspace_eq)
-from nhlc import oracle
+from nhlc import oracle, spaces
 from nhlc.algebra import HomMap, validate_algebra
-from nhlc.builders import build_abelian
+from nhlc.builders import (build_abelian, build_simple_nlie, build_twisted_a4,
+                           build_yau_twist)
 from nhlc.errors import ArityError, HypothesisError, InvertibilityError
 from nhlc.grading import GradingGroup
 from nhlc.linalg import Matrix, span_basis, subspace_contains
-from nhlc.spaces import (GradedMapSpace, MapBlock, ad_map, alpha_shift,
+from nhlc.spaces import (GradedMapSpace, MapBlock, _blocks_to_space,
+                         _distinct_shifts, ad_map, alpha_shift,
                          candidate_degrees, center,
                          centralizer, color_commutator, derivation_space,
-                         derived_subalgebra, double_derivation_space,
+                         derived_subalgebra, distinct_commutator_pairs,
+                         double_derivation_space,
                          fixed_point_basis, inner_space, is_perfect,
                          maps_as_color_algebra, merged_map_basis,
                          verify_double_derivation_closure, verify_inner_ideal)
@@ -99,13 +102,50 @@ def test_derivation_basis_passes_oracle_and_spans_match(a4):
     assert subspace_eq(_flat(space), _flat(double_derivation_space(a4, 0)))
 
 
-def test_der_contained_in_dder(a4, twisted_a4, abelian3):
-    for A in (a4, twisted_a4, abelian3):
+def test_der_contained_in_dder(a4, abelian3, twisted_a4, regraded_a4,
+                               color_heis3):
+    """A twisted derivation of a multiplicative algebra is a double
+    derivation of the same twist power: expand D([xs, [ys]]) twice."""
+    for A in (a4, abelian3, twisted_a4, regraded_a4, color_heis3,
+              build_simple_nlie(4)):
         for k in (0, 1):
-            der = span_basis(_flat(derivation_space(A, k)))
-            dd = span_basis(_flat(double_derivation_space(A, k)))
-            for v in der:
-                assert subspace_contains(dd, v)
+            dd = double_derivation_space(A, k)
+            for D in derivation_space(A, k).maps():
+                assert dd.contains(D), (A.name, k, D.degree)
+
+
+def _quarter_turn_a4():
+    """A4 Yau-twisted by the quarter turn e1 -> e2 -> -e1 of the
+    (e1, e2)-plane; alpha^0 and alpha^1 give different DDer spaces."""
+    F1, F0 = F(1), F(0)
+    phi = Matrix([[F0, -F1, F0, F0], [F1, F0, F0, F0],
+                  [F0, F0, F1, F0], [F0, F0, F0, F1]])
+    return build_yau_twist(build_simple_nlie(3), phi)
+
+
+def test_contains_cache_tells_spaces_apart(color_heis3):
+    """A map of DDer^1 outside DDer^0 (by the independent route) lies in
+    DDer^0 + DDer^1 and not in DDer^0.  The span cache is keyed by the
+    blocks' twist powers, so contains answers right whichever space is
+    asked first, and again from the cache; it is keyed by the kind too, so
+    Der and DDer of COLOR_HEIS3 are told apart at the same twist."""
+    probe = _quarter_turn_a4()
+    d0 = double_derivation_space(probe, 0).maps()
+    D = next(m for m in double_derivation_space(probe, 1).maps()
+             if not in_map_span(d0, m))
+    for union_first in (False, True):
+        A = _quarter_turn_a4()
+        part = double_derivation_space(A, 0)
+        union = GradedMapSpace(A, "dder", part.blocks +
+                               double_derivation_space(A, 1).blocks,
+                               solved=True)
+        order = [union, part] if union_first else [part, union]
+        for space in order + order:
+            assert space.contains(D) == (space is union), union_first
+    dd = double_derivation_space(color_heis3, 0)
+    der = derivation_space(color_heis3, 0)
+    E = next(m for m in dd.maps() if not in_map_span(der.maps(), m))
+    assert dd.contains(E) and not der.contains(E)
 
 
 # -- inner maps ---------------------------------------------------------------
@@ -235,6 +275,64 @@ def test_closure_theorem_instances(a4, twisted_a4, abelian3):
     for A in (a4, twisted_a4, abelian3):
         report = verify_double_derivation_closure(A, 2)
         assert report.ok, (A.name, report.violations[:2])
+
+
+def _closure_by_oracle(A, k_max):
+    """The checks of verify_double_derivation_closure, every one sent to
+    the oracle: the failures as (check, witness), and the check count."""
+    dd = {k: spaces.double_derivation_space(A, k) for k in range(k_max + 1)}
+    fails, checks = [], 0
+    for k in _distinct_shifts(A, k_max):
+        for idx, D in enumerate(dd[k].maps()):
+            ok, wit = oracle.is_double_derivation(A, alpha_shift(A, D), k + 1)
+            checks += 1
+            if not ok:
+                fails.append(("closure-shift", (k, idx, wit)))
+    for k, s in distinct_commutator_pairs(A, k_max):
+        for i, D1 in enumerate(dd[k].maps()):
+            for j, D2 in enumerate(dd[s].maps()):
+                if k == s and j < i:
+                    continue
+                C = color_commutator(D1, D2, A.eps)
+                ok, wit = oracle.is_double_derivation(A, C, k + s)
+                checks += 1
+                if not ok:
+                    fails.append(("closure-commutator", (k, s, i, j, wit)))
+    return fails, checks
+
+
+@pytest.mark.parametrize("build", [lambda: build_simple_nlie(3),
+                                   build_twisted_a4, _quarter_turn_a4],
+                         ids=["a4", "twisted_a4", "quarter_turn_a4"])
+@pytest.mark.parametrize("tamper", ["gain", "lose"])
+@pytest.mark.parametrize("bad_k", [0, 1])
+def test_closure_verdicts_are_the_oracles_on_a_wrong_solver(
+        monkeypatch, build, tamper, bad_k):
+    """DDer at the twist alpha^bad_k is replaced by a wrong space: "gain"
+    adds the identity map, which is not a double derivation of these
+    algebras; "lose" drops a basis map.  The closure's verdicts, witnesses
+    and check count must still be those of the oracle on every check."""
+    A = build()
+    solve = spaces.double_derivation_space
+    zero = A.group.zero()
+
+    def wrong_solve(algebra, k):
+        space = solve(algebra, k)
+        if algebra.alpha_power(k) != algebra.alpha_power(bad_k):
+            return space
+        blocks = [(b.degree, [m.matrix for m in b.basis]) for b in space.blocks]
+        for n, (d, mats) in enumerate(blocks):
+            if d == zero:
+                blocks[n] = (d, mats + [Matrix.identity(A.dim)]
+                             if tamper == "gain" else mats[:-1])
+        return _blocks_to_space(algebra, "dder", k, blocks)
+
+    monkeypatch.setattr(spaces, "double_derivation_space", wrong_solve)
+    fails, checks = _closure_by_oracle(A, 1)
+    report = verify_double_derivation_closure(A, 1)
+    assert [(v.check, v.witness) for v in report.violations] == fails
+    assert report.details["checks"] == checks
+    assert bool(fails) == (tamper == "gain")
 
 
 def test_inner_ideal_instance(a4):

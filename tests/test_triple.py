@@ -1,12 +1,15 @@
 import pytest
 from fractions import Fraction
+from itertools import product
 
 from helpers import naive_space_dimension
 from nhlc import oracle
 from nhlc.builders import build_abelian
 from nhlc.errors import ArityError, HypothesisError
 from nhlc.linalg import span_basis, subspace_contains
-from nhlc.spaces import derivation_space, inner_space, maps_as_color_algebra
+from nhlc.spaces import (GradedMapSpace, _solve_blocks, derivation_space,
+                         distinct_twists, double_derivation_space, inner_space,
+                         maps_as_color_algebra)
 from nhlc.triple import (triple_derivation_space, verify_triple_invariance,
                          verify_triple_equals_derivations)
 
@@ -48,6 +51,44 @@ def test_der_contained_in_tder_everywhere(cross3, super_heis):
             tbasis = span_basis(_flat(triple_derivation_space(A2, k)))
             for v in _flat(derivation_space(A2, k)):
                 assert subspace_contains(tbasis, v)
+
+
+MAP_SPACES = {"inn": ("inner", inner_space), "der": ("der", derivation_space),
+              "dder": ("dder", double_derivation_space)}
+
+
+def _map_algebra(request, source, name):
+    """The binary algebra of Inn, Der or DDer at twist powers 0 and 1."""
+    A = request.getfixturevalue(name)
+    kind, solve = MAP_SPACES[source]
+    return maps_as_color_algebra(GradedMapSpace(
+        A, kind, [b for k in (0, 1) for b in solve(A, k).blocks]))
+
+
+@pytest.mark.parametrize("source, name", [
+    (None, "super_heis"), (None, "rational_heis"), (None, "cross3"),
+    (None, "sl2_heis3"),
+    ("inn", "a4"), ("der", "a4"), ("dder", "a4"),
+    ("inn", "color_heis3"), ("der", "color_heis3"), ("dder", "color_heis3")])
+def test_tder_sorted_pairs_match_all_ordered_pairs(request, source, name):
+    """The TDer solve imposes its rule on the triples (x, y, z) with y <= z
+    only; its blocks equal those of the system on all ordered pairs, and
+    its dimension that of the naive route.  TWISTED_A4 has no map algebra:
+    Inn is zero, and D -> -D is no twist of the algebras of Der and DDer,
+    which fail validation.  The naive route on the 16-dimensional DDer
+    algebra of COLOR_HEIS3 would take minutes, so it stops at dimension 8.
+    Spaces depend on k only through alpha^k, so each alpha^k is checked
+    once."""
+    A2 = (request.getfixturevalue(name) if source is None
+          else _map_algebra(request, source, name))
+    singles = [(x,) for x in range(A2.dim)]
+    ordered = list(product(range(A2.dim), repeat=2))
+    for k in distinct_twists(A2, 1):
+        tder = triple_derivation_space(A2, k)
+        assert [(b.degree, [m.matrix for m in b.basis])
+                for b in tder.blocks] == _solve_blocks(A2, k, singles, ordered)
+        if A2.dim <= 8:
+            assert tder.dimension() == naive_space_dimension(A2, "tder", k)
 
 
 def test_tder_basis_passes_oracle(super_heis, cross3):
