@@ -54,8 +54,9 @@ def build_simple_nlie(n, name=None):
                         Matrix.identity(dim), constants)
 
 
-def build_yau_twist(algebra, phi, name=None):
-    """Twist an untwisted algebra by an even self-morphism phi.
+def build_yau_twist(algebra, phi, name):
+    """Twist an untwisted algebra by an even self-morphism phi; the result
+    is called name.
 
     New bracket = phi o old bracket, new twist = phi.  The result is
     validated; anything failing the axioms is rejected.
@@ -83,7 +84,7 @@ def build_yau_twist(algebra, phi, name=None):
         entry = {j: c for j, c in enumerate(vec) if c != 0}
         if entry:
             constants[t] = entry
-    out = ColorAlgebra(name or f"TWISTED_{A.name}", A.arity, A.group, A.eps,
+    out = ColorAlgebra(name, A.arity, A.group, A.eps,
                        list(A.basis), phi, constants)
     report = validate_algebra(out)
     if not report.ok:

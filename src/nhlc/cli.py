@@ -5,7 +5,8 @@ otherwise) and exits 0 on success, 1 when violations were found or an input
 is unusable, 2 on usage errors.  `verify` skips a verifier that raises
 HypothesisError (the algebra is outside the hypotheses of its law) with the
 error's message as a notice that does not fail the run.  The NHLC_THREADS
-variable caps internal parallelism; results never depend on it.
+variable is validated (an integer >= 1) and has no other effect: execution
+is sequential.
 """
 
 import argparse
@@ -103,19 +104,13 @@ def _is_flat_list(v):
         x is None or isinstance(x, (bool, int, str)) for x in v)
 
 
-def _space_blocks_json(space, with_basis=True):
-    blocks = []
-    for b in space.blocks:
-        entry = {
-            "kind": space.kind,
-            "k": b.k,
-            "degree": list(b.degree.free + b.degree.torsion),
-            "dim": len(b.basis),
-        }
-        if with_basis:
-            entry["basis"] = [io_json.matrix_to_grid(m.matrix) for m in b.basis]
-        blocks.append(entry)
-    return blocks
+def _space_blocks_json(space):
+    return [{"kind": space.kind,
+             "k": b.k,
+             "degree": list(b.degree.free + b.degree.torsion),
+             "dim": len(b.basis),
+             "basis": [io_json.matrix_to_grid(m.matrix) for m in b.basis]}
+            for b in space.blocks]
 
 
 def _read_input(path, what, parse):
@@ -280,12 +275,9 @@ def _cmd_delta(args):
 
 def _build_map_algebra(A, source, k_max):
     """Binary algebra of a computed map space (inn/der/dder union)."""
-    kind, solve = {"inn": ("inner", spaces_mod.inner_space),
-                   "der": ("der", spaces_mod.derivation_space),
-                   "dder": ("dder", spaces_mod.double_derivation_space)}[source]
-    blocks = [b for k in range(k_max + 1) for b in solve(A, k).blocks]
-    space = spaces_mod.GradedMapSpace(A, kind, blocks)
-    return spaces_mod.maps_as_color_algebra(space)
+    kind = {"inn": "inner", "der": "der", "dder": "dder"}[source]
+    return spaces_mod.maps_as_color_algebra(
+        spaces_mod.union_space(A, kind, k_max))
 
 
 def _cmd_tder(args):

@@ -13,13 +13,13 @@ from itertools import product
 from . import oracle
 from .algebra import HomMap
 from .errors import DecompositionError, DomainError
-from .linalg import (F0, F1, Matrix, dense, nullspace, nullspace_of_rows,
-                     solve_particular, support)
+from .linalg import (F0, Matrix, accumulate, dense, nullspace,
+                     nullspace_of_columns, solve_particular, support)
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
                      distinct_twist_pairs, distinct_twists,
-                     double_derivation_space, inner_generators, inner_space,
-                     require)
+                     double_derivation_space, inner_generators, require,
+                     union_space)
 
 
 @dataclass
@@ -35,9 +35,9 @@ class BracketDecomposition:
 def _decomposition(algebra):
     """(tuples, matrix, solutions, kernel), computed once per algebra: the
     nonzero basis-tuple bracket values in lexicographic tuple order and the
-    matrix with them as columns, a particular solution of matrix x = e_q
-    for every basis vector q (None outside the derived subalgebra), and a
-    kernel basis of the matrix."""
+    matrix with them as columns, the matrix whose column q is a particular
+    solution of matrix x = e_q (None when some basis vector lies outside
+    the derived subalgebra), and a kernel basis of the matrix."""
     A = algebra
     if A._decomposition is None:
         tuples = []
@@ -47,10 +47,11 @@ def _decomposition(algebra):
             if any(v):
                 tuples.append(t)
                 cols.append(v)
-        matrix = Matrix([[cols[c][r] for c in range(len(cols))]
-                         for r in range(A.dim)], cols=len(cols))
-        solutions = [solve_particular(matrix, A.basis_vector(q))
-                     for q in range(A.dim)]
+        matrix = Matrix.from_columns(cols, A.dim)
+        sols = [solve_particular(matrix, A.basis_vector(q))
+                for q in range(A.dim)]
+        solutions = (None if None in sols
+                     else Matrix.from_columns(sols, len(tuples)))
         A._decomposition = (tuples, matrix, solutions, nullspace(matrix))
     return A._decomposition
 
@@ -79,21 +80,19 @@ def _slot_terms(algebra, t, D, k):
     return out
 
 
-def _combine(coeffs, vectors, dim):
-    """sum_i coeffs[i] * vectors[i]."""
-    out = [F0] * dim
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for r in range(dim):
-                if v[r]:
-                    out[r] += c * v[r]
-    return out
-
-
 def _tuple_delta_image(algebra, t, D, k):
     """One decomposition tuple's contribution: the sum of its slot terms."""
-    terms = _slot_terms(algebra, t, D, k)
-    return _combine([F1] * len(terms), terms, algebra.dim)
+    acc = {}
+    for term in _slot_terms(algebra, t, D, k):
+        accumulate(acc, support(term))
+    return dense(acc.items(), algebra.dim)
+
+
+def _images(algebra, D, k):
+    """The matrix whose columns are the decomposition tuples' images."""
+    tuples = _decomposition(algebra)[0]
+    images = [_tuple_delta_image(algebra, t, D, k) for t in tuples]
+    return Matrix.from_columns(images, algebra.dim)
 
 
 def delta_of(algebra, D, k):
@@ -107,12 +106,9 @@ def delta_of(algebra, D, k):
     require(A, k, "arity", "perfect", "centerless")
     if not double_derivation_space(A, k).contains(D):
         raise DomainError("input map is not a double derivation")
-    tuples, _, solutions, _ = _decomposition(A)
-    images = [_tuple_delta_image(A, t, D, k) for t in tuples]
     # A is perfect, so every basis vector decomposes
-    cols = [_combine(sol, images, A.dim) for sol in solutions]
-    data = [[cols[q][r] for q in range(A.dim)] for r in range(A.dim)]
-    return HomMap(D.degree, Matrix(data))
+    solutions = _decomposition(A)[2]
+    return HomMap(D.degree, _images(A, D, k) * solutions)
 
 
 def verify_delta_well_defined(algebra, D, k):
@@ -121,10 +117,10 @@ def verify_delta_well_defined(algebra, D, k):
     A = algebra
     require(A, k, "arity", "perfect", "centerless")
     report = ValidationReport()
-    tuples, _, _, kernel = _decomposition(A)
-    images = [_tuple_delta_image(A, t, D, k) for t in tuples]
+    kernel = _decomposition(A)[3]
+    images = _images(A, D, k)
     for idx, kv in enumerate(kernel):
-        total = _combine(kv, images, A.dim)
+        total = images.apply(kv)
         if any(x != 0 for x in total):
             report.add("delta-well-defined", witness=("kernel-vector", idx),
                        expected=[F0] * A.dim, actual=total)
@@ -203,15 +199,11 @@ def verify_delta_derivation_criterion(algebra, k_max):
         maps = double_derivation_space(A, k).maps()
         for idx, (D, delta) in enumerate(zip(maps, deltas[k])):
             d = D.degree
-            for gidx, (xs, inner) in enumerate(gens):
+            for gidx, (xs, degs, inner) in enumerate(gens):
                 lhs = color_commutator(D, inner, A.eps).matrix
                 first = ad_map(A, [delta.apply(xs[0])] + xs[1:], k + s)
                 rhs = first.matrix
                 prefix = A.group.zero()
-                degs = []
-                for x in xs:
-                    dset = {A.degrees[i] for i, c in enumerate(x) if c != 0}
-                    degs.append(dset.pop() if dset else A.group.zero())
                 for j in range(1, n - 1):
                     prefix = A.group.add(prefix, degs[j - 1])
                     sign = A.eps.value(d, prefix)
@@ -260,37 +252,21 @@ def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
     A = algebra
     require(A, k_max, "arity", "perfect")
     if inner_maps is None:
-        inner_maps = []
-        for s in range(k_max + 1):
-            inner_maps.extend(inner_space(A, s).maps())
+        inner_maps = union_space(A, "inner", k_max).maps()
+    zero = Matrix.zeros(A.dim, A.dim)
     blocks = []
-    for k in range(k_max + 1):
-        space = double_derivation_space(A, k)
-        for block in space.blocks:
-            basis = block.basis
-            d = block.degree
-            rows = []
-            for I in inner_maps:
-                sign = A.eps.value(d, I.degree)
-                mats = [B.matrix * I.matrix - (I.matrix * B.matrix).scale(sign)
-                        for B in basis]
-                for p in range(A.dim):
-                    for q in range(A.dim):
-                        row = [m[p][q] for m in mats]
-                        if any(row):
-                            rows.append(row)
-            kern = nullspace_of_rows(rows, len(basis))
-            mats = []
-            for v in kern:
-                acc = None
-                for c, B in zip(v, basis):
-                    term = B.matrix.scale(c)
-                    acc = term if acc is None else acc + term
-                mats.append(acc)
-            if mats:
-                blocks.append((k, d, [HomMap(d, m) for m in mats]))
-    return GradedMapSpace(A, "centralizer",
-                          [MapBlock(k, d, maps) for k, d, maps in blocks])
+    for block in union_space(A, "dder", k_max).blocks:
+        basis = block.basis
+        kern = nullspace_of_columns(
+            [[c for I in inner_maps
+              for c in color_commutator(B, I, A.eps).matrix.flatten()]
+             for B in basis], len(basis))
+        maps = [HomMap(block.degree, sum((B.matrix.scale(c)
+                                          for c, B in zip(v, basis)), zero))
+                for v in kern]
+        if maps:
+            blocks.append(MapBlock(block.k, block.degree, maps))
+    return GradedMapSpace(A, "centralizer", blocks)
 
 
 def verify_inner_centralizer_trivial(algebra, k_max):

@@ -12,6 +12,14 @@ from .errors import ShapeError
 from .report import ValidationReport
 
 
+def integer(value, what):
+    """value itself if it is an int; a bool, a float or anything else
+    raises TypeError naming what it stands for."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class GroupElement:
     """Element of Z^r x prod Z/m_i; torsion entries stored reduced."""
@@ -54,8 +62,8 @@ class GradingGroup:
         return GroupElement((0,) * self.free_rank, (0,) * len(self.torsion))
 
     def element(self, free=(), torsion=()):
-        free = tuple(int(x) for x in free)
-        torsion = tuple(int(x) for x in torsion)
+        free = tuple(integer(x, "degree coordinate") for x in free)
+        torsion = tuple(integer(x, "degree coordinate") for x in torsion)
         if len(free) != self.free_rank or len(torsion) != len(self.torsion):
             raise ShapeError(
                 f"expected {self.free_rank} free and {len(self.torsion)} torsion "

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import ColorAlgebra, validate_algebra
 from .errors import AlgebraValidationError, FormatError
-from .grading import Bicharacter, GradingGroup, validate_bicharacter
+from .grading import Bicharacter, GradingGroup, integer, validate_bicharacter
 from .linalg import Matrix
 
 
@@ -54,10 +54,11 @@ def algebra_to_dict(A):
 def dict_to_algebra(doc, validate=True):
     try:
         name = doc["name"]
-        arity = int(doc["arity"])
+        arity = integer(doc["arity"], "arity")
         gdoc = doc["group"]
-        group = GradingGroup(int(gdoc["free_rank"]),
-                             tuple(int(m) for m in gdoc.get("torsion", [])))
+        group = GradingGroup(integer(gdoc["free_rank"], "free_rank"),
+                             tuple(integer(m, "torsion modulus")
+                                   for m in gdoc.get("torsion", [])))
         eps = Bicharacter(group, [[parse_rational(x) for x in row]
                                   for row in doc["bicharacter"]])
         basis = []
@@ -71,7 +72,7 @@ def dict_to_algebra(doc, validate=True):
         alpha = Matrix([[parse_rational(x) for x in row] for row in doc["alpha"]])
         constants = {}
         for entry in doc.get("brackets", []):
-            t = tuple(int(i) for i in entry["args"])
+            t = tuple(integer(i, "bracket argument") for i in entry["args"])
             if t in constants:
                 raise FormatError(f"duplicate bracket tuple {t}")
             constants[t] = {int(j): parse_rational(c)

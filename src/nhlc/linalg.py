@@ -74,6 +74,12 @@ class Matrix:
     def zeros(cls, rows, cols):
         return cls([[F0] * cols for _ in range(rows)], cols=cols)
 
+    @classmethod
+    def from_columns(cls, columns, rows):
+        """The rows x len(columns) matrix with the given columns."""
+        return cls([[col[r] for col in columns] for r in range(rows)],
+                   cols=len(columns))
+
     def __getitem__(self, idx):
         return self.data[idx]
 
@@ -147,7 +153,7 @@ class Matrix:
         n = self.rows
         aug = [list(self.data[i]) + [F1 if j == i else F0 for j in range(n)]
                for i in range(n)]
-        red, pivots = rref(aug, pivot_limit=n)
+        red, pivots = rref(aug)
         if pivots != list(range(n)):
             return None
         return Matrix([row[n:] for row in red])
@@ -234,22 +240,16 @@ def _kernel(red, piv_cols, ncols):
     return basis
 
 
-def rref(rows, pivot_limit=None):
+def rref(rows):
     """Reduced row echelon form over the rationals.
 
-    rows: rows of int or Fraction entries, all the same length.  With
-    pivot_limit, only the rows whose pivot lies in the first pivot_limit
-    columns are returned (used for augmented solves).
+    rows: rows of int or Fraction entries, all the same length.
     Returns (rref_rows, pivot_cols); rref_rows has one row per pivot.
     """
     pivots = {}
     for row in rows:
         _insert(pivots, row)
-    red, piv_cols = _rref(pivots)
-    if pivot_limit is not None:
-        n = sum(c < pivot_limit for c in piv_cols)
-        red, piv_cols = red[:n], piv_cols[:n]
-    return red, piv_cols
+    return _rref(pivots)
 
 
 def _rows_and_cols(M):
@@ -274,6 +274,17 @@ def nullspace(M):
 
 def nullspace_of_rows(rows, ncols):
     return _kernel(*rref(rows), ncols)
+
+
+def column_rows(columns):
+    """The nonzero rows of the matrix with the given columns."""
+    return [row for row in zip(*columns) if any(row)]
+
+
+def nullspace_of_columns(columns, ncols):
+    """Kernel basis, as nullspace, of the matrix with the given ncols
+    columns; zero rows are dropped before elimination."""
+    return nullspace_of_rows(column_rows(columns), ncols)
 
 
 def solve_particular(M, b):

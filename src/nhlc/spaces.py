@@ -33,8 +33,9 @@ from . import oracle
 from .algebra import ColorAlgebra, HomMap, validate_algebra
 from .errors import (AlgebraValidationError, ArityError, DomainError,
                      HypothesisError, ShapeError, TruncationError)
-from .linalg import (F0, F1, Matrix, RowReducer, accumulate, coords_in_basis,
-                     nullspace_of_rows, span_basis, subspace_contains, support)
+from .linalg import (F0, F1, Matrix, RowReducer, accumulate, column_rows,
+                     coords_in_basis, nullspace_of_columns, nullspace_of_rows,
+                     span_basis, subspace_contains, support)
 from .report import ValidationReport
 
 KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn", "tder": "TDer",
@@ -107,25 +108,21 @@ def _allowed_positions(A, d):
             if A.degrees[j] == A.group.add(A.degrees[i], d)]
 
 
-def _alpha_commute_rows(A, var_index, nvars):
+def _alpha_commute_rows(A, vars_):
+    """Rows of D alpha = alpha D for D = sum of x_ji E_ji over the unknown
+    positions (j, i): the column of (j, i) is E_ji alpha - alpha E_ji,
+    flattened row by row."""
     al = A.alpha
-    rows = []
-    for p in range(A.dim):
-        for q in range(A.dim):
-            row = [F0] * nvars
-            nz = False
-            for (j, i), vx in var_index.items():
-                c = F0
-                if j == p:
-                    c += al[i][q]
-                if i == q:
-                    c -= al[p][j]
-                if c:
-                    row[vx] = c
-                    nz = True
-            if nz:
-                rows.append(row)
-    return rows
+    n = A.dim
+    cols = []
+    for j, i in vars_:
+        col = [F0] * (n * n)
+        for q in range(n):
+            col[j * n + q] += al[i][q]
+        for p in range(n):
+            col[p * n + i] -= al[p][j]
+        cols.append(col)
+    return column_rows(cols)
 
 
 def _span_by_degree(A, maps):
@@ -157,7 +154,7 @@ def _solve_blocks(A, k, xtuples, ytuples):
         var_index = {v: x for x, v in enumerate(vars_)}
         nvars = len(vars_)
         red = RowReducer(nvars)
-        for row in chain(_alpha_commute_rows(A, var_index, nvars),
+        for row in chain(_alpha_commute_rows(A, vars_),
                          _leibniz_rows(A, k, d, var_index, nvars,
                                        xtuples, ytuples)):
             red.add(row)
@@ -293,8 +290,7 @@ def ad_map(algebra, xs, k):
             raise DomainError("inner generator argument is not fixed by the twist")
     ak = A.alpha_power(k)
     cols = [A.bracket(xs + [ak.column(q)]) for q in range(A.dim)]
-    data = [[cols[q][r] for q in range(A.dim)] for r in range(A.dim)]
-    return HomMap(A.degree_sum(degs), Matrix(data))
+    return HomMap(A.degree_sum(degs), Matrix.from_columns(cols, A.dim))
 
 
 def fixed_point_basis(algebra):
@@ -314,7 +310,8 @@ def fixed_point_basis(algebra):
 
 
 def inner_generators(algebra, k):
-    """All nonzero ad maps on tuples from the fixed graded basis."""
+    """All nonzero ad maps on tuples from the fixed graded basis, as
+    (arguments, their degrees, map)."""
     A = algebra
     fixed = fixed_point_basis(A)
     gens = []
@@ -322,7 +319,7 @@ def inner_generators(algebra, k):
         xs = [fixed[i][1] for i in combo]
         m = ad_map(A, xs, k)
         if not m.matrix.is_zero():
-            gens.append((xs, m))
+            gens.append((xs, [fixed[i][0] for i in combo], m))
     return gens
 
 
@@ -333,8 +330,17 @@ def inner_space(algebra, k):
         raise DomainError("inner twist power must be nonnegative")
 
     blocks = _cached_blocks(A, "inner", k, lambda: _span_by_degree(
-        A, [m for _, m in inner_generators(A, k)]))
+        A, [m for _, _, m in inner_generators(A, k)]))
     return _blocks_to_space(A, "inner", k, blocks)
+
+
+def union_space(algebra, kind, k_max):
+    """The blocks of the solved "der", "dder" or "inner" spaces at the twist
+    powers 0..k_max, as one space."""
+    solve = {"der": derivation_space, "dder": double_derivation_space,
+             "inner": inner_space}[kind]
+    return GradedMapSpace(algebra, kind, [
+        b for k in range(k_max + 1) for b in solve(algebra, k).blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +360,10 @@ def is_perfect(algebra):
 def center(algebra):
     """Elements bracketing to zero against every basis completion."""
     A = algebra
-    rows = []
-    for tail in combinations_with_replacement(range(A.dim), A.arity - 1):
-        cols = [A.bracket_basis((q,) + tail) for q in range(A.dim)]
-        for r in range(A.dim):
-            row = [cols[q][r] for q in range(A.dim)]
-            if any(row):
-                rows.append(row)
-    return nullspace_of_rows(rows, A.dim)
+    tails = list(combinations_with_replacement(range(A.dim), A.arity - 1))
+    return nullspace_of_columns(
+        [[c for tail in tails for c in A.bracket_basis((q,) + tail)]
+         for q in range(A.dim)], A.dim)
 
 
 # the hypotheses of the verified laws: name -> (test(algebra, k_max), message);
@@ -393,20 +395,15 @@ def require(algebra, k_max, *names):
 def centralizer(algebra, span_vectors):
     """Elements whose bracket with the given subspace (slot 2) vanishes."""
     A = algebra
-    rows = []
     svs = [[F1 * c for c in v] for v in span_vectors]
-    for s in svs:
-        if len(s) != A.dim:
-            raise ShapeError("subspace vector length does not match dimension")
-        for tail in combinations_with_replacement(range(A.dim), A.arity - 2):
-            cols = [A.bracket([A.basis_vector(q), s] +
-                              [A.basis_vector(t) for t in tail])
-                    for q in range(A.dim)]
-            for r in range(A.dim):
-                row = [cols[q][r] for q in range(A.dim)]
-                if any(row):
-                    rows.append(row)
-    return nullspace_of_rows(rows, A.dim)
+    if any(len(s) != A.dim for s in svs):
+        raise ShapeError("subspace vector length does not match dimension")
+    tails = [[A.basis_vector(t) for t in tail] for tail in
+             combinations_with_replacement(range(A.dim), A.arity - 2)]
+    return nullspace_of_columns(
+        [[c for s in svs for tail in tails
+          for c in A.bracket([A.basis_vector(q), s] + tail)]
+         for q in range(A.dim)], A.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +607,12 @@ def maps_as_color_algebra(space, name=None):
     dim = len(basis_maps)
     alpha_cols = []
     for bm in basis_maps:
-        shifted = HomMap(bm.degree, bm.matrix * A.alpha)
-        co = map_coordinates(basis_maps, shifted)
+        co = map_coordinates(basis_maps, alpha_shift(A, bm))
         if co is None:
             raise TruncationError(
                 "twist-shift leaves the computed span; raise the twist-power range")
         alpha_cols.append(co)
-    alpha = Matrix([[alpha_cols[c][r] for c in range(dim)] for r in range(dim)])
+    alpha = Matrix.from_columns(alpha_cols, dim)
     constants = {}
     for p in range(dim):
         for q in range(p, dim):

@@ -10,13 +10,13 @@ derivation space; equality is expected exactly under those hypotheses.
 """
 
 from .errors import ArityError, HypothesisError
-from .linalg import RowReducer, span_basis, subspace_contains
+from .linalg import nullspace_of_columns, span_basis, subspace_contains
 from .report import ValidationReport
-from .spaces import (GradedMapSpace, _blocks_to_space, _cached_blocks,
-                     _solve_blocks, _sorted_tuples, center, derivation_space,
-                     distinct_twists, double_derivation_space, inner_space,
-                     is_perfect, map_coordinates, maps_as_color_algebra,
-                     merged_map_basis, require)
+from .spaces import (_blocks_to_space, _cached_blocks, _solve_blocks,
+                     _sorted_tuples, center, derivation_space,
+                     distinct_twists, is_perfect, map_coordinates,
+                     maps_as_color_algebra, merged_map_basis, require,
+                     union_space)
 
 
 def triple_derivation_space(algebra, k):
@@ -54,11 +54,9 @@ def verify_triple_invariance(algebra, k_max):
     subspace invariant, and vanish identically if they vanish on it."""
     A = algebra
     require(A, k_max, "arity", "perfect", "centerless", "inner")
-    dd_union = GradedMapSpace(A, "dder", [
-        b for k in range(k_max + 1)
-        for b in double_derivation_space(A, k).blocks])
+    dd_union = union_space(A, "dder", k_max)
     basis_maps = merged_map_basis(dd_union)
-    inner_maps = [m for k in range(k_max + 1) for m in inner_space(A, k).maps()]
+    inner_maps = union_space(A, "inner", k_max).maps()
     A2 = maps_as_color_algebra(dd_union)
     inn_coords = []
     for m in inner_maps:
@@ -83,15 +81,9 @@ def verify_triple_invariance(algebra, k_max):
                                    actual="outside")
                         break
             # maps in the triple span vanishing on the inner subspace
-            red = RowReducer(len(block.basis))
-            rows = []
-            for v in inn_basis:
-                images = [T.apply(list(v)) for T in block.basis]
-                for r in range(A2.dim):
-                    rows.append([img[r] for img in images])
-            for row in rows:
-                red.add(row)
-            kern = red.nullspace()
+            kern = nullspace_of_columns(
+                [[c for v in inn_basis for c in T.apply(list(v))]
+                 for T in block.basis], len(block.basis))
             if kern:
                 report.add("triple-vanishing-on-inner",
                            witness=(k, block.degree),

@@ -192,7 +192,7 @@ def test_yau_twist_identity_is_same_algebra(a4):
 def test_yau_twist_rejects_non_morphism(a4):
     phi = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     with pytest.raises(ShapeError, match="morphism"):
-        build_yau_twist(a4, phi)
+        build_yau_twist(a4, phi, name="A4_REFLECTED")
 
 
 def test_abelian_builder_rejects_uneven_alpha():

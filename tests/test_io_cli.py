@@ -78,6 +78,37 @@ def test_invalid_constants_rejected_on_load(a4):
         io_json.dict_to_algebra(doc)
 
 
+@pytest.mark.parametrize("fixture, path, value, what", [
+    ("a4", ["arity"], 3.7, "arity"),
+    ("a4", ["arity"], True, "arity"),
+    ("rational_heis", ["group", "free_rank"], 2.0, "free_rank"),
+    ("super_heis", ["group", "torsion", 0], 2.0, "torsion modulus"),
+    ("super_heis", ["group", "torsion", 0], True, "torsion modulus"),
+    ("a4", ["brackets", 0, "args", 2], 2.9, "bracket argument"),
+    ("a4", ["brackets", 0, "args", 1], True, "bracket argument"),
+    ("super_heis", ["basis", 0, "degree", 0], 1.0, "degree coordinate"),
+    ("rational_heis", ["basis", 0, "degree", 0], True, "degree coordinate"),
+])
+def test_non_integer_field_rejected(request, tmp_path, capsys, fixture, path,
+                                    value, what):
+    """An integer field holding a float or a bool is a format error, not a
+    number to truncate: loading raises FormatError and validate exits 1
+    with a load violation."""
+    doc = io_json.algebra_to_dict(request.getfixturevalue(fixture))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(FormatError, match=f"{what} must be an integer"):
+        io_json.dict_to_algebra(doc)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    assert main(["validate", "--json", str(file)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["valid"] is False
+    assert report["violations"][0]["check"] == "load"
+
+
 def test_bad_json_rejected():
     with pytest.raises(FormatError):
         io_json.loads("{not json")
@@ -248,6 +279,24 @@ def test_report_schema_stable(tmp_path):
                             "violations", "notices"}
 
 
+def test_traced_verify_prints_the_untraced_report(tmp_path):
+    """perfbench/tracer.py wraps nhlc functions by name and raises when one
+    it names is gone; traced, a command prints the same bytes as untraced."""
+    import os
+    path = tmp_path / "a4.json"
+    io_json.save(build_simple_nlie(3), path)
+    args = ["verify", str(path), "--all", "--k-max", "0", "--json"]
+    tracer = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "tracer.py")
+    traced = subprocess.run([sys.executable, tracer, str(tmp_path / "trace.json"),
+                             "cli", *args], capture_output=True)
+    plain = subprocess.run([sys.executable, "-m", "nhlc.cli", *args],
+                           capture_output=True)
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert plain.returncode == 0
+    assert traced.stdout == plain.stdout
+
+
 def test_threads_env_rejected_if_malformed(tmp_path):
     path = tmp_path / "a4.json"
     io_json.save(build_simple_nlie(3), path)
@@ -340,7 +389,11 @@ X_TO_X = [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
     ({"matrix": [["1", "0", "0"], ["0", "0", "0"], ["1", "0", "0"]]},
      "not homogeneous of degree (0)"),
     ({"degree": [0]}, "no 'matrix' field"),
-], ids=["declared-degree-contradicted", "inhomogeneous", "no-matrix"])
+    ({"degree": [0.0], "matrix": X_TO_X}, "degree coordinate must be an integer"),
+    ({"degree": [False], "matrix": X_TO_X},
+     "degree coordinate must be an integer"),
+], ids=["declared-degree-contradicted", "inhomogeneous", "no-matrix",
+        "float-degree", "bool-degree"])
 def test_check_rejects_bad_map_file(tmp_path, doc, error):
     """On SUPER_HEIS (x, y odd, z even), x -> x has degree 0: a file that
     declares degree 1 for it used to be checked at degree 1."""

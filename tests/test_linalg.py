@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from helpers import reference_nullspace, reference_rref, subspace_eq
 from nhlc.errors import ShapeError
-from nhlc.linalg import (Matrix, RowReducer, coords_in_basis, nullspace, rank,
-                         rref, solve_particular, span_basis, subspace_contains)
+from nhlc.linalg import (Matrix, RowReducer, coords_in_basis, nullspace,
+                         nullspace_of_columns, rank, rref, solve_particular,
+                         span_basis, subspace_contains)
 
 F = Fraction
 
@@ -20,6 +21,12 @@ def test_nullspace_zero_matrix():
     basis = nullspace(Matrix.zeros(2, 3))
     assert len(basis) == 3
     assert span_basis(basis) == span_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_nullspace_of_columns_with_no_rows():
+    """Columns of length zero (a centralizer of the empty span) leave
+    every variable free."""
+    assert nullspace_of_columns([[], []], 2) == [[1, 0], [0, 1]]
 
 
 def test_nullspace_rank_one():
@@ -130,15 +137,18 @@ degenerate_matrix = small_matrix.flatmap(_degenerate)
 @given(degenerate_matrix, st.data())
 @settings(max_examples=80, deadline=None)
 def test_engine_matches_reference(rows, data):
-    """rref (with and without pivot_limit), nullspace, span_basis and rank
-    agree with textbook Gauss-Jordan, zero and repeated rows included."""
+    """rref, nullspace, nullspace_of_columns, span_basis and rank agree with
+    textbook Gauss-Jordan, zero and repeated rows included.  The columns are
+    a drawn prefix of the rows, so zero columns and no columns are among
+    the cases."""
     ncols = len(rows[0])
     red, piv = reference_rref(rows, ncols)
     assert rref(rows) == (red, piv)
-    limit = data.draw(st.integers(0, ncols))
-    n = sum(c < limit for c in piv)
-    assert rref(rows, pivot_limit=limit) == (red[:n], piv[:n])
     assert nullspace(Matrix(rows)) == reference_nullspace(rows, ncols)
+    cols = rows[:data.draw(st.integers(0, len(rows)))]
+    transpose = [list(r) for r in zip(*cols)]
+    assert nullspace_of_columns(cols, len(cols)) == \
+        reference_nullspace(transpose, len(cols))
     assert span_basis(rows) == red
     assert rank(Matrix(rows)) == len(piv)
 

@@ -120,7 +120,7 @@ def _quarter_turn_a4():
     F1, F0 = F(1), F(0)
     phi = Matrix([[F0, -F1, F0, F0], [F1, F0, F0, F0],
                   [F0, F0, F1, F0], [F0, F0, F0, F1]])
-    return build_yau_twist(build_simple_nlie(3), phi)
+    return build_yau_twist(build_simple_nlie(3), phi, name="QUARTER_TURN_A4")
 
 
 def test_contains_cache_tells_spaces_apart(color_heis3):
