@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .errors import ArityError, InvertibilityError, ShapeError
+from .grading import integer
 from .linalg import F0, F1, Matrix, accumulate, dense, support
 from .report import ValidationReport
 
@@ -49,10 +50,11 @@ class ColorAlgebra:
     """
 
     def __init__(self, name, arity, group, eps, basis, alpha, constants):
+        arity = integer(arity, "arity")
         if arity < 2:
             raise ArityError("arity must be at least 2")
         self.name = str(name)
-        self.arity = int(arity)
+        self.arity = arity
         self.group = group
         self.eps = eps
         self.basis = tuple((str(nm), deg) for nm, deg in basis)
@@ -68,14 +70,16 @@ class ColorAlgebra:
         self.alpha = alpha
         self.constants = {}
         for t, value in constants.items():
-            t = tuple(int(i) for i in t)
+            t = tuple(integer(i, "bracket index") for i in t)
             if len(t) != self.arity:
                 raise ShapeError(f"tuple {t} has wrong length")
             if any(i < 0 or i >= self.dim for i in t):
                 raise ShapeError(f"tuple {t} has out-of-range indices")
             if any(t[a] > t[a + 1] for a in range(len(t) - 1)):
                 raise ShapeError(f"tuple {t} is not non-decreasing")
-            vec = {int(j): Fraction(c) for j, c in value.items() if Fraction(c) != 0}
+            vec = {integer(j, "bracket value index"): Fraction(c)
+                   for j, c in value.items()}
+            vec = {j: c for j, c in vec.items() if c}
             if any(j < 0 or j >= self.dim for j in vec):
                 raise ShapeError(f"value of {t} has out-of-range indices")
             if vec:
@@ -84,9 +88,7 @@ class ColorAlgebra:
         self._sparse_memo = {}
         self._basis_vecs = {}
         self._alpha_powers = {0: Matrix.identity(self.dim), 1: self.alpha}
-        self._space_cache = {}
-        self._hypotheses = {}
-        self._decomposition = None   # delta._decomposition of the algebra
+        self._space_cache = {}   # spaces.memo
 
     # -- basic helpers ----------------------------------------------------
     def degree_sum(self, degs):

@@ -18,8 +18,8 @@ from .linalg import (F0, Matrix, accumulate, dense, nullspace,
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
                      distinct_twist_pairs, distinct_twists,
-                     double_derivation_space, inner_generators, require,
-                     union_space)
+                     double_derivation_space, inner_generators, memo,
+                     require, union_space)
 
 
 @dataclass
@@ -39,7 +39,8 @@ def _decomposition(algebra):
     solution of matrix x = e_q (None when some basis vector lies outside
     the derived subalgebra), and a kernel basis of the matrix."""
     A = algebra
-    if A._decomposition is None:
+
+    def build():
         tuples = []
         cols = []
         for t in A.all_tuples():
@@ -52,8 +53,8 @@ def _decomposition(algebra):
                 for q in range(A.dim)]
         solutions = (None if None in sols
                      else Matrix.from_columns(sols, len(tuples)))
-        A._decomposition = (tuples, matrix, solutions, nullspace(matrix))
-    return A._decomposition
+        return tuples, matrix, solutions, nullspace(matrix)
+    return memo(A, ("decomposition",), build)
 
 
 def bracket_decomposition(algebra, x):
@@ -67,8 +68,9 @@ def bracket_decomposition(algebra, x):
 
 
 def _slot_terms(algebra, t, D, k):
-    """Per slot s of the tuple t: the bracket with D in slot s and alpha^k
-    elsewhere, times the Koszul prefix sign eps(|D|, |t_1| + .. + |t_(s-1)|)."""
+    """Per slot s of the tuple t, as a sparse vector: the bracket with D in
+    slot s and alpha^k elsewhere, times the Koszul prefix sign
+    eps(|D|, |t_1| + .. + |t_(s-1)|)."""
     A = algebra
     ak = A.alpha_power(k)
     acols = {i: support(ak.column(i)) for i in t}
@@ -76,7 +78,7 @@ def _slot_terms(algebra, t, D, k):
     out = []
     for prefix, term in oracle.slot_brackets(A, t, acols, dcols, []):
         sign = A.eps.value(D.degree, prefix)
-        out.append(dense([(r, sign * c) for r, c in term], A.dim))
+        out.append([(r, sign * c) for r, c in term])
     return out
 
 
@@ -84,7 +86,7 @@ def _tuple_delta_image(algebra, t, D, k):
     """One decomposition tuple's contribution: the sum of its slot terms."""
     acc = {}
     for term in _slot_terms(algebra, t, D, k):
-        accumulate(acc, support(term))
+        accumulate(acc, term)
     return dense(acc.items(), algebra.dim)
 
 
@@ -155,7 +157,8 @@ def verify_delta_residual_laws(algebra, k_max):
             E = HomMap(D.degree, D.matrix - delta.matrix)
             for t in product(range(A.dim), repeat=n):
                 lhs = E.apply(A.bracket_basis(t))
-                for slot, rhs in enumerate(_slot_terms(A, t, E, k)):
+                for slot, term in enumerate(_slot_terms(A, t, E, k)):
+                    rhs = dense(term, A.dim)
                     checks += 1
                     if lhs != rhs:
                         report.add("residual-slot-identity",
@@ -192,8 +195,6 @@ def verify_delta_derivation_criterion(algebra, k_max):
             if d_is_der and delta.matrix != D.matrix:
                 report.add("delta-fixes-derivations", witness=(k, idx),
                            expected="delta_D = D", actual="different matrix")
-    # if alpha^k = alpha^k' for some k' < k, the pair (k', s) has the same
-    # powers as (k, s), so every k here is a distinct twist of the loop above
     for k, s in distinct_twist_pairs(A, k_max):
         gens = inner_generators(A, s)
         maps = double_derivation_space(A, k).maps()

@@ -45,9 +45,10 @@ class GradingGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        if integer(self.free_rank, "free rank") < 0:
             raise ShapeError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(m) for m in self.torsion))
+        object.__setattr__(self, "torsion", tuple(
+            integer(m, "torsion modulus") for m in self.torsion))
         if any(m < 2 for m in self.torsion):
             raise ShapeError("torsion moduli must be >= 2")
         # memo of add on checked pairs, keyed like Bicharacter.value; not a

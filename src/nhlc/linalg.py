@@ -87,9 +87,6 @@ class Matrix:
         return isinstance(other, Matrix) and self.data == other.data \
             and self.cols == other.cols
 
-    def __hash__(self):
-        return hash((self.data, self.cols))
-
     def __add__(self, other):
         self._same_shape(other)
         return Matrix([[a + b for a, b in zip(r1, r2)]
@@ -118,9 +115,6 @@ class Matrix:
     def scale(self, c):
         c = Fraction(c)
         return Matrix([[c * x for x in row] for row in self.data], cols=self.cols)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:

@@ -44,13 +44,6 @@ class ValidationReport:
         self.details.update(other.details)
         return self
 
-    def to_json(self):
-        return {
-            "violations": [v.to_json() for v in self.violations],
-            "notices": list(self.notices),
-            "details": _jsonable(self.details),
-        }
-
 
 def _jsonable(obj):
     """Recursively convert report payloads to JSON-safe values."""

@@ -19,11 +19,17 @@ For each candidate map degree the identity is imposed on every pair of the
 tuple sets, together with commutation with the twist, and the kernel of the
 resulting rational system is returned as a homogeneous map basis.
 
-Spaces depend on the twist power only through the matrix alpha^k, so results
-are memoized per (kind, alpha^k); for twists of finite order the blocks
-repeat and the cache collapses them.  The canonical span bases that
-GradedMapSpace.contains tests membership against are memoized the same way,
-per (kind, degree, set of alpha^k).
+Spaces depend on the twist power only through the matrix alpha^k; for
+twists of finite order the blocks repeat (distinct_twists).  Every memo of
+the algebra's derived data lives in its one dict A._space_cache, filled by
+memo():
+
+- (kind, alpha^k): the solved blocks of der, dder, inner and tder;
+- ("span", kind, degree, set of alpha^k): the canonical span of one degree
+  of a solved space (GradedMapSpace.span);
+- ("hypothesis", name) and ("hypothesis", "inner", k_max): the verdicts of
+  require();
+- ("decomposition",): the bracket decomposition data of delta.
 """
 
 from dataclasses import dataclass
@@ -49,12 +55,25 @@ class MapBlock:
     basis: list
 
 
+def memo(algebra, key, build):
+    """The value of key in the algebra's space cache, built on first use."""
+    cache = algebra._space_cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _unflatten(A, row):
+    n = A.dim
+    return Matrix([row[r * n:(r + 1) * n] for r in range(n)])
+
+
 @dataclass
 class GradedMapSpace:
     """Homogeneous map blocks of one kind.  solved marks blocks that are the
-    solver's own (see _blocks_to_space): the span of one degree then depends
-    only on the kind and on the twist powers alpha^k of the blocks, so
-    contains() keeps it in the algebra's space cache."""
+    solver's own (see _blocks_to_space and union_space): the span of one
+    degree then depends only on the kind and on the twist powers alpha^k of
+    the blocks, so span() keeps it in the algebra's space cache."""
     algebra: ColorAlgebra
     kind: str
     blocks: list
@@ -66,31 +85,39 @@ class GradedMapSpace:
     def maps(self):
         return [m for b in self.blocks for m in b.basis]
 
-    def basis_for_degree(self, degree):
-        for b in self.blocks:
-            if b.degree == degree:
-                return b.basis
-        return []
+    def degrees(self):
+        return sorted({b.degree for b in self.blocks})
 
-    def contains(self, D):
-        """Whether D lies in the span of the space's maps of degree D.degree."""
-        return subspace_contains(self._span_basis(D.degree), D.matrix.flatten())
-
-    def _span_basis(self, degree):
-        """Canonical basis of the span of the maps of one degree; for a
-        solved space, one per (kind, degree, set of the blocks' alpha^k)."""
+    def span(self, degree):
+        """Canonical (RREF) basis of the span of the maps of one degree, as
+        flattened matrices; for a solved space, one per (kind, degree, set
+        of the blocks' alpha^k)."""
         def build():
             return span_basis([m.matrix.flatten() for b in self.blocks
                                if b.degree == degree for m in b.basis])
         if not self.solved:
             return build()
         A = self.algebra
-        key = ("span", self.kind, degree,
-               frozenset(A.alpha_power(b.k).data for b in self.blocks))
-        got = A._space_cache.get(key)
-        if got is None:
-            got = A._space_cache[key] = build()
-        return got
+        return memo(A, ("span", self.kind, degree, frozenset(
+            A.alpha_power(b.k).data for b in self.blocks)), build)
+
+    def merged_basis(self):
+        """The span bases of all degrees, in degree order, as maps.  Twist
+        power labels are dropped: blocks of different powers may overlap."""
+        return [HomMap(d, _unflatten(self.algebra, row))
+                for d in self.degrees() for row in self.span(d)]
+
+    def contains(self, D):
+        """Whether D lies in the span of the space's maps of degree D.degree."""
+        return subspace_contains(self.span(D.degree), D.matrix.flatten())
+
+    def coordinates(self, D):
+        """Coordinates of D in merged_basis(), or None when D is outside."""
+        co = coords_in_basis(self.span(D.degree), D.matrix.flatten())
+        if co is None:
+            return None
+        return [c for d in self.degrees() for c in (
+            co if d == D.degree else [F0] * len(self.span(d)))]
 
 
 def candidate_degrees(algebra):
@@ -125,22 +152,8 @@ def _alpha_commute_rows(A, vars_):
     return column_rows(cols)
 
 
-def _span_by_degree(A, maps):
-    """[(degree, canonical basis of the span of the maps of that degree)]."""
-    bydeg = {}
-    for m in maps:
-        bydeg.setdefault(m.degree, []).append(m.matrix.flatten())
-    return [(d, [Matrix([row[r * A.dim:(r + 1) * A.dim] for r in range(A.dim)])
-                 for row in span_basis(bydeg[d])]) for d in sorted(bydeg)]
-
-
 def _cached_blocks(A, kind, k, builder):
-    key = (kind, A.alpha_power(k).data)
-    got = A._space_cache.get(key)
-    if got is None:
-        got = builder()
-        A._space_cache[key] = got
-    return got
+    return memo(A, (kind, A.alpha_power(k).data), builder)
 
 
 def _solve_blocks(A, k, xtuples, ytuples):
@@ -329,18 +342,22 @@ def inner_space(algebra, k):
     if k < 0:
         raise DomainError("inner twist power must be nonnegative")
 
-    blocks = _cached_blocks(A, "inner", k, lambda: _span_by_degree(
-        A, [m for _, _, m in inner_generators(A, k)]))
-    return _blocks_to_space(A, "inner", k, blocks)
+    def build():
+        gens = GradedMapSpace(A, "inner", [
+            MapBlock(k, m.degree, [m]) for _, _, m in inner_generators(A, k)])
+        return [(d, [_unflatten(A, row) for row in gens.span(d)])
+                for d in gens.degrees()]
+    return _blocks_to_space(A, "inner", k, _cached_blocks(A, "inner", k, build))
 
 
 def union_space(algebra, kind, k_max):
     """The blocks of the solved "der", "dder" or "inner" spaces at the twist
-    powers 0..k_max, as one space."""
+    powers 0..k_max, as one solved space."""
     solve = {"der": derivation_space, "dder": double_derivation_space,
              "inner": inner_space}[kind]
     return GradedMapSpace(algebra, kind, [
-        b for k in range(k_max + 1) for b in solve(algebra, k).blocks])
+        b for k in range(k_max + 1) for b in solve(algebra, k).blocks],
+        solved=True)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +398,12 @@ _HYPOTHESES = {
 def require(algebra, k_max, *names):
     """Raise HypothesisError for the first named hypothesis, in the given
     order, that the algebra fails; "inner" asks for a nonzero inner map at
-    some twist power in [0, k_max].  Verdicts are kept on the algebra."""
-    memo = algebra._hypotheses
+    some twist power in [0, k_max].  Verdicts are kept in the space cache."""
     for name in names:
         holds, message = _HYPOTHESES[name]
-        key = (name, k_max) if name == "inner" else name
-        if key not in memo:
-            memo[key] = holds(algebra, k_max)
-        if not memo[key]:
+        key = (("hypothesis", name, k_max) if name == "inner"
+               else ("hypothesis", name))
+        if not memo(algebra, key, lambda: holds(algebra, k_max)):
             raise HypothesisError(message)
 
 
@@ -422,49 +437,28 @@ def alpha_shift(algebra, D):
     return HomMap(D.degree, D.matrix * algebra.alpha)
 
 
-def _first_of_each(items, key):
-    """The items whose key has not occurred at an earlier item, in order."""
-    seen = set()
-    for item in items:
-        kv = key(item)
-        if kv not in seen:
-            seen.add(kv)
-            yield item
-
-
 def distinct_twists(algebra, k_max):
     """The k in [0, k_max] whose twist power alpha^k is new; verdicts and
     spaces depend on k only through alpha^k."""
-    return _first_of_each(range(k_max + 1),
-                          lambda k: algebra.alpha_power(k).data)
-
-
-def _distinct_shifts(algebra, k_max):
-    """The k in [0, k_max] whose pair (alpha^k, alpha^(k+1)) is new."""
-    P = algebra.alpha_power
-    return _first_of_each(range(k_max + 1),
-                          lambda k: (P(k).data, P(k + 1).data))
-
-
-def _twist_pairs(k_max):
-    return ((k, s) for k in range(k_max + 1) for s in range(k_max + 1 - k))
+    powers = [algebra.alpha_power(k).data for k in range(k_max + 1)]
+    return [k for k, p in enumerate(powers) if p not in powers[:k]]
 
 
 def distinct_twist_pairs(algebra, k_max):
     """The (k, s) with k + s <= k_max whose powers (alpha^k, alpha^s,
-    alpha^(k+s)) are new."""
-    P = algebra.alpha_power
-    return _first_of_each(_twist_pairs(k_max), lambda p: (
-        P(p[0]).data, P(p[1]).data, P(p[0] + p[1]).data))
+    alpha^(k+s)) are new, in lexicographic order.
 
-
-def distinct_commutator_pairs(algebra, k_max):
-    """The (k, s) with k + s <= k_max whose unordered pair {alpha^k, alpha^s}
-    and alpha^(k+s) are new: [D2, D1] is a scalar multiple of [D1, D2], so
-    (k, s) and (s, k) carry the same verdicts."""
-    P = algebra.alpha_power
-    return _first_of_each(_twist_pairs(k_max), lambda p: (
-        frozenset((P(p[0]).data, P(p[1]).data)), P(p[0] + p[1]).data))
+    Since alpha^(k+s) = alpha^k alpha^s, the triple repeats an earlier one
+    exactly when alpha^k or alpha^s repeats an earlier power: if
+    alpha^k = alpha^k' for some k' < k, the pair (k', s) comes first with the
+    same powers, and likewise for s; if neither repeats, an earlier pair
+    with the same powers would need k' >= k and s' >= s, so it is not
+    earlier.  So the pairs are
+    those of distinct twists.  For the same reason a shift pair
+    (alpha^k, alpha^(k+1)) is new exactly when alpha^k is.
+    """
+    ks = distinct_twists(algebra, k_max)
+    return [(k, s) for k in ks for s in ks if k + s <= k_max]
 
 
 def verify_double_derivation_closure(algebra, k_max):
@@ -508,7 +502,7 @@ def verify_double_derivation_closure(algebra, k_max):
         return oracle.is_double_derivation(A, D, t)
 
     checks = 0
-    for k in _distinct_shifts(A, k_max):
+    for k in distinct_twists(A, k_max):
         for idx, D in enumerate(spaces[k].maps()):
             ok, wit = is_dder(alpha_shift(A, D), k + 1)
             checks += 1
@@ -516,7 +510,9 @@ def verify_double_derivation_closure(algebra, k_max):
                 report.add("closure-shift", witness=(k, idx, wit),
                            expected="double derivation at twist k+1",
                            actual="identity fails")
-    for k, s in distinct_commutator_pairs(A, k_max):
+    for k, s in distinct_twist_pairs(A, k_max):
+        if k > s:   # [D2, D1] is a scalar multiple of [D1, D2]
+            continue
         maps_k = spaces[k].maps()
         maps_s = spaces[s].maps()
         for i, D1 in enumerate(maps_k):
@@ -543,7 +539,7 @@ def verify_inner_ideal(algebra, k_max):
     report = ValidationReport()
     inns = {k: inner_space(A, k) for k in range(k_max + 2)}
     dds = {k: double_derivation_space(A, k) for k in range(k_max + 1)}
-    for k in _distinct_shifts(A, k_max):
+    for k in distinct_twists(A, k_max):
         for block in inns[k].blocks:
             for idx, I in enumerate(block.basis):
                 shifted = alpha_shift(A, I)
@@ -568,46 +564,22 @@ def verify_inner_ideal(algebra, k_max):
     return report
 
 
-def merged_map_basis(space):
-    """Canonical per-degree basis of the union of the space's blocks.
-
-    Twist-power labels are dropped: for finite-order twists the per-power
-    blocks coincide as subspaces of the endomorphisms, and the map algebra
-    is built on the actual span.
-    """
-    return [HomMap(d, M) for d, mats in _span_by_degree(space.algebra, space.maps())
-            for M in mats]
-
-
-def map_coordinates(basis_maps, hom_map):
-    """Coordinates of a map in a merged basis, or None when outside."""
-    positions = [i for i, m in enumerate(basis_maps) if m.degree == hom_map.degree]
-    rows = [basis_maps[i].matrix.flatten() for i in positions]
-    co = coords_in_basis(rows, hom_map.matrix.flatten())
-    if co is None:
-        return None
-    out = [F0] * len(basis_maps)
-    for pos, c in zip(positions, co):
-        out[pos] = c
-    return out
-
-
 def maps_as_color_algebra(space, name=None):
     """Package a commutator-closed map space as a binary color algebra.
 
-    Basis: merged_map_basis(space) in order.  Bracket: color commutator in
+    Basis: space.merged_basis() in order.  Bracket: color commutator in
     those coordinates.  Twist: composition with the ambient twist.  Raises
     TruncationError when a commutator or twist-shift leaves the span, and
     re-validates the constructed algebra.
     """
     A = space.algebra
-    basis_maps = merged_map_basis(space)
+    basis_maps = space.merged_basis()
     if not basis_maps:
         raise TruncationError("cannot build an algebra on an empty map space")
     dim = len(basis_maps)
     alpha_cols = []
     for bm in basis_maps:
-        co = map_coordinates(basis_maps, alpha_shift(A, bm))
+        co = space.coordinates(alpha_shift(A, bm))
         if co is None:
             raise TruncationError(
                 "twist-shift leaves the computed span; raise the twist-power range")
@@ -619,7 +591,7 @@ def maps_as_color_algebra(space, name=None):
             C = color_commutator(basis_maps[p], basis_maps[q], A.eps)
             if C.matrix.is_zero():
                 continue
-            co = map_coordinates(basis_maps, C)
+            co = space.coordinates(C)
             if co is None:
                 raise TruncationError(
                     "commutator leaves the computed span; raise the twist-power range")

@@ -14,9 +14,8 @@ from .linalg import nullspace_of_columns, span_basis, subspace_contains
 from .report import ValidationReport
 from .spaces import (_blocks_to_space, _cached_blocks, _solve_blocks,
                      _sorted_tuples, center, derivation_space,
-                     distinct_twists, is_perfect, map_coordinates,
-                     maps_as_color_algebra, merged_map_basis, require,
-                     union_space)
+                     distinct_twists, is_perfect, maps_as_color_algebra,
+                     require, union_space)
 
 
 def triple_derivation_space(algebra, k):
@@ -55,12 +54,11 @@ def verify_triple_invariance(algebra, k_max):
     A = algebra
     require(A, k_max, "arity", "perfect", "centerless", "inner")
     dd_union = union_space(A, "dder", k_max)
-    basis_maps = merged_map_basis(dd_union)
     inner_maps = union_space(A, "inner", k_max).maps()
     A2 = maps_as_color_algebra(dd_union)
     inn_coords = []
     for m in inner_maps:
-        co = map_coordinates(basis_maps, m)
+        co = dd_union.coordinates(m)
         if co is None:
             raise HypothesisError("inner maps do not lie in the double-derivation span")
         inn_coords.append(co)
@@ -110,11 +108,9 @@ def verify_triple_equals_derivations(algebra2, k_max):
     for k in distinct_twists(A2, k_max):
         der = derivation_space(A2, k)
         tder = triple_derivation_space(A2, k)
-        degrees = sorted({b.degree for b in der.blocks} |
-                         {b.degree for b in tder.blocks})
-        for d in degrees:
-            der_maps = der.basis_for_degree(d)
-            dim_der, dim_tder = len(der_maps), len(tder.basis_for_degree(d))
+        for d in sorted(set(der.degrees()) | set(tder.degrees())):
+            der_maps = [D for D in der.maps() if D.degree == d]
+            dim_der, dim_tder = len(der_maps), len(tder.span(d))
             contained = all(tder.contains(D) for D in der_maps)
             equal = contained and dim_der == dim_tder
             table.append({"k": k, "degree": repr(d), "dim_der": dim_der,

@@ -132,6 +132,23 @@ def test_non_monotone_tuple_rejected(a4):
                      {(1, 0, 2): {3: F(1)}})
 
 
+@pytest.mark.parametrize("arity,constants", [
+    (3.7, {(0, 1, 2): {3: 1}}),
+    (3, {(0.0, 1, 2): {3: 1}}),
+    (3, {(0, 1, 2.9): {3: 1}}),
+    (3, {(0, 1, 2): {3.2: 1}}),
+    (3, {(0, 1, 2): {3.0: 1}}),
+    (3, {(0, 1, 2): {3: 1, 2.5: 0}}),
+], ids=["arity", "tuple-index", "tuple-index-truncated", "value-index",
+        "value-index-integral-float", "value-index-of-a-zero"])
+def test_non_integer_fields_rejected(a4, arity, constants):
+    """The arity, the bracket tuple indices and the value indices must be
+    ints; a float is not truncated to one."""
+    with pytest.raises(TypeError):
+        ColorAlgebra("bad", arity, a4.group, a4.eps, list(a4.basis), a4.alpha,
+                     constants)
+
+
 def test_repeated_index_even_degree_reported(abelian3):
     A = abelian3
     bad = ColorAlgebra("bad", 3, A.group, A.eps, list(A.basis), A.alpha,

@@ -42,6 +42,17 @@ def test_group_shape_errors():
         GradingGroup(torsion=(1,))
 
 
+@pytest.mark.parametrize("kwargs", [{"free_rank": 1.5}, {"free_rank": True},
+                                    {"torsion": (2.5,)}, {"torsion": (2, 3.0)}],
+                         ids=["free_rank-float", "free_rank-bool",
+                              "torsion-float", "torsion-integral-float"])
+def test_group_rejects_non_integers(kwargs):
+    """Neither the free rank nor a torsion modulus is truncated: a float,
+    even an integral one, and a bool are rejected."""
+    with pytest.raises(TypeError):
+        GradingGroup(**kwargs)
+
+
 def test_group_add_memo_keeps_shape_check():
     """add memoises its sums; an element of the wrong shape still raises
     once the memo holds sums of well-shaped elements."""

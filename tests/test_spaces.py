@@ -13,13 +13,12 @@ from nhlc.errors import ArityError, HypothesisError, InvertibilityError
 from nhlc.grading import GradingGroup
 from nhlc.linalg import Matrix, span_basis, subspace_contains
 from nhlc.spaces import (GradedMapSpace, MapBlock, _blocks_to_space,
-                         _distinct_shifts, ad_map, alpha_shift,
-                         candidate_degrees, center,
+                         ad_map, alpha_shift, candidate_degrees, center,
                          centralizer, color_commutator, derivation_space,
-                         derived_subalgebra, distinct_commutator_pairs,
-                         double_derivation_space,
+                         derived_subalgebra, distinct_twist_pairs,
+                         distinct_twists, double_derivation_space,
                          fixed_point_basis, inner_space, is_perfect,
-                         maps_as_color_algebra, merged_map_basis,
+                         maps_as_color_algebra,
                          verify_double_derivation_closure, verify_inner_ideal)
 
 F = Fraction
@@ -277,18 +276,84 @@ def test_closure_theorem_instances(a4, twisted_a4, abelian3):
         assert report.ok, (A.name, report.violations[:2])
 
 
+# first-occurrence enumerations keyed on the alpha-power data itself
+
+def _first_of_each(items, key):
+    seen = set()
+    for item in items:
+        kv = key(item)
+        if kv not in seen:
+            seen.add(kv)
+            yield item
+
+
+def _pairs_up_to(k_max):
+    return ((k, s) for k in range(k_max + 1) for s in range(k_max + 1 - k))
+
+
+def _keyed_shifts(A, k_max):
+    """The k whose pair (alpha^k, alpha^(k+1)) is new."""
+    P = A.alpha_power
+    return list(_first_of_each(range(k_max + 1),
+                               lambda k: (P(k).data, P(k + 1).data)))
+
+
+def _keyed_twist_pairs(A, k_max):
+    """The (k, s), k + s <= k_max, whose (alpha^k, alpha^s, alpha^(k+s)) is new."""
+    P = A.alpha_power
+    return list(_first_of_each(_pairs_up_to(k_max), lambda p: (
+        P(p[0]).data, P(p[1]).data, P(p[0] + p[1]).data)))
+
+
+def _keyed_commutator_pairs(A, k_max):
+    """The (k, s) whose unordered {alpha^k, alpha^s} and alpha^(k+s) are new."""
+    P = A.alpha_power
+    return list(_first_of_each(_pairs_up_to(k_max), lambda p: (
+        frozenset((P(p[0]).data, P(p[1]).data)), P(p[0] + p[1]).data)))
+
+
+def _twist_probes():
+    """Twists of every kind of power sequence: the identity, -id and the
+    quarter turn (orders 1, 2, 4), an idempotent singular twist, a
+    nilpotent twist and a twist of infinite order."""
+    def diag(*xs):
+        return Matrix([[F(x) if i == j else F(0) for j in range(len(xs))]
+                       for i, x in enumerate(xs)])
+    nilpotent = Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    return [build_simple_nlie(3), build_twisted_a4(), _quarter_turn_a4(),
+            build_abelian(3, alpha=diag(1, 0, 0)),
+            build_abelian(3, alpha=nilpotent),
+            build_abelian(2, alpha=diag(2, 1))]
+
+
+@pytest.mark.parametrize("k_max", range(8))
+def test_twist_classes_are_the_first_occurrences(k_max):
+    """distinct_twists, distinct_twist_pairs and its k <= s part equal the
+    first-occurrence enumerations keyed on alpha^k, alpha^(k+1), alpha^s
+    and alpha^(k+s): a shift or a pair repeats exactly when one of its
+    exponents does."""
+    for A in _twist_probes():
+        ks = list(range(k_max + 1))
+        keyed = list(_first_of_each(ks, lambda k: A.alpha_power(k).data))
+        pairs = distinct_twist_pairs(A, k_max)
+        assert distinct_twists(A, k_max) == keyed == _keyed_shifts(A, k_max)
+        assert pairs == _keyed_twist_pairs(A, k_max), A.name
+        assert [(k, s) for k, s in pairs if k <= s] == \
+            _keyed_commutator_pairs(A, k_max), A.name
+
+
 def _closure_by_oracle(A, k_max):
     """The checks of verify_double_derivation_closure, every one sent to
     the oracle: the failures as (check, witness), and the check count."""
     dd = {k: spaces.double_derivation_space(A, k) for k in range(k_max + 1)}
     fails, checks = [], 0
-    for k in _distinct_shifts(A, k_max):
+    for k in _keyed_shifts(A, k_max):
         for idx, D in enumerate(dd[k].maps()):
             ok, wit = oracle.is_double_derivation(A, alpha_shift(A, D), k + 1)
             checks += 1
             if not ok:
                 fails.append(("closure-shift", (k, idx, wit)))
-    for k, s in distinct_commutator_pairs(A, k_max):
+    for k, s in _keyed_commutator_pairs(A, k_max):
         for i, D1 in enumerate(dd[k].maps()):
             for j, D2 in enumerate(dd[s].maps()):
                 if k == s and j < i:
@@ -386,11 +451,34 @@ def test_derivation_map_algebra_of_a4_is_perfect(a4):
 
 def test_merged_basis_matches_algebra_order(a4):
     space = inner_space(a4, 0)
-    basis = merged_map_basis(space)
+    basis = space.merged_basis()
     A2 = maps_as_color_algebra(space)
     assert len(basis) == A2.dim
     for bm, (_, deg) in zip(basis, A2.basis):
         assert bm.degree == deg
+
+
+def test_coordinates_in_the_merged_basis(a4, super_heis):
+    """A merged basis map has a unit coordinate vector and a map outside
+    the span has none, also when no block has its degree; there the zero
+    map has zero coordinates."""
+    inn = inner_space(super_heis, 0)
+    dd = double_derivation_space(a4, 0)
+    for space in (inn, dd):
+        basis = space.merged_basis()
+        for p, bm in enumerate(basis):
+            assert space.coordinates(bm) == [F(int(q == p))
+                                             for q in range(len(basis))]
+    # E_11 is not a double derivation of A4
+    E11 = Matrix([[1, 0, 0, 0]] + [[0] * 4] * 3)
+    assert dd.coordinates(HomMap(a4.group.zero(), E11)) is None
+    # the inner maps of SUPER_HEIS at k = 0 are all odd
+    even = super_heis.group.zero()
+    n = super_heis.dim
+    assert even not in inn.degrees()
+    assert inn.coordinates(HomMap(even, Matrix.zeros(n, n))) == \
+        [F(0)] * len(inn.merged_basis())
+    assert inn.coordinates(HomMap(even, Matrix.identity(n))) is None
 
 
 def test_map_space_invariants(a4, regraded_a4, super_heis):
