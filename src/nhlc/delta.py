@@ -249,24 +249,33 @@ def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
     For perfect algebras with nonzero inner space this is expected to be
     zero.  inner_maps overrides the generator set (testing hook); passing an
     empty list removes all constraints and returns the full space.
+
+    Inner and DDer spaces depend on k only through alpha^k, so the kernel
+    of each (alpha^k, degree) is solved once and reused for the blocks of
+    every k with that twist power.
     """
     A = algebra
     require(A, k_max, "arity", "perfect")
     if inner_maps is None:
         inner_maps = union_space(A, "inner", k_max).maps()
     zero = Matrix.zeros(A.dim, A.dim)
+    kernels = {}
     blocks = []
-    for block in union_space(A, "dder", k_max).blocks:
-        basis = block.basis
-        kern = nullspace_of_columns(
-            [[c for I in inner_maps
-              for c in color_commutator(B, I, A.eps).matrix.flatten()]
-             for B in basis], len(basis))
-        maps = [HomMap(block.degree, sum((B.matrix.scale(c)
-                                          for c, B in zip(v, basis)), zero))
-                for v in kern]
-        if maps:
-            blocks.append(MapBlock(block.k, block.degree, maps))
+    for k in range(k_max + 1):
+        for block in double_derivation_space(A, k).blocks:
+            key = (A.alpha_power(k).data, block.degree)
+            if key not in kernels:
+                basis = block.basis
+                kern = nullspace_of_columns(
+                    [[c for I in inner_maps
+                      for c in color_commutator(B, I, A.eps).matrix.flatten()]
+                     for B in basis], len(basis))
+                kernels[key] = [
+                    HomMap(block.degree, sum((B.matrix.scale(c)
+                                              for c, B in zip(v, basis)), zero))
+                    for v in kern]
+            if kernels[key]:
+                blocks.append(MapBlock(k, block.degree, kernels[key]))
     return GradedMapSpace(A, "centralizer", blocks)
 
 

@@ -19,7 +19,10 @@ Every kind also requires D to commute with the twist.  The checkers
 evaluate both sides by direct bracket evaluation on explicit vectors.  They
 deliberately share no constraint-assembly code with the nullspace solvers
 in spaces/triple, so the two routes cross-check each other; agreement on
-bases and on random maps is part of the test contract.
+bases and on random maps is part of the test contract.  For the same reason
+they sweep every tuple of the sets above on purpose, also the repeated ones
+the solver drops as carrying only zero rows (spaces.live_tuples), so the
+oracle does not rest on that proof.
 """
 
 from itertools import combinations_with_replacement, product

@@ -9,15 +9,19 @@ identity: for a map D of degree d, twist power k and a multilinear map M,
 
 with alpha^k on every leaf other than t.  M(xs, ys) is [ys] when the outer
 tuple set is [()] and [xs, [ys]] otherwise; the leaves are xs, then ys.
-The kinds differ only in their tuple sets (xtuples, ytuples):
+The kinds differ only in their tuple sets (xtuples, ytuples), where a
+live m-tuple is a sorted one that repeats an index only when its degree g
+has eps(g, g) = -1 (live_tuples; every other tuple gives zero rows):
 
-- der:  ([()], sorted n-tuples);
-- dder: (sorted (n-1)-tuples, sorted n-tuples);
-- tder: (singletons, sorted pairs), in triple.py.
+- der:  ([()], live n-tuples);
+- dder: (live (n-1)-tuples, live n-tuples);
+- tder: (singletons, live pairs), in triple.py.
 
 For each candidate map degree the identity is imposed on every pair of the
 tuple sets, together with commutation with the twist, and the kernel of the
-resulting rational system is returned as a homogeneous map basis.
+resulting rational system is returned as a homogeneous map basis.  The
+center, the centralizers, the derived subalgebra and the inner generators
+sweep live tuples too.
 
 Spaces depend on the twist power only through the matrix alpha^k; for
 twists of finite order the blocks repeat (distinct_twists).  Every memo of
@@ -257,15 +261,48 @@ def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
                     yield row
 
 
-def _sorted_tuples(A, m):
-    return list(combinations_with_replacement(range(A.dim), m))
+def live_tuples(degrees, eps, m):
+    """The sorted m-tuples of range(len(degrees)), in lexicographic order,
+    that repeat an index only when its degree g has eps(g, g) != 1, the test
+    of algebra.normalize_tuple.  Only these tuples can carry a nonzero
+    bracket or a nonzero Leibniz row.
+
+    Proof.  eps is bimultiplicative (it is built from its values on the
+    generators) and skew, eps(g, h) eps(h, g) = 1, so eps(g, g) = +-1; the
+    twist a = alpha^k is even.  validate_bicharacter checks skewness and
+    validate_algebra evenness.  Let a tuple repeat t, of degree g with
+    eps(g, g) = 1; sorted, the repeat sits in adjacent slots q, q + 1.
+
+    - A bracket with a repeated homogeneous argument u of degree g is zero:
+      swapping the two copies gives [.., u, u, ..] = -eps(g, g) [.., u, u, ..].
+      So [ys], [xs, [ys]] and [e_q, s, *tail] vanish when ys, xs or the tail
+      repeats t, and ad(xs) is the zero map when the twist-fixed
+      generators xs repeat one of degree g.
+    - In the identity of _leibniz_rows the value D(M) is D(0) = 0.  An
+      unknown entry D_jt, with |e_j| = d + g, enters the slot terms of q and
+      q + 1 as eps(d, P) X and eps(d, P + g) X', where P is the degree of
+      the leaves before slot q, X has e_j in slot q and a e_t in slot
+      q + 1, and X' has them swapped (inside [a xs, .] when the repeat is
+      in ys of [xs, [ys]]).  Skew symmetry gives X' = -eps(g, d + g) X, so
+      the two sum to eps(d, P) (1 - eps(d, g) eps(g, d) eps(g, g)) X
+      = eps(d, P) (1 - eps(g, g)) X = 0.
+    - Every other slot term holds a e_t twice, so it is zero.
+
+    Every row of a dropped tuple is therefore zero: the nonzero rows reach
+    RowReducer in the same order, and the echelon, the early stop and the
+    kernel are unchanged.  The oracle, validate_algebra and the test
+    reference sweep all sorted or ordered tuples.
+    """
+    repeatable = [eps.value(g, g) != 1 for g in degrees]
+    return [t for t in combinations_with_replacement(range(len(degrees)), m)
+            if all(a != b or repeatable[a] for a, b in zip(t, t[1:]))]
 
 
 def derivation_space(algebra, k):
     """Basis of the twisted derivations for one twist power, per degree."""
     A = algebra
     blocks = _cached_blocks(A, "der", k, lambda: _solve_blocks(
-        A, k, [()], _sorted_tuples(A, A.arity)))
+        A, k, [()], live_tuples(A.degrees, A.eps, A.arity)))
     return _blocks_to_space(A, "der", k, blocks)
 
 
@@ -275,7 +312,8 @@ def double_derivation_space(algebra, k):
     if A.arity < 3:
         raise ArityError("double derivations need arity >= 3")
     blocks = _cached_blocks(A, "dder", k, lambda: _solve_blocks(
-        A, k, _sorted_tuples(A, A.arity - 1), _sorted_tuples(A, A.arity)))
+        A, k, live_tuples(A.degrees, A.eps, A.arity - 1),
+        live_tuples(A.degrees, A.eps, A.arity)))
     return _blocks_to_space(A, "dder", k, blocks)
 
 
@@ -328,7 +366,7 @@ def inner_generators(algebra, k):
     A = algebra
     fixed = fixed_point_basis(A)
     gens = []
-    for combo in combinations_with_replacement(range(len(fixed)), A.arity - 1):
+    for combo in live_tuples([g for g, _ in fixed], A.eps, A.arity - 1):
         xs = [fixed[i][1] for i in combo]
         m = ad_map(A, xs, k)
         if not m.matrix.is_zero():
@@ -352,12 +390,14 @@ def inner_space(algebra, k):
 
 def union_space(algebra, kind, k_max):
     """The blocks of the solved "der", "dder" or "inner" spaces at the twist
-    powers 0..k_max, as one solved space."""
+    powers 0..k_max, as one solved space.  A repeated alpha^k repeats its
+    blocks, which add nothing to any span, so only distinct_twists are
+    taken."""
     solve = {"der": derivation_space, "dder": double_derivation_space,
              "inner": inner_space}[kind]
     return GradedMapSpace(algebra, kind, [
-        b for k in range(k_max + 1) for b in solve(algebra, k).blocks],
-        solved=True)
+        b for k in distinct_twists(algebra, k_max)
+        for b in solve(algebra, k).blocks], solved=True)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +407,8 @@ def union_space(algebra, kind, k_max):
 def derived_subalgebra(algebra):
     """Canonical basis of the span of all bracket values."""
     A = algebra
-    return span_basis([A.bracket_basis(t) for t in A.all_tuples()])
+    return span_basis([A.bracket_basis(t)
+                       for t in live_tuples(A.degrees, A.eps, A.arity)])
 
 
 def is_perfect(algebra):
@@ -377,7 +418,7 @@ def is_perfect(algebra):
 def center(algebra):
     """Elements bracketing to zero against every basis completion."""
     A = algebra
-    tails = list(combinations_with_replacement(range(A.dim), A.arity - 1))
+    tails = live_tuples(A.degrees, A.eps, A.arity - 1)
     return nullspace_of_columns(
         [[c for tail in tails for c in A.bracket_basis((q,) + tail)]
          for q in range(A.dim)], A.dim)
@@ -413,8 +454,8 @@ def centralizer(algebra, span_vectors):
     svs = [[F1 * c for c in v] for v in span_vectors]
     if any(len(s) != A.dim for s in svs):
         raise ShapeError("subspace vector length does not match dimension")
-    tails = [[A.basis_vector(t) for t in tail] for tail in
-             combinations_with_replacement(range(A.dim), A.arity - 2)]
+    tails = [[A.basis_vector(t) for t in tail]
+             for tail in live_tuples(A.degrees, A.eps, A.arity - 2)]
     return nullspace_of_columns(
         [[c for s in svs for tail in tails
           for c in A.bracket([A.basis_vector(q), s] + tail)]

@@ -2,9 +2,10 @@
 
 A triple derivation of a binary color algebra satisfies the Leibniz-type
 rule only on nested brackets [x, [y, z]].  The solver imposes it on the
-basis triples with y <= z, which carry every constraint (see
-triple_derivation_space); the oracle checks all basis triples.  The
-instance theorems compare the triple-derivation space of the inner- and
+basis triples with y <= z, and with y = z only where eps(|y|, |y|) = -1,
+which carry every constraint (see triple_derivation_space and
+spaces.live_tuples); the oracle checks all basis triples.  The instance
+theorems compare the triple-derivation space of the inner- and
 derivation-map algebras of a centerless perfect algebra against the plain
 derivation space; equality is expected exactly under those hypotheses.
 """
@@ -12,15 +13,14 @@ derivation space; equality is expected exactly under those hypotheses.
 from .errors import ArityError, HypothesisError
 from .linalg import nullspace_of_columns, span_basis, subspace_contains
 from .report import ValidationReport
-from .spaces import (_blocks_to_space, _cached_blocks, _solve_blocks,
-                     _sorted_tuples, center, derivation_space,
-                     distinct_twists, is_perfect, maps_as_color_algebra,
-                     require, union_space)
+from .spaces import (_blocks_to_space, _cached_blocks, _solve_blocks, center,
+                     derivation_space, distinct_twists, is_perfect,
+                     live_tuples, maps_as_color_algebra, require, union_space)
 
 
 def triple_derivation_space(algebra, k):
     """Nullspace of the nested-bracket rule on the basis triples (x, y, z)
-    with y <= z.
+    with y <= z, and y = z only where eps(|y|, |y|) = -1.
 
     The triples with y > z add no constraint.  For D of degree d write
     R(x, y, z) = D[x, [y, z]] - [Dx, [ay, az]] - eps(d, x) [ax, [Dy, az]]
@@ -38,13 +38,15 @@ def triple_derivation_space(algebra, k):
 
     So R(x, z, y) = -eps(z, y) R(x, y, z): the rows of (x, z, y) are nonzero
     multiples of those of (x, y, z), the row space is the same, and so are
-    its unique reduced echelon form and the kernel basis read off it.
+    its unique reduced echelon form and the kernel basis read off it.  The
+    rows of (x, y, y) with eps(|y|, |y|) = 1 are all zero
+    (spaces.live_tuples), so dropping them changes nothing either.
     """
     A = algebra
     if A.arity != 2:
         raise ArityError("triple derivations are defined for arity 2")
     blocks = _cached_blocks(A, "tder", k, lambda: _solve_blocks(
-        A, k, [(x,) for x in range(A.dim)], _sorted_tuples(A, 2)))
+        A, k, [(x,) for x in range(A.dim)], live_tuples(A.degrees, A.eps, 2)))
     return _blocks_to_space(A, "tder", k, blocks)
 
 

@@ -11,10 +11,11 @@ from nhlc.delta import (bracket_decomposition, delta_of,
                         verify_delta_derivation_criterion,
                         verify_delta_homomorphism, verify_delta_residual_laws,
                         verify_delta_well_defined)
+from nhlc.builders import build_simple_nlie, build_yau_twist
 from nhlc.errors import DecompositionError, HypothesisError
-from nhlc.linalg import Matrix
+from nhlc.linalg import Matrix, nullspace_of_columns
 from nhlc.spaces import (center, color_commutator, derivation_space,
-                         double_derivation_space, is_perfect)
+                         double_derivation_space, inner_space, is_perfect)
 
 F = Fraction
 
@@ -216,3 +217,32 @@ def test_inner_centralizer_inversion_harness(a4):
     space = inner_centralizer_in_double_derivations(a4, 1, inner_maps=[])
     total = sum(double_derivation_space(a4, k).dimension() for k in (0, 1))
     assert space.dimension() == total
+
+
+@pytest.mark.parametrize("name, phi", [
+    ("SIGN_A4", [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ("QUARTER_TURN_A4",
+     [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])])
+def test_inner_centralizer_per_twist_power_matches_every_block(name, phi):
+    """One kernel per (alpha^k, degree) gives the blocks of the kernel of
+    every DDer^k block against every inner map of Inn^0..Inn^k_max, k by k.
+    The sign twist of A4 has order 2 and the quarter turn order 4, so
+    blocks repeat, and both have a nonzero inner centralizer."""
+    A = build_yau_twist(build_simple_nlie(3), Matrix(phi), name=name)
+    k_max = 5
+    inner = [I for k in range(k_max + 1) for I in inner_space(A, k).maps()]
+    expected = []
+    for k in range(k_max + 1):
+        for block in double_derivation_space(A, k).blocks:
+            kern = nullspace_of_columns(
+                [[c for I in inner
+                  for c in color_commutator(B, I, A.eps).matrix.flatten()]
+                 for B in block.basis], len(block.basis))
+            if kern:
+                expected.append((k, block.degree, [
+                    sum((B.matrix.scale(c) for c, B in zip(v, block.basis)),
+                        Matrix.zeros(4, 4)) for v in kern]))
+    space = inner_centralizer_in_double_derivations(A, k_max)
+    assert expected
+    assert [(b.k, b.degree, [m.matrix for m in b.basis])
+            for b in space.blocks] == expected

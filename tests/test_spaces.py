@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from fractions import Fraction
@@ -11,15 +12,18 @@ from nhlc.builders import (build_abelian, build_simple_nlie, build_twisted_a4,
                            build_yau_twist)
 from nhlc.errors import ArityError, HypothesisError, InvertibilityError
 from nhlc.grading import GradingGroup
-from nhlc.linalg import Matrix, span_basis, subspace_contains
-from nhlc.spaces import (GradedMapSpace, MapBlock, _blocks_to_space,
-                         ad_map, alpha_shift, candidate_degrees, center,
-                         centralizer, color_commutator, derivation_space,
+from nhlc.linalg import (Matrix, nullspace_of_columns, span_basis,
+                         subspace_contains)
+from nhlc.spaces import (GradedMapSpace, MapBlock, _allowed_positions,
+                         _blocks_to_space, _leibniz_rows, ad_map, alpha_shift,
+                         candidate_degrees, center, centralizer,
+                         color_commutator, derivation_space,
                          derived_subalgebra, distinct_twist_pairs,
                          distinct_twists, double_derivation_space,
-                         fixed_point_basis, inner_space, is_perfect,
-                         maps_as_color_algebra,
-                         verify_double_derivation_closure, verify_inner_ideal)
+                         fixed_point_basis, inner_generators, inner_space,
+                         is_perfect, live_tuples, maps_as_color_algebra,
+                         union_space, verify_double_derivation_closure,
+                         verify_inner_ideal)
 
 F = Fraction
 
@@ -586,3 +590,115 @@ def test_invariants_under_change_of_basis(name, request):
     assert len(center(A)) == len(center(B))
     assert len(derived_subalgebra(A)) == len(derived_subalgebra(B))
     assert is_perfect(A) == is_perfect(B)
+
+
+# -- live tuple sets: the solver drops only tuples with zero rows -------------
+
+def _full_tuples(A, m):
+    return list(combinations_with_replacement(range(A.dim), m))
+
+
+def _tuple_set_algebra(request, name):
+    """A fixture by name; "simple4" is simple 4-Lie, "quarter_turn_a4" the
+    quarter-turn twist of A4, and "kind:fixture" the binary algebra of the
+    Inn, Der or DDer maps of a fixture at twist powers 0 and 1."""
+    if name == "simple4":
+        return build_simple_nlie(4)
+    if name == "quarter_turn_a4":
+        return _quarter_turn_a4()
+    if ":" in name:
+        kind, base = name.split(":")
+        return maps_as_color_algebra(
+            union_space(request.getfixturevalue(base), kind, 1))
+    return request.getfixturevalue(name)
+
+
+TUPLE_SET_ALGEBRAS = [
+    "a4", "twisted_a4", "regraded_a4", "color_heis3", "super_heis", "cross3",
+    "sl2_heis3", "rational_heis", "quarter_turn_a4", "simple4",
+    "inner:a4", "der:a4", "dder:a4",
+    "inner:color_heis3", "der:color_heis3", "dder:color_heis3"]
+
+
+@pytest.mark.parametrize("name", TUPLE_SET_ALGEBRAS)
+def test_live_tuples_give_the_nonzero_rows_of_all_sorted_tuples(request, name):
+    """On the live tuple sets the row builder yields exactly the nonzero
+    rows of all sorted tuples, row for row and in order, for Der, DDer
+    (arity >= 3) and TDer (arity 2), at every candidate degree.  A4_Z2 has
+    odd degrees with trivial signs, so its repeats are dropped; COLOR_HEIS3,
+    SUPER_HEIS and the odd maps of the COLOR_HEIS3 map algebras have
+    eps(g, g) = -1, so theirs are kept.  Rows depend on k only through
+    alpha^k, so each alpha^k among k = 0, 1 is checked once."""
+    A = _tuple_set_algebra(request, name)
+    n = A.arity
+
+    def live(m):
+        return live_tuples(A.degrees, A.eps, m)
+
+    cases = [([()], live(n), [()], _full_tuples(A, n))]
+    if n >= 3:
+        cases.append((live(n - 1), live(n),
+                      _full_tuples(A, n - 1), _full_tuples(A, n)))
+    else:
+        singles = [(x,) for x in range(A.dim)]
+        cases.append((singles, live(2), singles, _full_tuples(A, 2)))
+    for k in distinct_twists(A, 1):
+        for d in candidate_degrees(A):
+            vars_ = _allowed_positions(A, d)
+            var_index = {v: x for x, v in enumerate(vars_)}
+            for xlive, ylive, xfull, yfull in cases:
+                full = [row for row in _leibniz_rows(
+                    A, k, d, var_index, len(vars_), xfull, yfull) if any(row)]
+                assert list(_leibniz_rows(A, k, d, var_index, len(vars_),
+                                          xlive, ylive)) == full, (k, d)
+
+
+@pytest.mark.parametrize("name", [
+    "a4", "twisted_a4", "regraded_a4", "color_heis3", "super_heis", "cross3",
+    "sl2_heis3", "rational_heis", "quarter_turn_a4", "simple4", "abelian3"])
+def test_live_tuples_keep_center_centralizer_and_inner_generators(request,
+                                                                  name):
+    """center, centralizer, derived_subalgebra and inner_generators sweep
+    live tuples; each equals the same computation on all sorted tuples."""
+    A = _tuple_set_algebra(request, name)
+    n = A.arity
+    assert center(A) == nullspace_of_columns(
+        [[c for tail in _full_tuples(A, n - 1)
+          for c in A.bracket_basis((q,) + tail)] for q in range(A.dim)], A.dim)
+    vector = [F(1), F(1, 2), F(0), F(-1), F(2), F(3)][:A.dim]
+    for span in ([A.basis_vector(i) for i in range(A.dim)], [vector]):
+        assert centralizer(A, span) == nullspace_of_columns(
+            [[c for s in span for tail in _full_tuples(A, n - 2)
+              for c in A.bracket([A.basis_vector(q), s]
+                                 + [A.basis_vector(t) for t in tail])]
+             for q in range(A.dim)], A.dim)
+    assert derived_subalgebra(A) == span_basis(
+        [A.bracket_basis(t) for t in _full_tuples(A, n)])
+    fixed = fixed_point_basis(A)
+    for k in (0, 1):
+        reference = []
+        for combo in combinations_with_replacement(range(len(fixed)), n - 1):
+            xs = [fixed[i][1] for i in combo]
+            m = ad_map(A, xs, k)
+            if not m.matrix.is_zero():
+                reference.append((xs, [fixed[i][0] for i in combo], m))
+        assert inner_generators(A, k) == reference
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_simple_nlie_der_and_dder_are_so(n):
+    """Der^0 = DDer^0 of simple n-Lie, of dimension n(n+1)/2, the
+    dimension of so(n+1)."""
+    A = build_simple_nlie(n)
+    der = derivation_space(A, 0)
+    dder = double_derivation_space(A, 0)
+    assert der.dimension() == dder.dimension() == n * (n + 1) // 2
+    assert all(dder.contains(D) for D in der.maps())
+
+
+def test_oracle_certifies_dder_of_simple_4_lie():
+    """The oracle's full sweep passes every DDer^0 basis map of simple
+    4-Lie, solved on live tuples."""
+    A = build_simple_nlie(4)
+    assert all(oracle.is_double_derivation(A, D, 0)[0]
+               for D in double_derivation_space(A, 0).maps())
