@@ -1,8 +1,9 @@
 """Command-line interface: validation, spaces, checks, and theorem verification.
 
-Every subcommand prints a report (machine JSON with --json, readable text
-otherwise) and exits 0 on success, 1 when violations were found or an input
-is unusable, 2 on usage errors.  `verify` skips a verifier that raises
+Every subcommand but `example` returns its report, and main alone prints
+it (machine JSON with --json, readable text otherwise) and picks the exit
+status: 0 on success, 1 when the report has violations or an input is
+unusable, 2 on usage errors.  `verify` skips a verifier that raises
 HypothesisError (the algebra is outside the hypotheses of its law) with the
 error's message as a notice that does not fail the run.  The NHLC_THREADS
 variable is validated (an integer >= 1) and has no other effect: execution
@@ -48,11 +49,13 @@ def _report(command, algebra, parameters, results, violations, notices):
     }
 
 
-def _emit(doc, as_json, out=None):
-    if out is None:
-        out = sys.stdout
+def _emit(doc, as_json):
+    out = sys.stdout
     if as_json:
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return
+    if doc["command"] == "verify" and "checks" in doc["results"]:
+        _emit_verify_text(doc, out)
         return
     out.write(f"command: {doc['command']}\n")
     if doc.get("algebra"):
@@ -71,6 +74,22 @@ def _emit(doc, as_json, out=None):
             out.write(f"  - {json.dumps(v, sort_keys=True)}\n")
     else:
         out.write("violations: none\n")
+
+
+def _emit_verify_text(doc, out):
+    """One line per check; an error doc of verify keeps the generic form."""
+    out.write(f"command: verify\nalgebra: {doc['algebra']}\n"
+              f"k_max: {doc['parameters']['k_max']}\n")
+    for entry in doc["results"]["checks"]:
+        status = entry["status"]
+        name = entry["check"]
+        if status == "skipped":
+            out.write(f"  SKIP {name}: {entry['reason']}\n")
+        elif status == "passed":
+            out.write(f"  PASS {name}\n")
+        else:
+            out.write(f"  FAIL {name} ({len(entry['violations'])} violations)\n")
+    out.write(f"violations: {len(doc['violations']) or 'none'}\n")
 
 
 def _render_results(results, out, indent="  "):
@@ -164,7 +183,6 @@ def _cmd_example(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _cmd_validate(args):
@@ -182,13 +200,11 @@ def _cmd_validate(args):
         violations = [v.to_json() for v in report.violations]
         notices = list(report.notices)
         results = {"valid": report.ok, "dimension": A.dim, "arity": A.arity}
-    except (FormatError, NhlcError) as exc:
+    except NhlcError as exc:
         violations = [{"check": "load", "witness": None,
                        "expected": "loadable algebra file", "actual": str(exc)}]
-    doc = _report("validate", algebra_name, {"file": args.file},
-                  results, violations, notices)
-    _emit(doc, args.json)
-    return 0 if not violations else 1
+    return _report("validate", algebra_name, {"file": args.file},
+                   results, violations, notices)
 
 
 def _cmd_spaces(args):
@@ -200,10 +216,8 @@ def _cmd_spaces(args):
     space = solve(A, args.k)
     results = {"blocks": _space_blocks_json(space),
                "dimension": space.dimension()}
-    doc = _report("spaces", A.name, {"kind": kind, "k": args.k},
-                  results, [], [])
-    _emit(doc, args.json)
-    return 0
+    return _report("spaces", A.name, {"kind": kind, "k": args.k},
+                   results, [], [])
 
 
 def _cmd_center(args):
@@ -212,9 +226,7 @@ def _cmd_center(args):
     results = {"dimension": len(basis),
                "basis": [io_json.vector_to_list(v) for v in basis],
                "perfect": spaces_mod.is_perfect(A)}
-    doc = _report("center", A.name, {}, results, [], [])
-    _emit(doc, args.json)
-    return 0
+    return _report("center", A.name, {}, results, [], [])
 
 
 def _cmd_centralizer(args):
@@ -227,10 +239,8 @@ def _cmd_centralizer(args):
     basis = spaces_mod.centralizer(A, vectors)
     results = {"dimension": len(basis),
                "basis": [io_json.vector_to_list(v) for v in basis]}
-    doc = _report("centralizer", A.name,
-                  {"span": args.span or "(whole algebra)"}, results, [], [])
-    _emit(doc, args.json)
-    return 0
+    return _report("centralizer", A.name,
+                   {"span": args.span or "(whole algebra)"}, results, [], [])
 
 
 def _cmd_check(args):
@@ -248,11 +258,9 @@ def _cmd_check(args):
                            "actual": "counterexample found"})
     results = {"kind": args.kind, "k": args.k, "ok": ok,
                "witness": repr(wit) if wit else None}
-    doc = _report("check", A.name, {"kind": args.kind, "k": args.k,
-                                    "map": args.map},
-                  results, violations, [])
-    _emit(doc, args.json)
-    return 0 if ok else 1
+    return _report("check", A.name, {"kind": args.kind, "k": args.k,
+                                     "map": args.map},
+                   results, violations, [])
 
 
 def _cmd_delta(args):
@@ -267,10 +275,8 @@ def _cmd_delta(args):
         "well_defined": wd.ok,
         "equal_to_input": dmap.matrix == D.matrix,
     }
-    doc = _report("delta", A.name, {"k": args.k, "map": args.map},
-                  results, violations, list(wd.notices))
-    _emit(doc, args.json)
-    return 0 if not violations else 1
+    return _report("delta", A.name, {"k": args.k, "map": args.map},
+                   results, violations, list(wd.notices))
 
 
 def _build_map_algebra(A, source, k_max):
@@ -294,12 +300,10 @@ def _cmd_tder(args):
         space = triple.triple_derivation_space(A2, k)
         blocks.extend(_space_blocks_json(space))
     results = {"algebra2": A2.name, "blocks": blocks}
-    doc = _report("tder", A.name,
-                  {"source": source or ("self" if A2 is A else "der"),
-                   "k_max": args.k_max},
-                  results, [], [])
-    _emit(doc, args.json)
-    return 0
+    return _report("tder", A.name,
+                   {"source": source or ("self" if A2 is A else "der"),
+                    "k_max": args.k_max},
+                   results, [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -379,28 +383,10 @@ def _cmd_verify(args):
     A = io_json.load(args.file, validate=False)
     triple_only = args.triple and not args.all
     results, violations, notices = _run_verify(A, args.k_max, triple_only)
-    doc = _report("verify", A.name,
-                  {"k_max": args.k_max,
-                   "mode": "triple" if triple_only else "all"},
-                  {"checks": results}, violations, notices)
-    if args.json:
-        _emit(doc, True)
-    else:
-        out = sys.stdout
-        out.write(f"command: verify\nalgebra: {A.name}\nk_max: {args.k_max}\n")
-        for entry in results:
-            status = entry["status"]
-            name = entry["check"]
-            if status == "skipped":
-                out.write(f"  SKIP {name}: {entry['reason']}\n")
-            elif status == "passed":
-                out.write(f"  PASS {name}\n")
-            else:
-                out.write(f"  FAIL {name} "
-                          f"({len(entry['violations'])} violations)\n")
-        out.write("violations: "
-                  f"{len(violations) if violations else 'none'}\n")
-    return 0 if not violations else 1
+    return _report("verify", A.name,
+                   {"k_max": args.k_max,
+                    "mode": "triple" if triple_only else "all"},
+                   {"checks": results}, violations, notices)
 
 
 # ---------------------------------------------------------------------------
@@ -483,24 +469,23 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; print its report (or the error report of an
+    NhlcError) and return 1 exactly when the report has violations."""
+    args = build_parser().parse_args(argv)
     try:
         _threads()
-        return args.fn(args)
-    except AlgebraValidationError as exc:
-        doc = _report(args.command, None, {},
-                      {"error": str(exc)},
-                      [v.to_json() for v in exc.report.violations], [])
-        _emit(doc, getattr(args, "json", False))
-        return 1
+        doc = args.fn(args)
     except NhlcError as exc:
-        doc = _report(args.command, None, {},
-                      {"error": str(exc)},
+        violations = ([v.to_json() for v in exc.report.violations]
+                      if isinstance(exc, AlgebraValidationError) else
                       [{"check": "error", "witness": None,
-                        "expected": None, "actual": str(exc)}], [])
-        _emit(doc, getattr(args, "json", False))
-        return 1
+                        "expected": None, "actual": str(exc)}])
+        doc = _report(args.command, None, {}, {"error": str(exc)},
+                      violations, [])
+    if doc is None:
+        return 0
+    _emit(doc, getattr(args, "json", False))
+    return 1 if doc["violations"] else 0
 
 
 if __name__ == "__main__":

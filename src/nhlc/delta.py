@@ -181,11 +181,11 @@ def verify_delta_derivation_criterion(algebra, k_max):
     require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     n = A.arity
-    deltas = {}
-    for k in distinct_twists(A, k_max):
-        maps = double_derivation_space(A, k).maps()
-        deltas[k] = [delta_of(A, D, k) for D in maps]
-        for idx, (D, delta) in enumerate(zip(maps, deltas[k])):
+    maps = {k: double_derivation_space(A, k).maps()
+            for k in distinct_twists(A, k_max)}
+    deltas = {k: [delta_of(A, D, k) for D in maps[k]] for k in maps}
+    for k in maps:
+        for idx, (D, delta) in enumerate(zip(maps[k], deltas[k])):
             d_is_der = oracle.is_derivation(A, D, k)[0]
             delta_is_der = oracle.is_derivation(A, delta, k)[0]
             if d_is_der != delta_is_der:
@@ -195,12 +195,11 @@ def verify_delta_derivation_criterion(algebra, k_max):
             if d_is_der and delta.matrix != D.matrix:
                 report.add("delta-fixes-derivations", witness=(k, idx),
                            expected="delta_D = D", actual="different matrix")
+    gens = {s: inner_generators(A, s) for s in maps}
     for k, s in distinct_twist_pairs(A, k_max):
-        gens = inner_generators(A, s)
-        maps = double_derivation_space(A, k).maps()
-        for idx, (D, delta) in enumerate(zip(maps, deltas[k])):
+        for idx, (D, delta) in enumerate(zip(maps[k], deltas[k])):
             d = D.degree
-            for gidx, (xs, degs, inner) in enumerate(gens):
+            for gidx, (xs, degs, inner) in enumerate(gens[s]):
                 lhs = color_commutator(D, inner, A.eps).matrix
                 first = ad_map(A, [delta.apply(xs[0])] + xs[1:], k + s)
                 rhs = first.matrix
@@ -224,16 +223,15 @@ def verify_delta_homomorphism(algebra, k_max):
     require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     checks = 0
+    maps = {k: double_derivation_space(A, k).maps()
+            for k in distinct_twists(A, k_max)}
+    deltas = {k: [delta_of(A, D, k) for D in maps[k]] for k in maps}
     for k, s in distinct_twist_pairs(A, k_max):
-        maps_k = double_derivation_space(A, k).maps()
-        maps_s = double_derivation_space(A, s).maps()
-        deltas_k = [delta_of(A, D, k) for D in maps_k]
-        deltas_s = [delta_of(A, D, s) for D in maps_s]
-        for i, D1 in enumerate(maps_k):
-            for j, D2 in enumerate(maps_s):
+        for i, D1 in enumerate(maps[k]):
+            for j, D2 in enumerate(maps[s]):
                 C = color_commutator(D1, D2, A.eps)
                 lhs = delta_of(A, C, k + s).matrix
-                rhs = color_commutator(deltas_k[i], deltas_s[j], A.eps).matrix
+                rhs = color_commutator(deltas[k][i], deltas[s][j], A.eps).matrix
                 checks += 1
                 if lhs != rhs:
                     report.add("delta-commutator-homomorphism",

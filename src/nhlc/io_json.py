@@ -75,8 +75,12 @@ def dict_to_algebra(doc, validate=True):
             t = tuple(integer(i, "bracket argument") for i in entry["args"])
             if t in constants:
                 raise FormatError(f"duplicate bracket tuple {t}")
+            value = entry["value"]
+            if not isinstance(value, dict):
+                raise FormatError(f"bracket value of {t} must be an object, "
+                                  f"got {value!r}")
             constants[t] = {int(j): parse_rational(c)
-                            for j, c in entry["value"].items()}
+                            for j, c in value.items()}
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nhlc import io_json
 from nhlc.builders import build_simple_nlie, build_super_heis
@@ -107,6 +111,28 @@ def test_non_integer_field_rejected(request, tmp_path, capsys, fixture, path,
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["valid"] is False
     assert report["violations"][0]["check"] == "load"
+
+
+@pytest.mark.parametrize("value", [[1], "1", 3, None],
+                         ids=["list", "string", "number", "null"])
+def test_non_object_bracket_value_rejected(tmp_path, capsys, a4, value):
+    """A bracket "value" that is not a JSON object is a format error:
+    validate exits 1 with a load violation, every other command that loads
+    the file exits 1 with an error report."""
+    doc = io_json.algebra_to_dict(a4)
+    doc["brackets"][0]["value"] = value
+    with pytest.raises(FormatError, match="must be an object"):
+        io_json.dict_to_algebra(doc)
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(doc))
+    assert main(["validate", "--json", str(file)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"][0]["check"] == "load"
+    for args in (["spaces", "--kind", "der"], ["center"],
+                 ["verify", "--all", "--k-max", "1"], ["tder", "--k-max", "1"]):
+        assert main([*args, "--json", str(file)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"][0]["check"] == "error"
+        assert "must be an object" in report["results"]["error"]
 
 
 def test_bad_json_rejected():
@@ -449,3 +475,125 @@ def test_bad_input_gets_a_report(tmp_path, args, code):
     doc = json.loads(proc.stdout)
     assert doc["command"] == args[0]
     assert bool(doc["violations"]) == (code == 1)
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+REPORT_KEYS = {"command", "algebra", "parameters", "results", "violations",
+               "notices"}
+
+# the fields of each input file; "*" stands for every list entry or key
+FIELDS = {
+    "algebra": [
+        ("name",), ("arity",), ("group",), ("group", "free_rank"),
+        ("group", "torsion"), ("group", "torsion", "*"), ("bicharacter",),
+        ("bicharacter", "*"), ("bicharacter", "*", "*"), ("basis",),
+        ("basis", "*"), ("basis", "*", "name"), ("basis", "*", "degree"),
+        ("basis", "*", "degree", "*"), ("alpha",), ("alpha", "*"),
+        ("alpha", "*", "*"), ("brackets",), ("brackets", "*"),
+        ("brackets", "*", "args"), ("brackets", "*", "args", "*"),
+        ("brackets", "*", "value"), ("brackets", "*", "value", "*")],
+    "map": [("degree",), ("degree", "*"), ("matrix",), ("matrix", "*"),
+            ("matrix", "*", "*")],
+    "span": [("vectors",), ("vectors", "*"), ("vectors", "*", "*")],
+}
+
+# (arguments, the file besides the algebra file that the command reads)
+FUZZ_COMMANDS = [
+    (["validate"], None),
+    (["center"], None),
+    (["spaces", "--kind", "der"], None),
+    (["centralizer", "--span", "span.json"], "span"),
+    (["check", "--kind", "der", "--map", "map.json"], "map"),
+    (["check", "--kind", "dder", "--map", "map.json"], "map"),
+    (["check", "--kind", "tder", "--map", "map.json"], "map"),
+    (["delta", "--map", "map.json"], "map"),
+]
+
+# small JSON values to put in place of one field; no large integers, since
+# a huge degree under a rational bicharacter or a huge twist power is a
+# resource limit and not a malformed input
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(
+        [0.5, 2.0, "", "x", "1/2", "-1", "1/0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "x"]), inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(algebra, command, file, field, entry, cut, value): the file is one
+    the command reads; when cut is None, value replaces the entry-th
+    occurrence of field in it, else its JSON is cut to cut percent."""
+    command = draw(st.sampled_from(range(len(FUZZ_COMMANDS))))
+    extra = FUZZ_COMMANDS[command][1]
+    file = draw(st.sampled_from(["algebra"] + ([extra] if extra else [])))
+    return (draw(st.sampled_from(["a4", "color_heis3"])), command, file,
+            draw(st.sampled_from(FIELDS[file])), draw(st.integers(0, 15)),
+            draw(st.none() | st.integers(0, 99)), draw(SMALL_JSON))
+
+
+def _occurrences(node, field):
+    """The paths in a JSON document that field names."""
+    if not field:
+        return [()]
+    head, rest = field[0], field[1:]
+    if head == "*":
+        keys = (list(node) if isinstance(node, dict)
+                else range(len(node)) if isinstance(node, list) else [])
+    else:
+        keys = [head] if isinstance(node, dict) and head in node else []
+    return [(key,) + path for key in keys
+            for path in _occurrences(node[key], rest)]
+
+
+def _input_docs(A):
+    """An algebra file of A, a map file with its first DDer^0 basis map and
+    a span file of one vector."""
+    from nhlc.spaces import double_derivation_space
+    D = double_derivation_space(A, 0).maps()[0]
+    return {"algebra": io_json.algebra_to_dict(A),
+            "map": {"degree": list(D.degree.free + D.degree.torsion),
+                    "matrix": io_json.matrix_to_grid(D.matrix)},
+            "span": {"vectors": [io_json.vector_to_list(A.basis_vector(0))]}}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fuzz_cases())
+@example(case=("a4", 0, "algebra", ("brackets", "*", "value"), 0, None, [1]))
+def test_fuzzed_input_gets_a_report(request, fuzz_dir, case):
+    """Valid A4 or COLOR_HEIS3 inputs with one field replaced by a small
+    JSON value, or with the JSON cut short: main returns 0 or 1, prints a
+    report and lets no exception out.  The explicit example is a bracket
+    value that is a list, which once escaped as AttributeError."""
+    algebra, command, file, field, entry, cut, value = case
+    docs = _input_docs(request.getfixturevalue(algebra))
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    if cut is not None:
+        texts[file] = texts[file][:len(texts[file]) * cut // 100]
+    else:
+        paths = _occurrences(docs[file], field)
+        assume(paths)
+        path = paths[entry % len(paths)]
+        parent = docs[file]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        texts[file] = json.dumps(docs[file])
+    for name, text in texts.items():
+        (fuzz_dir / f"{name}.json").write_text(text)
+    args = [str(fuzz_dir / a) if a.endswith(".json") else a
+            for a in FUZZ_COMMANDS[command][0]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*args, "--json", str(fuzz_dir / "algebra.json")])
+    assert code in (0, 1)
+    report = json.loads(out.getvalue())
+    assert set(report) == REPORT_KEYS
+    assert bool(report["violations"]) == (code == 1)

@@ -4,8 +4,8 @@ from itertools import combinations_with_replacement
 import pytest
 from fractions import Fraction
 
-from helpers import (conjugate_algebra, in_map_span, naive_space_dimension,
-                     random_basis_change, subspace_eq)
+from helpers import (conjugate_algebra, direct_sum, in_map_span,
+                     naive_space_dimension, random_basis_change, subspace_eq)
 from nhlc import oracle, spaces
 from nhlc.algebra import HomMap, validate_algebra
 from nhlc.builders import (build_abelian, build_simple_nlie, build_twisted_a4,
@@ -590,6 +590,33 @@ def test_invariants_under_change_of_basis(name, request):
     assert len(center(A)) == len(center(B))
     assert len(derived_subalgebra(A)) == len(derived_subalgebra(B))
     assert is_perfect(A) == is_perfect(B)
+
+
+# -- direct sums ----------------------------------------------------------------
+
+@pytest.mark.parametrize("left, right", [("a4", "a4"), ("a4", "abelian3"),
+                                         ("color_heis3", "color_heis3")])
+def test_center_and_perfectness_of_direct_sum(left, right, request):
+    """center(A + B) is center(A) + center(B), embedded in the first and
+    the last coordinates, and A + B is perfect iff both summands are."""
+    A, B = request.getfixturevalue(left), request.getfixturevalue(right)
+    S = direct_sum(A, B, f"{A.name}_PLUS_{B.name}")
+    assert validate_algebra(S).ok
+    embedded = ([list(v) + [F(0)] * B.dim for v in center(A)]
+                + [[F(0)] * A.dim + list(v) for v in center(B)])
+    assert subspace_eq(center(S), embedded)
+    assert is_perfect(S) == (is_perfect(A) and is_perfect(B))
+
+
+@pytest.mark.parametrize("n, dim", [(3, 6), (4, 10)])
+def test_derivations_of_a_sum_of_two_copies(n, dim):
+    """On a perfect centerless A, Der^0(A + A) = Der^0(A) + Der^0(A): the
+    simple 3- and 4-Lie algebras give 12 and 20."""
+    A = build_simple_nlie(n)
+    assert is_perfect(A) and not center(A)
+    assert derivation_space(A, 0).dimension() == dim
+    S = direct_sum(A, A, f"{A.name}_PLUS_{A.name}")
+    assert derivation_space(S, 0).dimension() == 2 * dim
 
 
 # -- live tuple sets: the solver drops only tuples with zero rows -------------
