@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .errors import ArityError, InvertibilityError, ShapeError
-from .grading import integer
+from .grading import integer, validate_bicharacter
 from .linalg import F0, F1, Matrix, accumulate, dense, support
 from .report import ValidationReport
 
@@ -22,6 +22,22 @@ def normalize_tuple(indices, degrees, eps):
     Each adjacent swap contributes -eps(|left|, |right|).  Returns
     (sorted_tuple, sign), or None when the bracket is forced to vanish by a
     repeated index whose degree has eps(g, g) = 1.
+
+    Each swap removes one inversion, so the sign is the product of
+    -eps(|a|, |b|) over the inverted pairs (a before b, a > b), whatever
+    the order of the swaps.  Hence, when eps is a valid bicharacter
+    (validate_bicharacter: skew, so eps(g, g) = +-1, and well defined on
+    torsion, so bimultiplicative), the bracket of homogeneous vectors is
+    color-skew:
+
+        [.., v, u, ..] = -eps(|v|, |u|) [.., u, v, ..].
+
+    For basis vectors a < b in the slots of u, v this is the one extra
+    inversion; for a > b it is the same identity read backwards, since
+    eps(|a|, |b|) eps(|b|, |a|) = 1; for a = b of degree g both sides vanish
+    when eps(g, g) = 1 and agree when eps(g, g) = -1.  Homogeneous u and v
+    expand into basis vectors of one degree each.  The reduced sweeps
+    (reduced_sweep) rest on this.
     """
     idx = list(indices)
     sign = F1
@@ -38,6 +54,74 @@ def normalize_tuple(indices, degrees, eps):
             if eps.value(g, g) == 1:
                 return None
     return tuple(idx), sign
+
+
+def live_tuples(degrees, eps, m):
+    """The sorted m-tuples of range(len(degrees)), in lexicographic order,
+    that repeat an index only when its degree g has eps(g, g) != 1, the test
+    of normalize_tuple.  Only these tuples can carry a nonzero
+    bracket or a nonzero Leibniz row.
+
+    Proof.  eps is bimultiplicative (it is built from its values on the
+    generators) and skew, eps(g, h) eps(h, g) = 1, so eps(g, g) = +-1; the
+    twist a = alpha^k is even.  validate_bicharacter checks skewness and
+    validate_algebra evenness.  Let a tuple repeat t, of degree g with
+    eps(g, g) = 1; sorted, the repeat sits in adjacent slots q, q + 1.
+
+    - A bracket with a repeated homogeneous argument u of degree g is zero:
+      swapping the two copies gives [.., u, u, ..] = -eps(g, g) [.., u, u, ..].
+      So [ys], [xs, [ys]] and [e_q, s, *tail] vanish when ys, xs or the tail
+      repeats t, and ad(xs) is the zero map when the twist-fixed
+      generators xs repeat one of degree g.
+    - In the identity of spaces._leibniz_rows the value D(M) is D(0) = 0.  An
+      unknown entry D_jt, with |e_j| = d + g, enters the slot terms of q and
+      q + 1 as eps(d, P) X and eps(d, P + g) X', where P is the degree of
+      the leaves before slot q, X has e_j in slot q and a e_t in slot
+      q + 1, and X' has them swapped (inside [a xs, .] when the repeat is
+      in ys of [xs, [ys]]).  Skew symmetry gives X' = -eps(g, d + g) X, so
+      the two sum to eps(d, P) (1 - eps(d, g) eps(g, d) eps(g, g)) X
+      = eps(d, P) (1 - eps(g, g)) X = 0.
+    - Every other slot term holds a e_t twice, so it is zero.
+
+    Every row of a dropped tuple is therefore zero: the nonzero rows reach
+    RowReducer in the same order, and the echelon, the early stop and the
+    kernel are unchanged.  The Jacobi sweep of validate_algebra and the
+    oracle sweep live tuples too, and the residual laws of delta sorted
+    ones, each under a proof of its own and through reduced_sweep, which
+    reports a failure from the full sweep; tests/helpers.py keeps the full
+    ordered sweeps as the independent check.
+    """
+    repeatable = [eps.value(g, g) != 1 for g in degrees]
+    return [t for t in combinations_with_replacement(range(len(degrees)), m)
+            if all(a != b or repeatable[a] for a, b in zip(t, t[1:]))]
+
+
+def reduced_sweep(failures, reduced, full):
+    """The failures of the full sweep, found without it when there are none.
+
+    failures(*tuple_sets) yields a witness for every failing item of a
+    check over the given tuple sets, in their order.  reduced holds smaller
+    tuple sets on which a pass proves that the full sweep passes (the
+    caller's proof), or is None when the caller cannot prove that for this
+    input.  The reduced sweep runs first and stops at its first failure;
+    only then does the full sweep run.  So a passing input never pays for
+    the full sweep, and a failing one gets exactly its witnesses, in the
+    same order and the same number.  Returns an iterator over them.
+    """
+    if reduced is not None and next(failures(*reduced), None) is None:
+        return iter(())
+    return failures(*full)
+
+
+def skew_premises(algebra, D, twist):
+    """True when eps is a valid bicharacter (validate_bicharacter), the map
+    D is homogeneous of its stated degree and the twist matrix is even:
+    then every bracket of basis vectors and their images under D and the
+    twist has homogeneous arguments and is color-skew (normalize_tuple).
+    The premises of the reduced sweeps of the oracle and of delta."""
+    A = algebra
+    return (validate_bicharacter(A.eps).ok and D.respects_blocks(A)
+            and HomMap(A.group.zero(), twist).respects_blocks(A))
 
 
 class ColorAlgebra:
@@ -223,6 +307,34 @@ def validate_algebra(algebra):
     Covers grading compatibility of the stored constants, the repeated-index
     sign rule, evenness and multiplicativity of the twist, and the full
     twisted n-ary Jacobi identity over all basis argument tuples.
+
+    The Jacobi identity is swept on live (n-1)-tuples xs and live n-tuples
+    ys (live_tuples), and on all ordered pairs only when a live pair fails;
+    the ordered sweep's failures are the ones reported (reduced_sweep).
+    Proof that a live pass is a full pass.  The sweep runs only once the
+    grading and evenness checks pass, and is reduced only for a valid
+    bicharacter, so every bracket below has homogeneous arguments and is
+    color-skew (normalize_tuple).  With a = alpha, X = |xs| and Y_i the
+    degree of y_1, .., y_(i-1), the identity asks that
+
+        J(xs; ys) = [a xs, [ys]] - sum_i eps(X, Y_i) [a y_1, .., [xs, y_i], .., a y_n]
+
+    vanish; J is multilinear in its 2n - 1 arguments.
+
+    - J is color-skew in xs: in every term xs are adjacent arguments of one
+      bracket, [a xs, .] or [xs, y_i], and the signs see xs only through X.
+    - J is color-skew in ys: swapping y_p and y_(p+1), of degrees g and h,
+      multiplies [ys] and every term i != p, p + 1 by -eps(h, g), whose
+      sign is unchanged.  The terms p and p + 1 trade places: with P = Y_p,
+      eps(X, P + h) [.., a y_(p+1), [xs, y_p], ..]
+      = -eps(X, P + h) eps(h, X + g) [.., [xs, y_p], a y_(p+1), ..]
+      = -eps(h, g) eps(X, P) [.., [xs, y_p], a y_(p+1), ..],
+      by bimultiplicativity and eps(X, h) eps(h, X) = 1, and likewise for
+      the other one.
+
+    So J on any ordered pair is a nonzero multiple of J on the sorted pair,
+    and J vanishes when xs or ys repeats an index of degree g with
+    eps(g, g) = 1, since swapping the two copies gives J = -J.
     """
     A = algebra
     report = ValidationReport()
@@ -260,28 +372,39 @@ def validate_algebra(algebra):
         if lhs != rhs:
             report.add("twist-multiplicative", witness=t, expected=lhs, actual=rhs)
 
-    ydata = []
-    for ys in product(range(dim), repeat=n):
-        prefixes = []
-        p = g.zero()
-        for i in range(n):
-            prefixes.append(p)
-            p = g.add(p, A.degrees[ys[i]])
-        ydata.append((ys, support(A.bracket_basis(ys)), prefixes))
-    for xs in product(range(dim), repeat=n - 1):
-        xdeg = A.degree_sum(A.degrees[i] for i in xs)
-        xac = [acols[i] for i in xs]
-        # [xs, y] for every basis vector y, the inner value of each slot
-        inners = [support(A.bracket_basis(xs + (y,))) for y in range(dim)]
-        for ys, inner, prefixes in ydata:
-            lhs = dense(A.sparse_bracket(xac + [inner]), dim)
-            rhs = {}
+    def jacobi_failures(xtuples, ytuples):
+        ydata = []
+        for ys in ytuples:
+            prefixes = []
+            p = g.zero()
             for i in range(n):
-                sign = A.eps.value(xdeg, prefixes[i])
-                args = [acols[y] for y in ys]
-                args[i] = inners[ys[i]]
-                accumulate(rhs, A.sparse_bracket(args), None if sign == 1 else sign)
-            rhs = dense(rhs.items(), dim)
-            if lhs != rhs:
-                report.add("jacobi", witness=(xs, ys), expected=rhs, actual=lhs)
+                prefixes.append(p)
+                p = g.add(p, A.degrees[ys[i]])
+            ydata.append((ys, support(A.bracket_basis(ys)), prefixes))
+        for xs in xtuples:
+            xdeg = A.degree_sum(A.degrees[i] for i in xs)
+            xac = [acols[i] for i in xs]
+            # [xs, y] for every basis vector y, the inner value of each slot
+            inners = [support(A.bracket_basis(xs + (y,))) for y in range(dim)]
+            for ys, inner, prefixes in ydata:
+                lhs = dense(A.sparse_bracket(xac + [inner]), dim)
+                rhs = {}
+                for i in range(n):
+                    sign = A.eps.value(xdeg, prefixes[i])
+                    args = [acols[y] for y in ys]
+                    args[i] = inners[ys[i]]
+                    accumulate(rhs, A.sparse_bracket(args),
+                               None if sign == 1 else sign)
+                rhs = dense(rhs.items(), dim)
+                if lhs != rhs:
+                    yield (xs, ys), rhs, lhs
+
+    reduced = None
+    if validate_bicharacter(A.eps).ok:
+        reduced = (live_tuples(A.degrees, A.eps, n - 1),
+                   live_tuples(A.degrees, A.eps, n))
+    full = (product(range(dim), repeat=n - 1), product(range(dim), repeat=n))
+    for witness, expected, actual in reduced_sweep(jacobi_failures, reduced,
+                                                   full):
+        report.add("jacobi", witness=witness, expected=expected, actual=actual)
     return report

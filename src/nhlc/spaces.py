@@ -37,10 +37,10 @@ memo():
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 
 from . import oracle
-from .algebra import ColorAlgebra, HomMap, validate_algebra
+from .algebra import ColorAlgebra, HomMap, live_tuples, validate_algebra
 from .errors import (AlgebraValidationError, ArityError, DomainError,
                      HypothesisError, ShapeError, TruncationError)
 from .linalg import (F0, F1, Matrix, RowReducer, accumulate, column_rows,
@@ -261,43 +261,6 @@ def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
                     yield row
 
 
-def live_tuples(degrees, eps, m):
-    """The sorted m-tuples of range(len(degrees)), in lexicographic order,
-    that repeat an index only when its degree g has eps(g, g) != 1, the test
-    of algebra.normalize_tuple.  Only these tuples can carry a nonzero
-    bracket or a nonzero Leibniz row.
-
-    Proof.  eps is bimultiplicative (it is built from its values on the
-    generators) and skew, eps(g, h) eps(h, g) = 1, so eps(g, g) = +-1; the
-    twist a = alpha^k is even.  validate_bicharacter checks skewness and
-    validate_algebra evenness.  Let a tuple repeat t, of degree g with
-    eps(g, g) = 1; sorted, the repeat sits in adjacent slots q, q + 1.
-
-    - A bracket with a repeated homogeneous argument u of degree g is zero:
-      swapping the two copies gives [.., u, u, ..] = -eps(g, g) [.., u, u, ..].
-      So [ys], [xs, [ys]] and [e_q, s, *tail] vanish when ys, xs or the tail
-      repeats t, and ad(xs) is the zero map when the twist-fixed
-      generators xs repeat one of degree g.
-    - In the identity of _leibniz_rows the value D(M) is D(0) = 0.  An
-      unknown entry D_jt, with |e_j| = d + g, enters the slot terms of q and
-      q + 1 as eps(d, P) X and eps(d, P + g) X', where P is the degree of
-      the leaves before slot q, X has e_j in slot q and a e_t in slot
-      q + 1, and X' has them swapped (inside [a xs, .] when the repeat is
-      in ys of [xs, [ys]]).  Skew symmetry gives X' = -eps(g, d + g) X, so
-      the two sum to eps(d, P) (1 - eps(d, g) eps(g, d) eps(g, g)) X
-      = eps(d, P) (1 - eps(g, g)) X = 0.
-    - Every other slot term holds a e_t twice, so it is zero.
-
-    Every row of a dropped tuple is therefore zero: the nonzero rows reach
-    RowReducer in the same order, and the echelon, the early stop and the
-    kernel are unchanged.  The oracle, validate_algebra and the test
-    reference sweep all sorted or ordered tuples.
-    """
-    repeatable = [eps.value(g, g) != 1 for g in degrees]
-    return [t for t in combinations_with_replacement(range(len(degrees)), m)
-            if all(a != b or repeatable[a] for a, b in zip(t, t[1:]))]
-
-
 def derivation_space(algebra, k):
     """Basis of the twisted derivations for one twist power, per degree."""
     A = algebra
@@ -469,7 +432,8 @@ def centralizer(algebra, span_vectors):
 def color_commutator(D1, D2, eps):
     """[D, D'] = D D' - eps(d, d') D' D, of degree d + d'."""
     sign = eps.value(D1.degree, D2.degree)
-    mat = D1.matrix * D2.matrix - (D2.matrix * D1.matrix).scale(sign)
+    back = D2.matrix * D1.matrix
+    mat = D1.matrix * D2.matrix - (back if sign == 1 else back.scale(sign))
     return HomMap(eps.group.add(D1.degree, D2.degree), mat)
 
 
@@ -480,9 +444,25 @@ def alpha_shift(algebra, D):
 
 def distinct_twists(algebra, k_max):
     """The k in [0, k_max] whose twist power alpha^k is new; verdicts and
-    spaces depend on k only through alpha^k."""
-    powers = [algebra.alpha_power(k).data for k in range(k_max + 1)]
-    return [k for k, p in enumerate(powers) if p not in powers[:k]]
+    spaces depend on k only through alpha^k.
+
+    The list ends at the first repeated power.  If alpha^j = alpha^k with
+    j < k, then alpha^(j+m) = alpha^(k+m) for every m >= 0, so each power
+    from k on equals one with a smaller exponent, and by induction one in
+    [j, k): none of them is new.  Every power before the first repeat is
+    new.  So a twist whose powers repeat (of finite order, or nilpotent)
+    costs its number of distinct powers, whatever k_max is, and one whose
+    powers never repeat a set lookup per k.
+    """
+    seen = set()
+    out = []
+    for k in range(k_max + 1):
+        power = algebra.alpha_power(k).data
+        if power in seen:
+            break
+        seen.add(power)
+        out.append(k)
+    return out
 
 
 def distinct_twist_pairs(algebra, k_max):

@@ -4,7 +4,9 @@ A triple derivation of a binary color algebra satisfies the Leibniz-type
 rule only on nested brackets [x, [y, z]].  The solver imposes it on the
 basis triples with y <= z, and with y = z only where eps(|y|, |y|) = -1,
 which carry every constraint (see triple_derivation_space and
-spaces.live_tuples); the oracle checks all basis triples.  The instance
+algebra.live_tuples); the oracle checks the same live triples under a
+proof of its own, and all basis triples only when a premise fails or to
+report a failure.  The instance
 theorems compare the triple-derivation space of the inner- and
 derivation-map algebras of a centerless perfect algebra against the plain
 derivation space; equality is expected exactly under those hypotheses.
@@ -40,7 +42,7 @@ def triple_derivation_space(algebra, k):
     multiples of those of (x, y, z), the row space is the same, and so are
     its unique reduced echelon form and the kernel basis read off it.  The
     rows of (x, y, y) with eps(|y|, |y|) = 1 are all zero
-    (spaces.live_tuples), so dropping them changes nothing either.
+    (algebra.live_tuples), so dropping them changes nothing either.
     """
     A = algebra
     if A.arity != 2:

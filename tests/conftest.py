@@ -91,3 +91,34 @@ def sl2_heis3():
     basis = [(name, g.zero()) for name in ("h", "e", "f", "p", "q", "z")]
     return ColorAlgebra("SL2_HEIS3", 2, g, trivial_bicharacter(g), basis,
                         Matrix.identity(6), constants)
+
+
+@pytest.fixture(scope="session")
+def color_a4():
+    """A4 made an eps-color algebra by Scheunert's cocycle twist: e1, e2, e3
+    of degrees a, b, a + b in Z/2 x Z/2 and e4 of degree 0; with
+    sigma(a, b) = -1 and 1 on the other generator pairs, each stored value
+    is multiplied by the product of sigma(|x_p|, |x_q|) over p < q, and
+    eps(u, v) = sigma(u, v) / sigma(v, u).  So eps(g, g) = 1 on every
+    degree, but eps(a, b) = -1: repeated indices are dropped while the
+    signs between distinct degrees are not trivial."""
+    from fractions import Fraction
+    from nhlc.algebra import ColorAlgebra
+    from nhlc.grading import Bicharacter, GradingGroup
+    a4 = build_simple_nlie(3)
+    g = GradingGroup(torsion=(2, 2))
+    degrees = [g.element(torsion=(1, 0)), g.element(torsion=(0, 1)),
+               g.element(torsion=(1, 1)), g.zero()]
+    constants = {}
+    for t, value in a4.constants.items():
+        sign = 1
+        for p in range(len(t)):
+            for q in range(p + 1, len(t)):
+                sign *= (-1) ** (degrees[t[p]].torsion[0]
+                                 * degrees[t[q]].torsion[1])
+        constants[t] = {j: sign * c for j, c in value.items()}
+    eps = Bicharacter(g, [[Fraction(1), Fraction(-1)],
+                          [Fraction(-1), Fraction(1)]])
+    return ColorAlgebra("COLOR_A4", 3, g, eps,
+                        [(f"e{i + 1}", d) for i, d in enumerate(degrees)],
+                        a4.alpha, constants)

@@ -111,6 +111,75 @@ def reference_bracket(A, args):
     return out
 
 
+def reference_jacobi_failures(A):
+    """The full ordered sweep of the twisted n-ary Jacobi identity
+
+        [a x_1, .., a x_(n-1), [y_1, .., y_n]]
+            = sum_i eps(|xs|, |y_1| + .. + |y_(i-1)|) [a y_1, .., [xs, y_i], .., a y_n]
+
+    with a = alpha, over every ordered pair (xs, ys) of basis index tuples
+    in lexicographic order: the failing pairs as ((xs, ys), rhs, lhs).
+    Brackets are expanded over the nonzero coordinates of their arguments
+    and read from A.constants by _reference_basis_bracket."""
+    dim, n = A.dim, A.arity
+    memo = {}
+
+    def bracket(args):
+        out = [F0] * dim
+        nonzero = [[(i, c) for i, c in enumerate(v) if c != 0] for v in args]
+        for combo in product(*nonzero):
+            indices = tuple(i for i, _ in combo)
+            if indices not in memo:
+                memo[indices] = _reference_basis_bracket(A, indices)
+            coeff = F1
+            for _, c in combo:
+                coeff *= c
+            for r, c in memo[indices].items():
+                out[r] += coeff * c
+        return out
+
+    units = [_unit(dim, i) for i in range(dim)]
+    twisted = [A.alpha.column(i) for i in range(dim)]
+    failures = []
+    for xs in product(range(dim), repeat=n - 1):
+        xdeg = A.group.zero()
+        for i in xs:
+            xdeg = A.group.add(xdeg, A.degrees[i])
+        for ys in product(range(dim), repeat=n):
+            lhs = bracket([twisted[i] for i in xs]
+                          + [bracket([units[i] for i in ys])])
+            rhs = [F0] * dim
+            prefix = A.group.zero()
+            for i in range(n):
+                args = [twisted[y] for y in ys]
+                args[i] = bracket([units[x] for x in xs] + [units[ys[i]]])
+                sign = A.eps.value(xdeg, prefix)
+                rhs = [r + sign * t for r, t in zip(rhs, bracket(args))]
+                prefix = A.group.add(prefix, A.degrees[ys[i]])
+            if lhs != rhs:
+                failures.append(((xs, ys), rhs, lhs))
+    return failures
+
+
+def a4_injection_mutants(a4):
+    """The twenty single-coefficient mutations of the simple algebra A4 of
+    the acceptance axiom suite: one rational injected off the natural
+    target of a stored tuple, +1 at every off-target entry, then -1 at the
+    first eight.  The first is the a4_mutant input of the report pins."""
+    targets = {(0, 1, 2): 3, (0, 1, 3): 2, (0, 2, 3): 1, (1, 2, 3): 0}
+    mutations = [(t, j, F1) for t in sorted(targets) for j in range(4)
+                 if j != targets[t]]
+    mutations += [(t, j, -F1) for t, j, _ in mutations[:8]]
+    out = []
+    for t, j, coeff in mutations:
+        constants = {tt: dict(v) for tt, v in a4.constants.items()}
+        constants[t][j] = constants[t].get(j, F0) + coeff
+        out.append(((t, j, coeff), ColorAlgebra(
+            "A4_mutant", 3, a4.group, a4.eps, list(a4.basis), a4.alpha,
+            constants)))
+    return out
+
+
 def _unit(dim, i):
     v = [F0] * dim
     v[i] = F1

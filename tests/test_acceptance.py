@@ -16,12 +16,11 @@ import subprocess
 import sys
 
 import pytest
-from fractions import Fraction
 
-from helpers import (in_map_span, naive_space_dimension, project_onto_maps,
-                     random_hom_map, subspace_eq)
+from helpers import (a4_injection_mutants, in_map_span, naive_space_dimension,
+                     project_onto_maps, random_hom_map, subspace_eq)
 from nhlc import oracle
-from nhlc.algebra import ColorAlgebra, HomMap, validate_algebra
+from nhlc.algebra import HomMap, validate_algebra
 from nhlc.builders import build_abelian
 from nhlc.delta import (delta_of, inner_centralizer_in_double_derivations,
                         verify_delta_derivation_criterion,
@@ -34,8 +33,6 @@ from nhlc.spaces import (candidate_degrees, center, derivation_space,
                          verify_double_derivation_closure, verify_inner_ideal)
 from nhlc.triple import (triple_derivation_space,
                          verify_triple_equals_derivations)
-
-F = Fraction
 
 
 def _ok(label):
@@ -59,22 +56,11 @@ def test_criterion_01_axiom_suite(a4, abelian3, twisted_a4, super_heis,
     # twenty single-coefficient mutations of the simple algebra: one rational
     # injected off the natural target (pure rescalings stay valid, see
     # test_algebra.test_single_scaling_mutation_is_still_valid)
-    targets = {(0, 1, 2): 3, (0, 1, 3): 2, (0, 2, 3): 1, (1, 2, 3): 0}
-    mutations = []
-    for t in sorted(targets):
-        for j in range(4):
-            if j != targets[t]:
-                mutations.append((t, j, F(1)))
-    for t, j, _ in mutations[:8]:
-        mutations.append((t, j, F(-1)))
-    assert len(mutations) == 20
-    for t, j, coeff in mutations:
-        constants = {tt: dict(v) for tt, v in a4.constants.items()}
-        constants[t][j] = constants[t].get(j, F(0)) + coeff
-        mutant = ColorAlgebra("A4_mutant", 3, a4.group, a4.eps,
-                              list(a4.basis), a4.alpha, constants)
+    mutants = a4_injection_mutants(a4)
+    assert len(mutants) == 20
+    for mutation, mutant in mutants:
         report = validate_algebra(mutant)
-        assert not report.ok, (t, j, coeff)
+        assert not report.ok, mutation
         assert all(v.witness is not None for v in report.violations)
     _ok("1 axiom suite (5 valid algebras, 20 failing mutations)")
 

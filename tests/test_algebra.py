@@ -5,8 +5,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import conjugate_algebra, random_basis_change, reference_bracket
-from nhlc.algebra import ColorAlgebra, HomMap, normalize_tuple, validate_algebra
+from helpers import (a4_injection_mutants, conjugate_algebra,
+                     random_basis_change, reference_bracket,
+                     reference_jacobi_failures)
+from nhlc.algebra import (ColorAlgebra, HomMap, live_tuples, normalize_tuple,
+                          validate_algebra)
 from nhlc.builders import build_abelian, build_simple_nlie, build_yau_twist
 from nhlc.errors import ShapeError
 from nhlc.grading import Bicharacter, GradingGroup, trivial_bicharacter
@@ -304,3 +307,82 @@ def test_bracket_matches_reference(name, request, data):
     for sparse in (A.sparse_bracket(supports), A.sparse_bracket(units)):
         assert dense(sparse, A.dim) == want
         assert all(c for _, c in sparse)
+
+
+# -- the Jacobi sweep against the full ordered reference ----------------------
+
+def _jacobi_witnesses(A):
+    return [(v.witness, v.expected, v.actual)
+            for v in validate_algebra(A).violations if v.check == "jacobi"]
+
+
+def test_jacobi_witnesses_of_the_acceptance_mutants(a4):
+    """validate_algebra sweeps live pairs and, on a failure, the ordered
+    ones: its jacobi witnesses equal the full ordered reference's, in order
+    and number, on every acceptance mutant (the first is the pinned
+    a4_mutant, with 72)."""
+    counts = []
+    for mutation, mutant in a4_injection_mutants(a4):
+        want = reference_jacobi_failures(mutant)
+        assert want and _jacobi_witnesses(mutant) == want, mutation
+        counts.append(len(want))
+    assert counts[0] == 72
+
+
+JACOBI_FIXTURES = ["a4", "twisted_a4", "regraded_a4", "super_heis",
+                   "color_heis3", "color_a4", "cross3", "rational_heis"]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("name", JACOBI_FIXTURES)
+def test_jacobi_sweep_of_valid_algebras_matches_the_reference(name, seed,
+                                                              request):
+    """No jacobi witness on the fixtures and on random conjugates of them
+    (dense tables), by both sweeps."""
+    A = request.getfixturevalue(name)
+    if seed is not None:
+        A = conjugate_algebra(A, random_basis_change(A, random.Random(seed)),
+                              A.name + "_P")
+    assert _jacobi_witnesses(A) == reference_jacobi_failures(A) == []
+
+
+def _invalid_sign_heis3(color_heis3):
+    """COLOR_HEIS3 with eps(odd, odd) = 2: not a bicharacter of Z/2, so
+    validate_algebra sweeps the ordered pairs at once."""
+    A = color_heis3
+    return ColorAlgebra("HEIS3_BAD_EPS", 3, A.group,
+                        Bicharacter(A.group, [[F(2)]]), list(A.basis),
+                        A.alpha, A.constants)
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "regraded_a4",
+                                  "super_heis", "color_heis3", "cross3",
+                                  "invalid_eps"])
+def test_jacobi_witnesses_of_random_graded_mutants(name, request):
+    """A rational added to the value of a random live tuple at a random
+    target of the right degree, six times: the jacobi witnesses equal the
+    reference's on every mutant, and some mutants fail, so the fallback
+    runs.  (COLOR_A4 and RATIONAL_HEIS are left out: each of their live
+    tuples has one target of the right degree, and rescaling it keeps the
+    identity.)"""
+    if name == "invalid_eps":
+        A = _invalid_sign_heis3(request.getfixturevalue("color_heis3"))
+    else:
+        A = request.getfixturevalue(name)
+    rng = random.Random(5)
+    tuples = live_tuples(A.degrees, A.eps, A.arity)
+    failing = 0
+    for _ in range(6):
+        t = rng.choice(tuples)
+        total = A.degree_sum(A.degrees[i] for i in t)
+        j = rng.choice([j for j in range(A.dim) if A.degrees[j] == total])
+        constants = {tt: dict(v) for tt, v in A.constants.items()}
+        entry = constants.setdefault(t, {})
+        entry[j] = entry.get(j, F(0)) + F(rng.choice([1, -1, 2]),
+                                          rng.choice([1, 3]))
+        mutant = ColorAlgebra(A.name + "_mutant", A.arity, A.group, A.eps,
+                              list(A.basis), A.alpha, constants)
+        want = reference_jacobi_failures(mutant)
+        assert _jacobi_witnesses(mutant) == want, (t, j)
+        failing += bool(want)
+    assert failing

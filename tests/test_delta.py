@@ -15,7 +15,8 @@ from nhlc.builders import build_simple_nlie, build_yau_twist
 from nhlc.errors import DecompositionError, HypothesisError
 from nhlc.linalg import Matrix, nullspace_of_columns
 from nhlc.spaces import (center, color_commutator, derivation_space,
-                         double_derivation_space, inner_space, is_perfect)
+                         distinct_twists, double_derivation_space,
+                         inner_space, is_perfect)
 
 F = Fraction
 
@@ -175,6 +176,44 @@ def test_residual_laws(a4, twisted_a4):
     for A in (a4, twisted_a4):
         report = verify_delta_residual_laws(A, 1)
         assert report.ok, (A.name, report.violations[:2])
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "color_a4"])
+def test_residual_laws_sorted_and_ordered_sweeps_agree(name, request,
+                                                       monkeypatch):
+    """The slot identity, swept on sorted tuples and on the ordered ones
+    only after a failure, reports what the ordered sweep alone reports
+    (skew_premises forced false): nothing on the algebra, and the same
+    witnesses in the same order when delta_D is replaced by D / 2, which
+    breaks the identity.  details.checks counts every ordered tuple."""
+    A = request.getfixturevalue(name)
+
+    def run():
+        report = verify_delta_residual_laws(A, 1)
+        return ([(v.check, v.witness, v.expected, v.actual)
+                 for v in report.violations], report.details)
+
+    def halved(algebra, D, k):
+        return HomMap(D.degree, D.matrix.scale(F(1, 2)))
+
+    results = []
+    for full in (False, True):
+        if full:
+            monkeypatch.setattr(delta_mod, "skew_premises",
+                                lambda *args: False)
+        with monkeypatch.context() as patch:
+            patch.setattr(delta_mod, "delta_of", halved)
+            broken = run()
+        results.append((run(), broken))
+    (good, broken), (good_full, broken_full) = results
+    assert good == good_full and not good[0]
+    assert broken == broken_full
+    assert any(check == "residual-slot-identity" for check, *_ in broken[0])
+    maps = sum(double_derivation_space(A, k).dimension()
+               for k in distinct_twists(A, 1))
+    assert good[1]["checks"] == maps * (A.dim ** A.arity * A.arity + 1)
+    if name == "a4":
+        assert good[1]["checks"] == 1158
 
 
 

@@ -133,3 +133,62 @@ def test_rational_bicharacter_routes_agree(rational_heis):
                     assert not check(A, raw, k)[0], (kind, k, d)
                     outside += 1
     assert outside > 0
+
+
+# -- the reduced sweep: live tuples first, the full sweep for a failure -------
+
+def _ungraded_map(A, degree, rng):
+    """A random map of the stated degree with small rational entries in
+    every position, the grading ignored."""
+    return HomMap(degree, Matrix([[F(rng.randint(-2, 2), rng.choice((1, 2)))
+                                   for _ in range(A.dim)]
+                                  for _ in range(A.dim)]))
+
+
+@pytest.mark.parametrize("name", ["super_heis", "color_heis3", "color_a4",
+                                  "regraded_a4", "rational_heis",
+                                  "twisted_a4"])
+def test_reduced_and_full_oracle_sweeps_agree(name, request, monkeypatch):
+    """Every checker gives the same (ok, witness) with the reduced sweep as
+    with the full one (skew_premises forced false) at k = 0, 1: on the
+    solver's basis maps, on projections of random maps onto their span
+    (both pass), on random homogeneous maps and on random maps that ignore
+    the grading (which fail)."""
+    A = request.getfixturevalue(name)
+    rng = random.Random(13)
+    kinds = [(oracle.is_derivation, derivation_space)]
+    if A.arity >= 3:
+        kinds.append((oracle.is_double_derivation, double_derivation_space))
+    else:
+        kinds.append((oracle.is_triple_derivation, triple_derivation_space))
+    cases = []
+    for k in (0, 1):
+        for check, build in kinds:
+            span = build(A, k).maps()
+            maps = list(span)
+            for d in candidate_degrees(A):
+                raw = random_hom_map(A, d, rng)
+                maps += [raw, _ungraded_map(A, d, rng), project_onto_maps(
+                    [m for m in span if m.degree == d], raw)]
+            cases += [(check, D, k) for D in maps]
+    reduced = [check(A, D, k) for check, D, k in cases]
+    monkeypatch.setattr(oracle, "skew_premises", lambda *args: False)
+    full = [check(A, D, k) for check, D, k in cases]
+    assert reduced == full
+    assert any(ok for ok, _ in full) and not all(ok for ok, _ in full)
+
+
+@pytest.mark.parametrize("degree", [(0, 0), (1, 0)])
+def test_maps_off_the_grading_are_swept_in_full(color_a4, monkeypatch,
+                                                degree):
+    """On COLOR_A4 (eps(g, g) = 1 on every degree, eps(a, b) = -1) the swap
+    of e1 and e2, stated of degree 0 or a, is not homogeneous.  It passes
+    the derivation rule on every live tuple and fails it on the repeated
+    tuple (0, 0, 2), so the oracle must sweep it in full."""
+    A = color_a4
+    D = HomMap(A.group.element(torsion=degree),
+               Matrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0],
+                       [0, 0, 0, 0]]))
+    assert oracle.is_derivation(A, D, 0) == (False, ("tuple", (0, 0, 2)))
+    monkeypatch.setattr(oracle, "skew_premises", lambda *args: True)
+    assert oracle.is_derivation(A, D, 0) == (True, None)

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -344,6 +345,16 @@ def test_twist_classes_are_the_first_occurrences(k_max):
         assert pairs == _keyed_twist_pairs(A, k_max), A.name
         assert [(k, s) for k, s in pairs if k <= s] == \
             _keyed_commutator_pairs(A, k_max), A.name
+
+
+def test_distinct_twists_stop_at_the_first_repeat(a4, twisted_a4):
+    """A twist of finite order costs its order, whatever k_max is: at
+    k_max = 10**6 the identity twist of A4 gives [0] and the order-2 twist
+    of TWISTED_A4 [0, 1], in well under a second."""
+    start = time.perf_counter()
+    assert distinct_twists(a4, 10 ** 6) == [0]
+    assert distinct_twists(twisted_a4, 10 ** 6) == [0, 1]
+    assert time.perf_counter() - start < 1
 
 
 def _closure_by_oracle(A, k_max):
