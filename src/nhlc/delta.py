@@ -19,7 +19,7 @@ from .report import ValidationReport
 from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
                      distinct_twist_pairs, distinct_twists,
                      double_derivation_space, inner_generators, memo,
-                     require, union_space)
+                     require, twist_class, union_space)
 
 
 @dataclass
@@ -282,32 +282,30 @@ def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
     empty list removes all constraints and returns the full space.
 
     Inner and DDer spaces depend on k only through alpha^k, so the kernel
-    of each (alpha^k, degree) is solved once and reused for the blocks of
-    every k with that twist power.
+    of each degree is solved once per twist class and reused for the blocks
+    of every k in that class.
     """
     A = algebra
     require(A, k_max, "arity", "perfect")
     if inner_maps is None:
         inner_maps = union_space(A, "inner", k_max).maps()
     zero = Matrix.zeros(A.dim, A.dim)
-    kernels = {}
-    blocks = []
-    for k in range(k_max + 1):
-        for block in double_derivation_space(A, k).blocks:
-            key = (A.alpha_power(k).data, block.degree)
-            if key not in kernels:
-                basis = block.basis
-                kern = nullspace_of_columns(
-                    [[c for I in inner_maps
-                      for c in color_commutator(B, I, A.eps).matrix.flatten()]
-                     for B in basis], len(basis))
-                kernels[key] = [
-                    HomMap(block.degree, sum((B.matrix.scale(c)
-                                              for c, B in zip(v, basis)), zero))
-                    for v in kern]
-            if kernels[key]:
-                blocks.append(MapBlock(k, block.degree, kernels[key]))
-    return GradedMapSpace(A, "centralizer", blocks)
+    kernels = {}   # twist class -> [(degree, kernel maps)]
+    for j in distinct_twists(A, k_max):
+        kernels[j] = []
+        for block in double_derivation_space(A, j).blocks:
+            basis = block.basis
+            kern = nullspace_of_columns(
+                [[c for I in inner_maps
+                  for c in color_commutator(B, I, A.eps).matrix.flatten()]
+                 for B in basis], len(basis))
+            kernels[j].append((block.degree, [
+                HomMap(block.degree, sum((B.matrix.scale(c)
+                                          for c, B in zip(v, basis)), zero))
+                for v in kern]))
+    return GradedMapSpace(A, "centralizer", [
+        MapBlock(k, d, maps) for k in range(k_max + 1)
+        for d, maps in kernels[twist_class(A, k)] if maps])
 
 
 def verify_inner_centralizer_trivial(algebra, k_max):

@@ -1,13 +1,17 @@
 """Deterministic exact linear algebra over the rationals.
 
-There is one elimination engine, the echelon of RowReducer.  Each row is
-scaled to a primitive integer row and reduced against the pivot rows,
-leftmost pivot first, by integer cross-multiplication and gcd division, so
-elimination runs without Fraction arithmetic.  Reduced row echelon forms,
-kernels, ranks, span bases, particular solutions and inverses are all read
-off that echelon by one rational back substitution.  A row space has exactly
-one reduced row echelon form, so every result is independent of the order
-in which rows arrive and bit-identical across runs.
+There is one elimination engine, the echelon of RowReducer.  Rows enter
+it as sparse vectors and stay sparse integer rows {i: int} of their nonzero
+entries from start to finish: each row is scaled to a primitive integer row
+and reduced against the pivot rows, leftmost pivot first, by integer
+cross-multiplication and gcd division over the nonzero entries of the two
+rows, so elimination runs without Fraction arithmetic and without visiting
+zeros.  Reduced row echelon forms, kernels, ranks, span bases, particular
+solutions and inverses are all read off that echelon: dense rows go in
+through their support, and only the final reduced rows of the back
+substitution are made dense and rational.  A row space has exactly one
+reduced row echelon form, so every result is independent of the order in
+which rows arrive and bit-identical across runs.
 
 A sparse vector is the list [(i, x), ...] of its nonzero entries (support);
 matrix products and matrix-vector products visit only nonzero entries.
@@ -159,63 +163,75 @@ class Matrix:
         return f"Matrix({[[str(x) for x in row] for row in self.data]})"
 
 
-def _as_int_row(row):
-    """Scale a rational row to coprime integers (positive denominator lcm)."""
+def _as_int_row(sparse):
+    """The sparse row [(i, x), ...] of int or Fraction entries as a
+    primitive integer row {i: int}: scaled by the lcm of its denominators,
+    divided by the gcd of its entries, zeros dropped."""
     den = 1
-    for x in row:
+    for _, x in sparse:
         d = x.denominator
-        den = den * d // gcd(den, d)
-    out = [int(x.numerator * (den // x.denominator)) for x in row]
-    g = gcd(*out)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+        if d != 1:
+            den = den * d // gcd(den, d)
+    row = {i: x.numerator * (den // x.denominator) for i, x in sparse if x}
+    g = gcd(*row.values())
+    return {i: v // g for i, v in row.items()} if g > 1 else row
 
 
 def _cancel(v, p, c):
     """The elimination step on integer rows: a v - b p with a = p[c] / g and
     b = v[c] / g for g = gcd(p[c], v[c]), so column c cancels, divided by
-    the gcd of its entries."""
+    the gcd of its entries.  Only the nonzero entries of v and p are
+    visited, and zeros are dropped."""
     g = gcd(p[c], v[c])
     a, b = p[c] // g, v[c] // g
-    v = [a * s - b * t for s, t in zip(v, p)]
-    g = gcd(*v)
-    return [s // g for s in v] if g > 1 else v
+    out = dict(v) if a == 1 else {j: a * s for j, s in v.items()}
+    for j, t in p.items():
+        s = out.get(j, 0) - b * t
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: s // g for j, s in out.items()} if g > 1 else out
 
 
-def _insert(pivots, row):
-    """Reduce a rational row against the pivot rows (pivot column ->
-    primitive integer row, zero left of its pivot), leftmost pivot first,
-    and keep a nonzero remainder under its leading column.  Returns whether
-    the row was independent of the pivot rows."""
-    v = _as_int_row(row)
-    for c in range(len(v)):
-        if v[c]:
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = v
-                return True
-            # the columns left of c are zero in both rows and stay zero
-            v = _cancel(v, p, c)
+def _insert(pivots, sparse):
+    """Reduce a sparse rational row against the pivot rows (pivot column ->
+    primitive integer row with no entry left of its pivot), leftmost pivot
+    first, and keep a nonzero remainder under its leading column.  Returns
+    whether the row was independent of the pivot rows."""
+    v = _as_int_row(sparse)
+    while v:
+        c = min(v)
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = v
+            return True
+        # the columns left of c are zero in both rows and stay zero
+        v = _cancel(v, p, c)
     return False
 
 
-def _back_substitute(ech, piv_cols):
-    """Reduced rational rows from integer echelon rows: each pivot cleared
-    from the rows above it, then scaled to one."""
-    out = list(ech)
-    for i in reversed(range(len(piv_cols))):
-        c = piv_cols[i]
-        for u in range(i):
-            if out[u][c]:
-                out[u] = _cancel(out[u], out[i], c)
-    return [[Fraction(x, row[c]) if x else F0 for x in row]
-            for row, c in zip(out, piv_cols)]
+def _echelon(rows):
+    """The pivot rows of dense rows, each sent to _insert as its support."""
+    pivots = {}
+    for row in rows:
+        _insert(pivots, support(row))
+    return pivots
 
 
-def _rref(pivots):
+def _rref(pivots, ncols):
+    """(dense reduced rational rows, pivot columns) of an echelon: each
+    pivot cleared from the rows above it, then scaled to one."""
     cols = sorted(pivots)
-    return _back_substitute([pivots[c] for c in cols], cols), cols
+    out = [pivots[c] for c in cols]
+    for i in reversed(range(len(cols))):
+        c = cols[i]
+        for u in range(i):
+            if c in out[u]:
+                out[u] = _cancel(out[u], out[i], c)
+    return [dense([(j, Fraction(x, row[c])) for j, x in row.items()], ncols)
+            for row, c in zip(out, cols)], cols
 
 
 def _kernel(red, piv_cols, ncols):
@@ -240,10 +256,8 @@ def rref(rows):
     rows: rows of int or Fraction entries, all the same length.
     Returns (rref_rows, pivot_cols); rref_rows has one row per pivot.
     """
-    pivots = {}
-    for row in rows:
-        _insert(pivots, row)
-    return _rref(pivots)
+    rows, ncols = _rows_and_cols(rows)
+    return _rref(_echelon(rows), ncols)
 
 
 def _rows_and_cols(M):
@@ -254,7 +268,7 @@ def _rows_and_cols(M):
 
 
 def rank(M):
-    return len(rref(_rows_and_cols(M)[0])[1])
+    return len(_echelon(_rows_and_cols(M)[0]))
 
 
 def nullspace(M):
@@ -267,18 +281,13 @@ def nullspace(M):
 
 
 def nullspace_of_rows(rows, ncols):
-    return _kernel(*rref(rows), ncols)
-
-
-def column_rows(columns):
-    """The nonzero rows of the matrix with the given columns."""
-    return [row for row in zip(*columns) if any(row)]
+    return _kernel(*_rref(_echelon(rows), ncols), ncols)
 
 
 def nullspace_of_columns(columns, ncols):
     """Kernel basis, as nullspace, of the matrix with the given ncols
-    columns; zero rows are dropped before elimination."""
-    return nullspace_of_rows(column_rows(columns), ncols)
+    columns."""
+    return nullspace_of_rows(zip(*columns), ncols)
 
 
 def solve_particular(M, b):
@@ -310,15 +319,17 @@ def span_basis(vectors):
 
 def _split(basis, v):
     """(coefficients, residue) of v against a canonical RREF basis: the
-    coefficient of each basis row is the value of v at that row's pivot."""
+    coefficient of each basis row is the value of v at that row's pivot,
+    and it is subtracted over the support of the row."""
     coeffs = []
     residue = [Fraction(x) for x in v]
     for row in basis:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        c = residue[p]
+        row = support(row)
+        c = residue[row[0][0]]
         coeffs.append(c)
         if c:
-            residue = [a - c * b for a, b in zip(residue, row)]
+            for i, b in row:
+                residue[i] -= c * b
     return coeffs, residue
 
 
@@ -336,23 +347,25 @@ def coords_in_basis(basis, v):
 class RowReducer:
     """Incremental echelon of constraint rows: the one elimination engine.
 
-    add() reduces each row against the pivot rows kept so far and keeps it
-    when it is independent; the kernel is read off the echelon by back
-    substitution.  The selected rows depend on the arrival order, but the
-    row space and so its unique reduced echelon form, the rank and the
+    add() takes a sparse row [(i, x), ...] of int or Fraction entries (as
+    support() gives it; zero entries are dropped), turns it into a primitive
+    integer row {i: int}, reduces it against the pivot rows kept so far and
+    keeps it when it is independent; the kernel is read off the echelon by
+    back substitution.  The selected rows depend on the arrival order, but
+    the row space and so its unique reduced echelon form, the rank and the
     kernel basis do not.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self._pivots = {}   # pivot column -> primitive integer row
+        self._pivots = {}   # pivot column -> primitive integer row {i: int}
 
-    def add(self, row):
-        return _insert(self._pivots, row)
+    def add(self, sparse):
+        return _insert(self._pivots, sparse)
 
     @property
     def rank(self):
         return len(self._pivots)
 
     def nullspace(self):
-        return _kernel(*_rref(self._pivots), self.ncols)
+        return _kernel(*_rref(self._pivots, self.ncols), self.ncols)

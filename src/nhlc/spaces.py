@@ -24,13 +24,16 @@ center, the centralizers, the derived subalgebra and the inner generators
 sweep live tuples too.
 
 Spaces depend on the twist power only through the matrix alpha^k; for
-twists of finite order the blocks repeat (distinct_twists).  Every memo of
-the algebra's derived data lives in its one dict A._space_cache, filled by
-memo():
+twists of finite order the blocks repeat (distinct_twists), and the twist
+class of k, the least j with alpha^j = alpha^k (twist_class), keys them.
+Every memo of the algebra's derived data lives in its one dict
+A._space_cache, filled by memo():
 
-- (kind, alpha^k): the solved blocks of der, dder, inner and tder;
-- ("span", kind, degree, set of alpha^k): the canonical span of one degree
-  of a solved space (GradedMapSpace.span);
+- ("twists",): the walk of the powers alpha^0, alpha^1, ... up to the first
+  repeat (_twist_walk);
+- (kind, twist class of k): the solved blocks of der, dder, inner and tder;
+- ("span", kind, degree, set of twist classes): the canonical span of one
+  degree of a solved space (GradedMapSpace.span);
 - ("hypothesis", name) and ("hypothesis", "inner", k_max): the verdicts of
   require();
 - ("decomposition",): the bracket decomposition data of delta.
@@ -43,9 +46,9 @@ from . import oracle
 from .algebra import ColorAlgebra, HomMap, live_tuples, validate_algebra
 from .errors import (AlgebraValidationError, ArityError, DomainError,
                      HypothesisError, ShapeError, TruncationError)
-from .linalg import (F0, F1, Matrix, RowReducer, accumulate, column_rows,
-                     coords_in_basis, nullspace_of_columns, nullspace_of_rows,
-                     span_basis, subspace_contains, support)
+from .linalg import (F0, F1, Matrix, RowReducer, accumulate, coords_in_basis,
+                     nullspace_of_columns, nullspace_of_rows, span_basis,
+                     subspace_contains, support)
 from .report import ValidationReport
 
 KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn", "tder": "TDer",
@@ -95,7 +98,7 @@ class GradedMapSpace:
     def span(self, degree):
         """Canonical (RREF) basis of the span of the maps of one degree, as
         flattened matrices; for a solved space, one per (kind, degree, set
-        of the blocks' alpha^k)."""
+        of the blocks' twist classes)."""
         def build():
             return span_basis([m.matrix.flatten() for b in self.blocks
                                if b.degree == degree for m in b.basis])
@@ -103,7 +106,7 @@ class GradedMapSpace:
             return build()
         A = self.algebra
         return memo(A, ("span", self.kind, degree, frozenset(
-            A.alpha_power(b.k).data for b in self.blocks)), build)
+            twist_class(A, b.k) for b in self.blocks)), build)
 
     def merged_basis(self):
         """The span bases of all degrees, in degree order, as maps.  Twist
@@ -140,24 +143,27 @@ def _allowed_positions(A, d):
 
 
 def _alpha_commute_rows(A, vars_):
-    """Rows of D alpha = alpha D for D = sum of x_ji E_ji over the unknown
-    positions (j, i): the column of (j, i) is E_ji alpha - alpha E_ji,
-    flattened row by row."""
+    """Sparse rows of D alpha = alpha D for D = sum of x_ji E_ji over the
+    unknown positions (j, i): the column of (j, i) is E_ji alpha - alpha E_ji,
+    flattened row by row.  Rows come in index order, each with its columns
+    in order and its zeros dropped; zero rows are skipped."""
     al = A.alpha
     n = A.dim
-    cols = []
-    for j, i in vars_:
-        col = [F0] * (n * n)
+    rows = [{} for _ in range(n * n)]
+    for vx, (j, i) in enumerate(vars_):   # each row's columns in order
         for q in range(n):
-            col[j * n + q] += al[i][q]
+            accumulate(rows[j * n + q], [(vx, al[i][q])])
         for p in range(n):
-            col[p * n + i] -= al[p][j]
-        cols.append(col)
-    return column_rows(cols)
+            accumulate(rows[p * n + i], [(vx, -al[p][j])])
+    rows = [[(vx, c) for vx, c in row.items() if c] for row in rows]
+    return [row for row in rows if row]
 
 
 def _cached_blocks(A, kind, k, builder):
-    return memo(A, (kind, A.alpha_power(k).data), builder)
+    """The blocks of kind at twist power k, built once per twist class j
+    as builder(j); alpha^j = alpha^k."""
+    j = twist_class(A, k)
+    return memo(A, (kind, j), lambda: builder(j))
 
 
 def _solve_blocks(A, k, xtuples, ytuples):
@@ -196,9 +202,11 @@ def _blocks_to_space(A, kind, k, blocks):
 
 
 def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
-    """Rows of the identity for the unknown map of degree d, one pair
-    (xs, ys) after the other; the values [ys], [alpha^k ys] and [ys] with
-    the unknown in each slot are computed once per inner tuple ys."""
+    """Sparse rows, over the nvars unknowns, of the identity for the unknown
+    map of degree d, one pair (xs, ys) after the other, each row with its
+    columns in index order and its zeros dropped; zero rows are skipped.
+    The values [ys], [alpha^k ys] and [ys] with the unknown in each slot are
+    computed once per inner tuple ys."""
     dim = A.dim
     g = A.group
     ak = A.alpha_power(k)
@@ -252,20 +260,21 @@ def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
                 sign = -A.eps.value(d, prefix)
                 for vx, term in terms:
                     accumulate(cols.setdefault(vx, {}), term, sign)
-            rows = [[F0] * nvars for _ in range(dim)]
-            for vx, col in cols.items():
-                for r, c in col.items():
-                    rows[r][vx] = c
+            rows = [[] for _ in range(dim)]
+            for vx in sorted(cols):
+                for r, c in cols[vx].items():
+                    if c:
+                        rows[r].append((vx, c))
             for row in rows:
-                if any(row):
+                if row:
                     yield row
 
 
 def derivation_space(algebra, k):
     """Basis of the twisted derivations for one twist power, per degree."""
     A = algebra
-    blocks = _cached_blocks(A, "der", k, lambda: _solve_blocks(
-        A, k, [()], live_tuples(A.degrees, A.eps, A.arity)))
+    blocks = _cached_blocks(A, "der", k, lambda j: _solve_blocks(
+        A, j, [()], live_tuples(A.degrees, A.eps, A.arity)))
     return _blocks_to_space(A, "der", k, blocks)
 
 
@@ -274,8 +283,8 @@ def double_derivation_space(algebra, k):
     A = algebra
     if A.arity < 3:
         raise ArityError("double derivations need arity >= 3")
-    blocks = _cached_blocks(A, "dder", k, lambda: _solve_blocks(
-        A, k, live_tuples(A.degrees, A.eps, A.arity - 1),
+    blocks = _cached_blocks(A, "dder", k, lambda j: _solve_blocks(
+        A, j, live_tuples(A.degrees, A.eps, A.arity - 1),
         live_tuples(A.degrees, A.eps, A.arity)))
     return _blocks_to_space(A, "dder", k, blocks)
 
@@ -343,9 +352,9 @@ def inner_space(algebra, k):
     if k < 0:
         raise DomainError("inner twist power must be nonnegative")
 
-    def build():
+    def build(j):
         gens = GradedMapSpace(A, "inner", [
-            MapBlock(k, m.degree, [m]) for _, _, m in inner_generators(A, k)])
+            MapBlock(j, m.degree, [m]) for _, _, m in inner_generators(A, j)])
         return [(d, [_unflatten(A, row) for row in gens.span(d)])
                 for d in gens.degrees()]
     return _blocks_to_space(A, "inner", k, _cached_blocks(A, "inner", k, build))
@@ -394,7 +403,7 @@ _HYPOTHESES = {
     "perfect": (lambda A, k_max: is_perfect(A), "algebra is not perfect"),
     "centerless": (lambda A, k_max: not center(A), "algebra has nonzero center"),
     "inner": (lambda A, k_max: any(inner_space(A, k).dimension() > 0
-                                   for k in range(k_max + 1)),
+                                   for k in distinct_twists(A, k_max)),
               "no nonzero inner maps (no twist-fixed points)"),
 }
 
@@ -442,6 +451,44 @@ def alpha_shift(algebra, D):
     return HomMap(D.degree, D.matrix * algebra.alpha)
 
 
+def _twist_walk(algebra, k_max):
+    """The walk of the powers alpha^0, alpha^1, ..., kept in the space cache
+    and extended to k_max or to the first repeated power, whichever comes
+    first: {"seen": {alpha^k data: k} of the distinct powers found,
+    "repeat": (j, K) when alpha^K = alpha^j is the first repeat, else None}.
+    """
+    walk = memo(algebra, ("twists",), lambda: {"seen": {}, "repeat": None})
+    seen = walk["seen"]
+    while walk["repeat"] is None and len(seen) <= k_max:
+        k = len(seen)
+        power = algebra.alpha_power(k).data
+        if power in seen:
+            walk["repeat"] = (seen[power], k)
+        else:
+            seen[power] = k
+    return walk
+
+
+def twist_class(algebra, k):
+    """The least j >= 0 with alpha^j = alpha^k, for k >= 0; a negative k is
+    its own class.
+
+    Let alpha^K = alpha^j with j < K be the first repeated power
+    (distinct_twists).  The powers below K are distinct, and
+    alpha^(j+m) = alpha^(K+m) for every m >= 0, so from j on the powers
+    repeat with period K - j: for k >= K the class is j + (k - j) mod
+    (K - j).  So no power beyond the first repeat is computed, whatever k
+    is.
+    """
+    if k < 0:
+        return k
+    repeat = _twist_walk(algebra, k)["repeat"]
+    if repeat is None or k < repeat[1]:
+        return k
+    j, K = repeat
+    return j + (k - j) % (K - j)
+
+
 def distinct_twists(algebra, k_max):
     """The k in [0, k_max] whose twist power alpha^k is new; verdicts and
     spaces depend on k only through alpha^k.
@@ -452,17 +499,10 @@ def distinct_twists(algebra, k_max):
     [j, k): none of them is new.  Every power before the first repeat is
     new.  So a twist whose powers repeat (of finite order, or nilpotent)
     costs its number of distinct powers, whatever k_max is, and one whose
-    powers never repeat a set lookup per k.
+    powers never repeat one power and one lookup per k (_twist_walk).
     """
-    seen = set()
-    out = []
-    for k in range(k_max + 1):
-        power = algebra.alpha_power(k).data
-        if power in seen:
-            break
-        seen.add(power)
-        out.append(k)
-    return out
+    found = len(_twist_walk(algebra, k_max)["seen"])
+    return list(range(min(k_max + 1, found)))
 
 
 def distinct_twist_pairs(algebra, k_max):
@@ -508,11 +548,11 @@ def verify_double_derivation_closure(algebra, k_max):
     A = algebra
     require(A, k_max, "arity")
     report = ValidationReport()
-    spaces = {k: double_derivation_space(A, k) for k in range(k_max + 1)}
-    certified = {}  # alpha^t -> DDer^t if the oracle passes its basis, else None
+    spaces = {k: double_derivation_space(A, k) for k in distinct_twists(A, k_max)}
+    certified = {}  # twist class of t -> DDer^t if the oracle passes its basis
 
     def is_dder(D, t):
-        key = A.alpha_power(t).data
+        key = twist_class(A, t)
         if key not in certified:
             space = double_derivation_space(A, t)
             certified[key] = space if all(
@@ -558,15 +598,19 @@ def verify_inner_ideal(algebra, k_max):
     A = algebra
     require(A, k_max, "arity", "perfect")
     report = ValidationReport()
-    inns = {k: inner_space(A, k) for k in range(k_max + 2)}
-    dds = {k: double_derivation_space(A, k) for k in range(k_max + 1)}
+    # the spaces of each twist class; the class of k + 1 may be k_max + 1
+    inns = {j: inner_space(A, j) for j in distinct_twists(A, k_max + 1)}
+    dds = {j: double_derivation_space(A, j) for j in distinct_twists(A, k_max)}
+
+    def inn(k):
+        return inns[twist_class(A, k)]
     for k in distinct_twists(A, k_max):
         for block in inns[k].blocks:
             for idx, I in enumerate(block.basis):
                 shifted = alpha_shift(A, I)
                 if shifted.matrix.is_zero():
                     continue
-                if not inns[k + 1].contains(shifted):
+                if not inn(k + 1).contains(shifted):
                     report.add("inner-shift", witness=(k, block.degree, idx),
                                expected="contained in inner span at k+1",
                                actual="outside")
@@ -577,7 +621,7 @@ def verify_inner_ideal(algebra, k_max):
                     C = color_commutator(D, I, A.eps)
                     if C.matrix.is_zero():
                         continue
-                    if not inns[k + s].contains(C):
+                    if not inn(k + s).contains(C):
                         report.add("inner-commutator",
                                    witness=(s, k, i, block.degree, j),
                                    expected="contained in inner span at k+s",

@@ -47,8 +47,8 @@ def triple_derivation_space(algebra, k):
     A = algebra
     if A.arity != 2:
         raise ArityError("triple derivations are defined for arity 2")
-    blocks = _cached_blocks(A, "tder", k, lambda: _solve_blocks(
-        A, k, [(x,) for x in range(A.dim)], live_tuples(A.degrees, A.eps, 2)))
+    blocks = _cached_blocks(A, "tder", k, lambda j: _solve_blocks(
+        A, j, [(x,) for x in range(A.dim)], live_tuples(A.degrees, A.eps, 2)))
     return _blocks_to_space(A, "tder", k, blocks)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import reference_nullspace, reference_rref, subspace_eq
 from nhlc.errors import ShapeError
-from nhlc.linalg import (Matrix, RowReducer, coords_in_basis, nullspace,
+from nhlc.linalg import (Matrix, RowReducer, coords_in_basis, dense, nullspace,
                          nullspace_of_columns, rank, rref, solve_particular,
-                         span_basis, subspace_contains)
+                         span_basis, subspace_contains, support)
 
 F = Fraction
 
@@ -71,7 +72,7 @@ def test_matrix_inverse():
 def test_row_reducer_matches_rank():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
     red = RowReducer(3)
-    added = [red.add(r) for r in rows]
+    added = [red.add(support(r)) for r in rows]
     assert added == [True, False, True]
     assert red.rank == rank(Matrix(rows))
 
@@ -117,7 +118,7 @@ def test_determinism_and_reducer_agreement(rows):
     assert nullspace(m) == nullspace(Matrix(rows))
     red = RowReducer(m.cols)
     for r in rows:
-        red.add(r)
+        red.add(support(r))
     assert red.nullspace() == reference_nullspace(rows, m.cols)
     assert red.rank == len(reference_rref(rows, m.cols)[1])
 
@@ -202,7 +203,7 @@ def test_reducer_ignores_row_order(pair):
     for order in (rows, shuffled):
         red = RowReducer(len(rows[0]))
         for r in order:
-            red.add(r)
+            red.add(support(r))
         reducers.append(red)
     assert reducers[0].rank == reducers[1].rank
     assert reducers[0].nullspace() == reducers[1].nullspace()
@@ -258,3 +259,42 @@ def test_matrix_kernels_reject_mismatched_shapes():
         Matrix([[1, 2], [3, 4]]).apply([F(1)])
     with pytest.raises(ShapeError):
         Matrix([], cols=2).apply([F(1)])
+
+
+@st.composite
+def _sparse_rows(draw):
+    """(ncols, sparse rows): columns in index order, entries int or
+    Fraction, explicit zeros among them, and rows that are empty or all
+    zeros."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-4, 4), rational)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        cols = sorted(draw(st.sets(st.integers(0, ncols - 1))))
+        if draw(st.integers(0, 5)) == 0:
+            rows.append([(i, draw(st.sampled_from([0, F(0)]))) for i in cols])
+        else:
+            rows.append([(i, draw(entry)) for i in cols])
+    return ncols, rows
+
+
+@given(_sparse_rows())
+@settings(max_examples=150, deadline=None)
+def test_row_reducer_on_sparse_rows_matches_reference(case):
+    """RowReducer.add takes sparse rows: add() is true exactly when a row
+    raises the reference rank of the rows so far, and the rank and the
+    kernel are the reference's.  The echelon holds primitive integer rows
+    with no zero entry and none left of their pivot."""
+    ncols, rows = case
+    dense_rows = [dense(r, ncols) for r in rows]
+    red = RowReducer(ncols)
+    for i, r in enumerate(rows):
+        before = len(reference_rref(dense_rows[:i], ncols)[1])
+        after = len(reference_rref(dense_rows[:i + 1], ncols)[1])
+        assert red.add(r) == (after > before)
+    assert red.rank == len(reference_rref(dense_rows, ncols)[1])
+    assert red.nullspace() == reference_nullspace(dense_rows, ncols)
+    for c, row in red._pivots.items():
+        assert min(row) == c
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1

@@ -16,15 +16,15 @@ from nhlc.grading import GradingGroup
 from nhlc.linalg import (Matrix, nullspace_of_columns, span_basis,
                          subspace_contains)
 from nhlc.spaces import (GradedMapSpace, MapBlock, _allowed_positions,
-                         _blocks_to_space, _leibniz_rows, ad_map, alpha_shift,
-                         candidate_degrees, center, centralizer,
-                         color_commutator, derivation_space,
+                         _alpha_commute_rows, _blocks_to_space, _leibniz_rows,
+                         ad_map, alpha_shift, candidate_degrees, center,
+                         centralizer, color_commutator, derivation_space,
                          derived_subalgebra, distinct_twist_pairs,
                          distinct_twists, double_derivation_space,
                          fixed_point_basis, inner_generators, inner_space,
                          is_perfect, live_tuples, maps_as_color_algebra,
-                         union_space, verify_double_derivation_closure,
-                         verify_inner_ideal)
+                         twist_class, union_space,
+                         verify_double_derivation_closure, verify_inner_ideal)
 
 F = Fraction
 
@@ -345,6 +345,27 @@ def test_twist_classes_are_the_first_occurrences(k_max):
         assert pairs == _keyed_twist_pairs(A, k_max), A.name
         assert [(k, s) for k, s in pairs if k <= s] == \
             _keyed_commutator_pairs(A, k_max), A.name
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 5, 11])
+def test_twist_class_is_the_least_equal_power(k_max):
+    """twist_class(A, k) is the least j with alpha^j = alpha^k on every
+    probe twist, and far beyond the first repeat it needs no further
+    power: A4 at 10**9, the quarter turn at 10**9 + 3 and the nilpotent
+    twist, whose powers repeat from alpha^3 = 0 on; once that repeat is
+    found, the powers before it are still their own classes."""
+    for A in _twist_probes():
+        for k in range(k_max + 1):
+            assert twist_class(A, k) == next(
+                j for j in range(k + 1) if A.alpha_power(j) == A.alpha_power(k))
+        assert twist_class(A, -1) == -1
+    a4, _, quarter, _, nilpotent, _ = _twist_probes()
+    start = time.perf_counter()
+    assert twist_class(a4, 10 ** 9) == 0
+    assert twist_class(quarter, 10 ** 9 + 3) == 3
+    assert twist_class(nilpotent, 10 ** 9) == 3
+    assert time.perf_counter() - start < 1
+    assert [twist_class(nilpotent, k) for k in range(6)] == [0, 1, 2, 3, 3, 3]
 
 
 def test_distinct_twists_stop_at_the_first_repeat(a4, twisted_a4):
@@ -689,6 +710,35 @@ def test_live_tuples_give_the_nonzero_rows_of_all_sorted_tuples(request, name):
                     A, k, d, var_index, len(vars_), xfull, yfull) if any(row)]
                 assert list(_leibniz_rows(A, k, d, var_index, len(vars_),
                                           xlive, ylive)) == full, (k, d)
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "color_a4",
+                                  "color_heis3"])
+def test_reducer_rows_are_sparse(name, request):
+    """The Leibniz and twist-commutation rows reach the reducer sparse:
+    nonempty, columns strictly increasing and in range, no zero entry.
+    Checked on the algebra and on its conjugate by a dense rational basis
+    change, for Der and DDer at every candidate degree and distinct twist
+    power among k = 0, 1."""
+    A = request.getfixturevalue(name)
+    B = conjugate_algebra(A, random_basis_change(A, random.Random(4)),
+                          A.name + "_P")
+    for X in (A, B):
+        n = X.arity
+        live = [live_tuples(X.degrees, X.eps, m) for m in (n - 1, n)]
+        for k in distinct_twists(X, 1):
+            for d in candidate_degrees(X):
+                vars_ = _allowed_positions(X, d)
+                var_index = {v: x for x, v in enumerate(vars_)}
+                rows = _alpha_commute_rows(X, vars_)
+                for xtuples in ([()], live[0]):
+                    rows += _leibniz_rows(X, k, d, var_index, len(vars_),
+                                          xtuples, live[1])
+                for row in rows:
+                    cols = [vx for vx, _ in row]
+                    assert cols and cols == sorted(set(cols)), (X.name, k, d)
+                    assert 0 <= cols[0] and cols[-1] < len(vars_)
+                    assert all(c for _, c in row)
 
 
 @pytest.mark.parametrize("name", [
