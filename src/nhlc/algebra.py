@@ -7,12 +7,11 @@ stored tuples by sign-normalizing adjacent swaps.  Brackets are evaluated
 on sparse arguments against a memo of sparse basis-bracket values.
 """
 
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .errors import ArityError, InvertibilityError, ShapeError
 from .grading import integer, validate_bicharacter
-from .linalg import F0, F1, Matrix, accumulate, dense, support
+from .linalg import F0, F1, Matrix, accumulate, dense, rational, support
 from .report import ValidationReport
 
 
@@ -128,7 +127,8 @@ class ColorAlgebra:
     """Finite-dimensional multiplicative n-Hom-Lie color algebra.
 
     constants maps non-decreasing basis index tuples to sparse coefficient
-    dicts {target_index: rational}; unstored tuples bracket to zero.
+    dicts {target_index: rational}, canonical (linalg.rational); unstored
+    tuples bracket to zero.
     Instances are immutable after construction; the caches below are pure
     memos keyed on immutable data.
     """
@@ -161,7 +161,7 @@ class ColorAlgebra:
                 raise ShapeError(f"tuple {t} has out-of-range indices")
             if any(t[a] > t[a + 1] for a in range(len(t) - 1)):
                 raise ShapeError(f"tuple {t} is not non-decreasing")
-            vec = {integer(j, "bracket value index"): Fraction(c)
+            vec = {integer(j, "bracket value index"): rational(c)
                    for j, c in value.items()}
             vec = {j: c for j, c in vec.items() if c}
             if any(j < 0 or j >= self.dim for j in vec):
@@ -221,7 +221,7 @@ class ColorAlgebra:
         if norm is not None:
             t, sign = norm
             for j, c in self.constants.get(t, {}).items():
-                out[j] = sign * c
+                out[j] = rational(sign * c)
         out = tuple(out)
         self._bracket_memo[indices] = out
         return out
@@ -233,7 +233,10 @@ class ColorAlgebra:
         The one evaluation path of every bracket: each ordered index tuple
         of the arguments' supports is looked up in a memo of the sparse
         value of its basis bracket, so a zero coefficient or a vanishing
-        basis bracket costs no arithmetic.
+        basis bracket costs no arithmetic, and neither does a unit
+        coefficient: F1 is the int 1, which CPython keeps as one shared
+        object, so the identity test skips it (a 1 that is another object
+        is only multiplied in).
         """
         memo = self._sparse_memo
         acc = {}

@@ -5,8 +5,6 @@ raises; the twist-by-morphism builder re-validates its output because the
 twisted bracket is only trusted after the axioms are machine-checked.
 """
 
-from fractions import Fraction
-
 from .algebra import ColorAlgebra, validate_algebra
 from .errors import AlgebraValidationError, ArityError, ShapeError
 from .grading import Bicharacter, GradingGroup, trivial_bicharacter
@@ -46,7 +44,7 @@ def build_simple_nlie(n, name=None):
     constants = {}
     for i in range(1, dim + 1):
         t = tuple(j - 1 for j in range(1, dim + 1) if j != i)
-        constants[t] = {i - 1: Fraction((-1) ** (n + 1 + i))}
+        constants[t] = {i - 1: (-1) ** (n + 1 + i)}
     if name is None:
         name = "A4" if n == 3 else f"SIMPLE_{dim}D_{n}LIE"
     basis = [(f"e{i + 1}", group.zero()) for i in range(dim)]
@@ -103,7 +101,7 @@ def build_super_heis():
     """Super Heisenberg algebra: odd x, y and even central z with
     [x,x] = [y,y] = z; exercises the eps(g,g) = -1 repeated-argument case."""
     group = GradingGroup(free_rank=0, torsion=(2,))
-    eps = Bicharacter(group, [[Fraction(-1)]])
+    eps = Bicharacter(group, [[-1]])
     odd = group.element(torsion=(1,))
     even = group.zero()
     basis = [("x", odd), ("y", odd), ("z", even)]

@@ -67,14 +67,19 @@ def bracket_decomposition(algebra, x):
                                 coefficients=sol, kernel_basis=kernel)
 
 
-def _slot_terms(algebra, t, D, k):
+def _columns(algebra, D, k):
+    """(acols, dcols): the columns of alpha^k and of D as sparse vectors,
+    built once per (k, D) for the slot terms of every tuple."""
+    ak = algebra.alpha_power(k)
+    return ([support(ak.column(i)) for i in range(algebra.dim)],
+            [support(D.matrix.column(i)) for i in range(algebra.dim)])
+
+
+def _slot_terms(algebra, t, D, acols, dcols):
     """Per slot s of the tuple t, as a sparse vector: the bracket with D in
     slot s and alpha^k elsewhere, times the Koszul prefix sign
-    eps(|D|, |t_1| + .. + |t_(s-1)|)."""
+    eps(|D|, |t_1| + .. + |t_(s-1)|); acols and dcols are _columns(D, k)."""
     A = algebra
-    ak = A.alpha_power(k)
-    acols = {i: support(ak.column(i)) for i in t}
-    dcols = {i: support(D.matrix.column(i)) for i in t}
     out = []
     for prefix, term in oracle.slot_brackets(A, t, acols, dcols, []):
         sign = A.eps.value(D.degree, prefix)
@@ -82,10 +87,10 @@ def _slot_terms(algebra, t, D, k):
     return out
 
 
-def _tuple_delta_image(algebra, t, D, k):
+def _tuple_delta_image(algebra, t, D, acols, dcols):
     """One decomposition tuple's contribution: the sum of its slot terms."""
     acc = {}
-    for term in _slot_terms(algebra, t, D, k):
+    for term in _slot_terms(algebra, t, D, acols, dcols):
         accumulate(acc, term)
     return dense(acc.items(), algebra.dim)
 
@@ -93,7 +98,9 @@ def _tuple_delta_image(algebra, t, D, k):
 def _images(algebra, D, k):
     """The matrix whose columns are the decomposition tuples' images."""
     tuples = _decomposition(algebra)[0]
-    images = [_tuple_delta_image(algebra, t, D, k) for t in tuples]
+    acols, dcols = _columns(algebra, D, k)
+    images = [_tuple_delta_image(algebra, t, D, acols, dcols)
+              for t in tuples]
     return Matrix.from_columns(images, algebra.dim)
 
 
@@ -146,9 +153,10 @@ def _slot_failures(algebra, E, k, idx, tuples):
     """Per tuple t and slot s, in order, where E[t] differs from the slot
     term of s: (witness, E[t], slot term)."""
     A = algebra
+    acols, dcols = _columns(A, E, k)
     for t in tuples:
         lhs = E.apply(A.bracket_basis(t))
-        for slot, term in enumerate(_slot_terms(A, t, E, k)):
+        for slot, term in enumerate(_slot_terms(A, t, E, acols, dcols)):
             rhs = dense(term, A.dim)
             if lhs != rhs:
                 yield (k, idx, slot, t), lhs, rhs

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeError
+from .linalg import rational
 from .report import ValidationReport
 
 
@@ -118,12 +119,13 @@ class Bicharacter:
     """Skew-symmetric bicharacter given by its values on group generators.
 
     table[i][j] is the value on (g_i, g_j); values on arbitrary elements
-    follow by bimultiplicativity from the generator exponents.
+    follow by bimultiplicativity from the generator exponents.  Table
+    entries and values are canonical rationals (linalg.rational).
     """
 
     def __init__(self, group, table):
         n = group.generator_count
-        table = tuple(tuple(Fraction(x) for x in row) for row in table)
+        table = tuple(tuple(rational(x) for x in row) for row in table)
         if len(table) != n or any(len(row) != n for row in table):
             raise ShapeError(f"bicharacter table must be {n}x{n}")
         self.group = group
@@ -131,7 +133,9 @@ class Bicharacter:
         self._memo = {}
 
     def value(self, g, h):
-        """Evaluate on a pair of degrees; always a nonzero rational."""
+        """Evaluate on a pair of degrees; always a nonzero rational.  The
+        powers are taken of Fractions, because an int to a negative power
+        is a float, and the product is made canonical."""
         # keyed on the coordinate tuples, whose hash and equality run in C
         key = (g.free, g.torsion, h.free, h.torsion)
         cached = self._memo.get(key)
@@ -147,8 +151,8 @@ class Bicharacter:
             for j, b in enumerate(h.exponents()):
                 if b == 0:
                     continue
-                out *= row[j] ** (a * b)
-        self._memo[key] = out
+                out *= Fraction(row[j]) ** (a * b)
+        out = self._memo[key] = rational(out)
         return out
 
     def __eq__(self, other):
@@ -161,7 +165,7 @@ class Bicharacter:
 
 def trivial_bicharacter(group):
     n = group.generator_count
-    return Bicharacter(group, [[Fraction(1)] * n for _ in range(n)])
+    return Bicharacter(group, [[1] * n for _ in range(n)])
 
 
 def validate_bicharacter(eps):
@@ -179,7 +183,7 @@ def validate_bicharacter(eps):
             prod = table[i][j] * table[j][i]
             if prod != 1:
                 report.add("bicharacter-skew", witness=(i, j),
-                           expected=Fraction(1), actual=prod)
+                           expected=1, actual=prod)
     for i in range(n):
         if table[i][i] not in (1, -1):
             report.add("bicharacter-diagonal", witness=(i,),

@@ -9,29 +9,28 @@ with the offending report attached.
 
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import ColorAlgebra, validate_algebra
 from .errors import AlgebraValidationError, FormatError
 from .grading import Bicharacter, GradingGroup, integer, validate_bicharacter
-from .linalg import Matrix
+from .linalg import Matrix, rational
 
 
 def parse_rational(value):
-    """Parse "p/q" or "p" (string or int) into an exact Fraction."""
+    """Parse "p/q" or "p" (string or int) into an exact rational in its
+    canonical form (linalg.rational): an int when it is integral, so "4/2"
+    is the int 2, and a Fraction only when it is not."""
     if isinstance(value, bool) or isinstance(value, float):
         raise FormatError(f"rationals must be strings or integers, got {value!r}")
     try:
-        return Fraction(value)
+        return rational(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise FormatError(f"bad rational {value!r}: {exc}") from None
 
 
-def format_rational(fr):
-    fr = Fraction(fr)
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
+def format_rational(x):
+    """A rational as "p/q", or "p" when its denominator is one."""
+    return str(rational(x))
 
 
 def algebra_to_dict(A):

@@ -1,5 +1,11 @@
 """Deterministic exact linear algebra over the rationals.
 
+An exact rational has one canonical form, the engine's scalar: an int when
+it is integral and a Fraction only when it is not (rational); a float is
+refused.  Matrix entries, dense vectors (dense, Matrix.apply) and every
+result below are canonical, so integer data runs on int arithmetic from
+start to finish and only genuinely fractional values pay for Fraction.
+
 There is one elimination engine, the echelon of RowReducer.  Rows enter
 it as sparse vectors and stay sparse integer rows {i: int} of their nonzero
 entries from start to finish: each row is scaled to a primitive integer row
@@ -9,9 +15,9 @@ rows, so elimination runs without Fraction arithmetic and without visiting
 zeros.  Reduced row echelon forms, kernels, ranks, span bases, particular
 solutions and inverses are all read off that echelon: dense rows go in
 through their support, and only the final reduced rows of the back
-substitution are made dense and rational.  A row space has exactly one
-reduced row echelon form, so every result is independent of the order in
-which rows arrive and bit-identical across runs.
+substitution are made dense, each entry an exact quotient.  A row space
+has exactly one reduced row echelon form, so every result is independent
+of the order in which rows arrive and bit-identical across runs.
 
 A sparse vector is the list [(i, x), ...] of its nonzero entries (support);
 matrix products and matrix-vector products visit only nonzero entries.
@@ -22,8 +28,24 @@ from math import gcd
 
 from .errors import ShapeError
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+F0 = 0
+F1 = 1
+
+
+def rational(x):
+    """The canonical exact scalar equal to x: x itself when it is an int or
+    a Fraction that is not integral, the int when it is an integral
+    Fraction, and anything else (a bool, a "p/q" string) converted by
+    Fraction first.  A float raises TypeError: the engine computes no
+    float, so one that reaches it is an error, not a value.  An int costs
+    one type test and a Fraction one denominator test."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise TypeError(f"exact rationals only, got the float {x!r}")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def support(vec):
@@ -44,21 +66,22 @@ def accumulate(acc, sparse, coeff=None):
 
 
 def dense(sparse, n):
-    """The vector of length n with the entries (i, x) of sparse, zero
-    elsewhere."""
+    """The vector of length n with the entries (i, x) of sparse, made
+    canonical (rational), zero elsewhere."""
     out = [F0] * n
     for i, x in sparse:
-        out[i] = x
+        out[i] = x if type(x) is int else rational(x)
     return out
 
 
 class Matrix:
-    """Dense immutable rational matrix."""
+    """Dense immutable rational matrix; its entries are canonical
+    (rational)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+        data = tuple(tuple([x if type(x) is int else rational(x) for x in row])
                      for row in data)
         if data:
             cols = len(data[0])
@@ -117,7 +140,7 @@ class Matrix:
         return self.scale(other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         return Matrix([[c * x for x in row] for row in self.data], cols=self.cols)
 
     def _same_shape(self, other):
@@ -135,7 +158,7 @@ class Matrix:
                 a = row[j]
                 if a:
                     acc = a * b if acc is None else acc + a * b
-            out.append(F0 if acc is None else acc)
+            out.append(F0 if acc is None else rational(acc))
         return out
 
     def column(self, j):
@@ -166,13 +189,18 @@ class Matrix:
 def _as_int_row(sparse):
     """The sparse row [(i, x), ...] of int or Fraction entries as a
     primitive integer row {i: int}: scaled by the lcm of its denominators,
-    divided by the gcd of its entries, zeros dropped."""
+    divided by the gcd of its entries, zeros dropped.  A row of ints is
+    only divided by its gcd."""
     den = 1
     for _, x in sparse:
-        d = x.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    row = {i: x.numerator * (den // x.denominator) for i, x in sparse if x}
+        if type(x) is not int:
+            d = x.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+    if den == 1:
+        row = {i: x if type(x) is int else x.numerator for i, x in sparse if x}
+    else:
+        row = {i: x.numerator * (den // x.denominator) for i, x in sparse if x}
     g = gcd(*row.values())
     return {i: v // g for i, v in row.items()} if g > 1 else row
 
@@ -220,6 +248,12 @@ def _echelon(rows):
     return pivots
 
 
+def _quotient(x, p):
+    """The exact x / p of ints x and p != 0, canonical (rational)."""
+    q, r = divmod(x, p)
+    return Fraction(x, p) if r else q
+
+
 def _rref(pivots, ncols):
     """(dense reduced rational rows, pivot columns) of an echelon: each
     pivot cleared from the rows above it, then scaled to one."""
@@ -230,7 +264,7 @@ def _rref(pivots, ncols):
         for u in range(i):
             if c in out[u]:
                 out[u] = _cancel(out[u], out[i], c)
-    return [dense([(j, Fraction(x, row[c])) for j, x in row.items()], ncols)
+    return [dense([(j, _quotient(x, row[c])) for j, x in row.items()], ncols)
             for row, c in zip(out, cols)], cols
 
 
@@ -322,10 +356,12 @@ def _split(basis, v):
     coefficient of each basis row is the value of v at that row's pivot,
     and it is subtracted over the support of the row."""
     coeffs = []
-    residue = [Fraction(x) for x in v]
+    residue = [x if type(x) is int else rational(x) for x in v]
     for row in basis:
         row = support(row)
         c = residue[row[0][0]]
+        if type(c) is not int:
+            c = rational(c)
         coeffs.append(c)
         if c:
             for i, b in row:

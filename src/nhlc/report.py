@@ -6,6 +6,10 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed check.  expected and actual hold values of the algebra
+    (rationals, vectors, bools) or text, never a count, so an int in them
+    is a rational in canonical form and prints as a Fraction would; the
+    witness holds indices and degrees, and its ints stay numbers."""
     check: str
     witness: object = None
     expected: object = None
@@ -15,8 +19,8 @@ class Violation:
         return {
             "check": self.check,
             "witness": _jsonable(self.witness),
-            "expected": _jsonable(self.expected),
-            "actual": _jsonable(self.actual),
+            "expected": _jsonable(self.expected, rationals=True),
+            "actual": _jsonable(self.actual, rationals=True),
         }
 
 
@@ -45,17 +49,19 @@ class ValidationReport:
         return self
 
 
-def _jsonable(obj):
-    """Recursively convert report payloads to JSON-safe values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+def _jsonable(obj, rationals=False):
+    """Recursively convert report payloads to JSON-safe values.  A Fraction
+    becomes its "p/q" string, and so does an int (but not a bool) when
+    rationals is set."""
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
+    if isinstance(obj, int):
+        return str(obj) if rationals else obj
     if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return str(obj.numerator)
-        return f"{obj.numerator}/{obj.denominator}"
+        return str(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, rationals) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
+        return [_jsonable(x, rationals) for x in obj]
     # GroupElement, HomMap, ... fall back to their repr
     return repr(obj)

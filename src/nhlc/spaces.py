@@ -47,8 +47,8 @@ from .algebra import ColorAlgebra, HomMap, live_tuples, validate_algebra
 from .errors import (AlgebraValidationError, ArityError, DomainError,
                      HypothesisError, ShapeError, TruncationError)
 from .linalg import (F0, F1, Matrix, RowReducer, accumulate, coords_in_basis,
-                     nullspace_of_columns, nullspace_of_rows, span_basis,
-                     subspace_contains, support)
+                     nullspace_of_columns, nullspace_of_rows, rational,
+                     span_basis, subspace_contains, support)
 from .report import ValidationReport
 
 KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn", "tder": "TDer",
@@ -178,8 +178,7 @@ def _solve_blocks(A, k, xtuples, ytuples):
         nvars = len(vars_)
         red = RowReducer(nvars)
         for row in chain(_alpha_commute_rows(A, vars_),
-                         _leibniz_rows(A, k, d, var_index, nvars,
-                                       xtuples, ytuples)):
+                         _leibniz_rows(A, k, d, var_index, xtuples, ytuples)):
             red.add(row)
             if red.rank == nvars:
                 break
@@ -201,10 +200,11 @@ def _blocks_to_space(A, kind, k, blocks):
         solved=True)
 
 
-def _leibniz_rows(A, k, d, var_index, nvars, xtuples, ytuples):
-    """Sparse rows, over the nvars unknowns, of the identity for the unknown
-    map of degree d, one pair (xs, ys) after the other, each row with its
-    columns in index order and its zeros dropped; zero rows are skipped.
+def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
+    """Sparse rows, over the unknowns of var_index, of the identity for the
+    unknown map of degree d, one pair (xs, ys) after the other, each row
+    with its columns in index order and its zeros dropped; zero rows are
+    skipped.
     The values [ys], [alpha^k ys] and [ys] with the unknown in each slot are
     computed once per inner tuple ys."""
     dim = A.dim
@@ -300,7 +300,7 @@ def ad_map(algebra, xs, k):
         raise DomainError("inner twist power must be nonnegative")
     if len(xs) != A.arity - 1:
         raise ShapeError(f"expected {A.arity - 1} arguments")
-    xs = [[F1 * c for c in x] for x in xs]
+    xs = [[rational(c) for c in x] for x in xs]
     degs = []
     for x in xs:
         if len(x) != A.dim:
@@ -423,7 +423,7 @@ def require(algebra, k_max, *names):
 def centralizer(algebra, span_vectors):
     """Elements whose bracket with the given subspace (slot 2) vanishes."""
     A = algebra
-    svs = [[F1 * c for c in v] for v in span_vectors]
+    svs = [[rational(c) for c in v] for v in span_vectors]
     if any(len(s) != A.dim for s in svs):
         raise ShapeError("subspace vector length does not match dimension")
     tails = [[A.basis_vector(t) for t in tail]

@@ -20,6 +20,12 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def is_canonical(x):
+    """Whether x is an exact rational in the package's one canonical form:
+    an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def gauss_nullity_rightmost(rows, ncols):
     """cols - rank by textbook elimination, rightmost pivot columns first."""
     work = [list(r) for r in rows if any(x != 0 for x in r)]

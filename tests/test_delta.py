@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nhlc.delta as delta_mod
-from helpers import conjugate_algebra
+from helpers import conjugate_algebra, is_canonical, random_basis_change
 from nhlc import oracle
 from nhlc.algebra import HomMap, validate_algebra
 from nhlc.delta import (bracket_decomposition, delta_of,
@@ -142,8 +145,8 @@ def test_well_defined_catches_corrupted_formula(skewed_sum, monkeypatch):
     decomposition-independence and must be reported."""
     A = skewed_sum
 
-    def corrupted(algebra, t, D, k):
-        ak = algebra.alpha_power(k)
+    def corrupted(algebra, t, D, acols, dcols):
+        ak = algebra.alpha_power(0)   # the check below runs at k = 0
         out = [F(0)] * algebra.dim
         prefix = algebra.group.zero()
         for s in range(algebra.arity):
@@ -170,6 +173,34 @@ def test_well_defined_catches_corrupted_formula(skewed_sum, monkeypatch):
     monkeypatch.setattr(delta_mod, "_tuple_delta_image", corrupted)
     report = verify_delta_well_defined(A, D, 0)
     assert not report.ok
+
+
+@pytest.fixture(scope="module")
+def a4_conjugate(a4):
+    """A4 in a dense rational basis."""
+    return conjugate_algebra(a4, random_basis_change(a4, random.Random(4)),
+                             "A4_P")
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "a4_conjugate"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_delta_of_is_canonical(name, request, data):
+    """delta_D of a rational combination D of one DDer^k block has
+    canonical entries (ints, and Fractions only where not integral), in an
+    integer basis and in a dense rational one."""
+    A = request.getfixturevalue(name)
+    k = data.draw(st.integers(0, 1))
+    block = data.draw(st.sampled_from(double_derivation_space(A, k).blocks))
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        min_size=len(block.basis), max_size=len(block.basis)))
+    D = HomMap(block.degree, sum((B.matrix.scale(c)
+                                  for c, B in zip(coeffs, block.basis)),
+                                 Matrix.zeros(A.dim, A.dim)))
+    for M in (D.matrix, delta_of(A, D, k).matrix):
+        assert all(is_canonical(x) for row in M.data for x in row)
 
 
 def test_residual_laws(a4, twisted_a4):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import is_canonical
 from nhlc.errors import ShapeError
+from nhlc.linalg import rational
 from nhlc.grading import (Bicharacter, GradingGroup, trivial_bicharacter,
                           validate_bicharacter)
 
@@ -184,3 +186,22 @@ def test_eps_torsion_representative_invariance(ea, eb, shift):
     a_shifted = g.element(free=(ea[0], ea[1]), torsion=(ea[2] + 2 * shift,))
     assert a == a_shifted
     assert eps.value(a, b) == eps.value(a_shifted, b)
+
+
+def test_eps_at_negative_degrees_is_exact():
+    """Over a free group with eps(e1, e2) = 2 and eps(e2, e1) = 1/2, the
+    values at negative degrees are negative powers: exact rationals in
+    canonical form, never floats (an int to a negative power is a float)."""
+    g = GradingGroup(free_rank=2)
+    eps = Bicharacter(g, [[1, 2], [F(1, 2), 1]])
+    quarter = eps.value(g.element(free=(-2, 0)), g.element(free=(0, 1)))
+    assert quarter == F(1, 4) and type(quarter) is F
+    four = eps.value(g.element(free=(0, -1)), g.element(free=(2, 0)))
+    assert four == 4 and type(four) is int
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            x = eps.value(g.element(free=(a, 0)), g.element(free=(0, b)))
+            assert x == F(2) ** (a * b) and is_canonical(x)
+    assert validate_bicharacter(eps).ok
+    with pytest.raises(TypeError):
+        rational(2 ** -2)   # the float such a power would be

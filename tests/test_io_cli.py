@@ -53,6 +53,44 @@ def test_rational_strings():
         io_json.parse_rational(0.5)
 
 
+def test_parse_rational_is_canonical():
+    """An integral rational parses to an int, whatever its spelling; any
+    other stays a Fraction in lowest terms."""
+    from fractions import Fraction
+    for text in ("4/2", "2", 2, "-6/3", " -2 "):
+        got = io_json.parse_rational(text)
+        assert abs(got) == 2 and type(got) is int
+    for text, want in (("1/2", Fraction(1, 2)), ("-3/6", Fraction(-1, 2))):
+        got = io_json.parse_rational(text)
+        assert got == want and type(got) is Fraction
+
+
+def test_violation_json_renders_rationals_as_strings():
+    """expected and actual carry rationals, never counts: an int there
+    prints as the string a Fraction of the same value printed, nested in
+    lists and dicts too, while bools stay bools and the witness keeps its
+    indices as numbers."""
+    from fractions import Fraction
+    from nhlc.report import Violation
+    got = Violation("jacobi", witness=((0, 1), (2, 3, 3)),
+                    expected=[0, 1, Fraction(1, 2), -3],
+                    actual={2: 5, 3: Fraction(-1, 2)}).to_json()
+    assert got == {"check": "jacobi", "witness": [[0, 1], [2, 3, 3]],
+                   "expected": ["0", "1", "1/2", "-3"],
+                   "actual": {"2": "5", "3": "-1/2"}}
+    old = Violation("x", witness=(4,), expected=[Fraction(0), Fraction(2)],
+                    actual=Fraction(-7)).to_json()
+    assert Violation("x", witness=(4,), expected=[0, 2],
+                     actual=-7).to_json() == old
+    assert old["witness"] == [4] and old["actual"] == "-7"
+    flags = Violation("delta-derivation-equivalence", witness=(0, 1),
+                      expected="both or neither derivations",
+                      actual=(True, False)).to_json()
+    assert flags["actual"] == [True, False] and flags["witness"] == [0, 1]
+    assert Violation("y", expected=None, actual="text").to_json()[
+        "expected"] is None
+
+
 def test_non_monotone_args_rejected(a4):
     doc = io_json.algebra_to_dict(a4)
     doc["brackets"][0]["args"] = [2, 1, 3]

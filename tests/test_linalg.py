@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_nullspace, reference_rref, subspace_eq
+from helpers import (is_canonical, reference_nullspace, reference_rref,
+                     subspace_eq)
 from nhlc.errors import ShapeError
 from nhlc.linalg import (Matrix, RowReducer, coords_in_basis, dense, nullspace,
                          nullspace_of_columns, rank, rref, solve_particular,
@@ -234,8 +235,9 @@ def _matrix(n, m):
 @settings(max_examples=100, deadline=None)
 def test_matrix_kernels_match_textbook(data):
     """Matrix products and matrix-vector products skip zero entries; they
-    agree with the textbook sums over every index, and every entry stays a
-    Fraction, on any shape including 0-row and 0-column matrices."""
+    agree with the textbook sums over every index, and every entry is
+    canonical (an int, or a Fraction that is not integral), on any shape
+    including 0-row and 0-column matrices."""
     n, m, p = (data.draw(st.integers(0, 4)) for _ in range(3))
     a, b = data.draw(_matrix(n, m)), data.draw(_matrix(m, p))
     v = data.draw(st.lists(st.one_of(rational, st.integers(-3, 3)),
@@ -248,8 +250,43 @@ def test_matrix_kernels_match_textbook(data):
     image = Matrix(a, cols=m).apply(v)
     assert image == [sum((a[i][k] * v[k] for k in range(m)), F(0))
                      for i in range(n)]
-    assert all(type(x) is F for row in prod.data for x in row)
-    assert all(type(x) is F for x in image)
+    assert all(is_canonical(x) for row in prod.data for x in row)
+    assert all(is_canonical(x) for x in image)
+
+
+# entries as callers pass them: ints, Fractions, and integral Fractions
+# that are not yet canonical
+mixed = st.one_of(st.integers(-3, 3), rational, st.integers(-3, 3).map(F))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_results_are_canonical(data):
+    """Every entry the engine hands back is canonical, an int or a
+    Fraction that is not integral: matrices and their sums, products,
+    scalings and images, rref, nullspace, span_basis, coordinates and
+    solve_particular.  Inputs mix ints, Fractions and integral Fractions,
+    and many products and sums of fractional entries are integral."""
+    n, m, p = (data.draw(st.integers(0, 4)) for _ in range(3))
+
+    def rows(r, c):
+        return data.draw(st.lists(st.lists(mixed, min_size=c, max_size=c),
+                                  min_size=r, max_size=r))
+    a, b = rows(n, m), rows(m, p)
+    v = data.draw(st.lists(mixed, min_size=m, max_size=m))
+    rhs = data.draw(st.lists(mixed, min_size=n, max_size=n))
+    c = data.draw(mixed)
+    A = Matrix(a, cols=m)
+    basis = span_basis(a)
+    got = [A.data, (A * Matrix(b, cols=p)).data, A.scale(c).data,
+           (A + A.scale(c)).data, [A.apply(v)], rref(a)[0], nullspace(A),
+           basis]
+    for row in a:
+        got.append([coords_in_basis(basis, row)])
+    sol = solve_particular(A, rhs)
+    if sol is not None:
+        got.append([sol])
+    assert all(is_canonical(x) for rows_ in got for row in rows_ for x in row)
 
 
 def test_matrix_kernels_reject_mismatched_shapes():

@@ -707,8 +707,8 @@ def test_live_tuples_give_the_nonzero_rows_of_all_sorted_tuples(request, name):
             var_index = {v: x for x, v in enumerate(vars_)}
             for xlive, ylive, xfull, yfull in cases:
                 full = [row for row in _leibniz_rows(
-                    A, k, d, var_index, len(vars_), xfull, yfull) if any(row)]
-                assert list(_leibniz_rows(A, k, d, var_index, len(vars_),
+                    A, k, d, var_index, xfull, yfull) if any(row)]
+                assert list(_leibniz_rows(A, k, d, var_index,
                                           xlive, ylive)) == full, (k, d)
 
 
@@ -732,7 +732,7 @@ def test_reducer_rows_are_sparse(name, request):
                 var_index = {v: x for x, v in enumerate(vars_)}
                 rows = _alpha_commute_rows(X, vars_)
                 for xtuples in ([()], live[0]):
-                    rows += _leibniz_rows(X, k, d, var_index, len(vars_),
+                    rows += _leibniz_rows(X, k, d, var_index,
                                           xtuples, live[1])
                 for row in rows:
                     cols = [vx for vx, _ in row]
