@@ -7,7 +7,6 @@ of the chosen decomposition, which the well-definedness verifier certifies
 by applying the formula to a kernel basis of the decomposition matrix.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import oracle
@@ -22,14 +21,14 @@ from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
                      require, twist_class, union_space)
 
 
-@dataclass
 class BracketDecomposition:
     """x = sum_i coefficients[i] * bracket(basis tuples[i])."""
 
-    target: list
-    tuples: list
-    coefficients: list
-    kernel_basis: list
+    def __init__(self, target, tuples, coefficients, kernel_basis):
+        self.target = target
+        self.tuples = tuples
+        self.coefficients = coefficients
+        self.kernel_basis = kernel_basis
 
 
 def _decomposition(algebra):

@@ -5,7 +5,6 @@ homogeneous elements live here, and the bicharacter evaluated on pairs of
 degrees is the source of every Koszul sign in the bracket calculus.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ShapeError
@@ -21,12 +20,42 @@ def integer(value, what):
     return value
 
 
-@dataclass(frozen=True, order=True)
 class GroupElement:
-    """Element of Z^r x prod Z/m_i; torsion entries stored reduced."""
+    """Element of Z^r x prod Z/m_i; torsion entries stored reduced.
+    Immutable; equality, hashing and order are those of (free, torsion)."""
 
-    free: tuple
-    torsion: tuple
+    __slots__ = ("free", "torsion", "_key")
+
+    def __init__(self, free, torsion):
+        init = object.__setattr__
+        init(self, "free", free)
+        init(self, "torsion", torsion)
+        init(self, "_key", (free, torsion))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupElement is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GroupElement is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is GroupElement:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    # a > b and a >= b fall back to b < a and b <= a
+    def __lt__(self, other):
+        if type(other) is GroupElement:
+            return self._key < other._key
+        return NotImplemented
+
+    def __le__(self, other):
+        if type(other) is GroupElement:
+            return self._key <= other._key
+        return NotImplemented
 
     def exponents(self):
         return self.free + self.torsion
@@ -38,23 +67,29 @@ class GroupElement:
         return f"({','.join(map(str, self.free + self.torsion))})"
 
 
-@dataclass(frozen=True)
 class GradingGroup:
-    """Finitely generated abelian group Z^free_rank x prod Z/m."""
+    """Finitely generated abelian group Z^free_rank x prod Z/m.  Equality
+    and hashing are those of (free_rank, torsion)."""
 
-    free_rank: int = 0
-    torsion: tuple = ()
-
-    def __post_init__(self):
-        if integer(self.free_rank, "free rank") < 0:
+    def __init__(self, free_rank=0, torsion=()):
+        if integer(free_rank, "free rank") < 0:
             raise ShapeError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(
-            integer(m, "torsion modulus") for m in self.torsion))
+        self.free_rank = free_rank
+        self.torsion = tuple(integer(m, "torsion modulus") for m in torsion)
         if any(m < 2 for m in self.torsion):
             raise ShapeError("torsion moduli must be >= 2")
-        # memo of add on checked pairs, keyed like Bicharacter.value; not a
-        # field, so not compared or hashed
-        object.__setattr__(self, "_sums", {})
+        # memo of add on checked pairs, keyed like Bicharacter.value; not
+        # part of the group's value, so not compared or hashed
+        self._sums = {}
+
+    def __eq__(self, other):
+        if type(other) is GradingGroup:
+            return (self.free_rank == other.free_rank
+                    and self.torsion == other.torsion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
 
     @property
     def generator_count(self):

@@ -15,6 +15,11 @@ from .errors import AlgebraValidationError, FormatError
 from .grading import Bicharacter, GradingGroup, integer, validate_bicharacter
 from .linalg import Matrix, rational
 
+# The most bits eps_bit_bound may give for a file to be loaded.  A product
+# of two Fractions with numerators and denominators of this size takes
+# about 16 ms on a 2-vCPU VM (Python 3.11), one of 2^18 bits 0.27 s.
+MAX_EPS_BITS = 1 << 16
+
 
 def parse_rational(value):
     """Parse "p/q" or "p" (string or int) into an exact rational in its
@@ -31,6 +36,38 @@ def parse_rational(value):
 def format_rational(x):
     """A rational as "p/q", or "p" when its denominator is one."""
     return str(rational(x))
+
+
+def eps_bit_bound(eps, degrees, arity):
+    """An upper bound on log2 of the numerator and of the denominator of
+    every value of eps the engine forms on an algebra of this arity with
+    these basis degrees.
+
+    eps(g, h) is the product of t_ij^(g_i h_j) over the generators i, j,
+    with t the bicharacter table, and a rational p/q to the power e has
+    numerator and denominator at most 2^(|e| b(p/q)), where
+    b(p/q) = ceil(log2 max(|p|, q)).  An entry +-1 has b = 0: it adds
+    nothing, whatever its power.
+
+    Every degree eps is evaluated on, in the algebra and in the maps the
+    engine solves, is a signed sum of at most 2n basis degrees, n the
+    arity.  In the n-ary identities of validation, the solver, the oracle
+    and delta one side is a map degree (a difference of two basis
+    degrees), a sum of two of them, or the degree of up to n - 1 leaves,
+    and the other the degree of at most 2n - 2 leaves before a slot; the
+    map algebras are binary on map degrees, so their degree sums hold at
+    most four basis degrees a side.  A free coordinate i of such a sum is
+    therefore at most C_i = 2n c_i in size, c_i the largest |coordinate i|
+    of a basis degree.  A torsion coordinate is reduced below its modulus
+    m, and validate_bicharacter raises the entries of its row and column
+    to the power m, so there C_i = m.  C_i is taken at least 1, which
+    covers that power against a free generator.  The bound is the
+    sum of C_i C_j b(t_ij) over the table."""
+    size = [max(1, 2 * arity * max((abs(d.free[i]) for d in degrees), default=0))
+            for i in range(eps.group.free_rank)] + list(eps.group.torsion)
+    return sum(size[i] * size[j]
+               * (max(abs(t.numerator), t.denominator) - 1).bit_length()
+               for i, row in enumerate(eps.table) for j, t in enumerate(row))
 
 
 def algebra_to_dict(A):
@@ -68,6 +105,11 @@ def dict_to_algebra(doc, validate=True):
                 raise FormatError(f"duplicate basis name {nm!r}")
             names.add(nm)
             basis.append((nm, group.from_vector(b["degree"])))
+        bits = eps_bit_bound(eps, [g for _, g in basis], arity)
+        if bits > MAX_EPS_BITS:
+            raise FormatError(
+                f"degrees too large for the bicharacter: its values may need "
+                f"{bits} bits, more than {MAX_EPS_BITS}")
         alpha = Matrix([[parse_rational(x) for x in row] for row in doc["alpha"]])
         constants = {}
         for entry in doc.get("brackets", []):

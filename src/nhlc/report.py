@@ -1,19 +1,41 @@
 """Structured validation and verification reports."""
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class Violation:
     """One failed check.  expected and actual hold values of the algebra
     (rationals, vectors, bools) or text, never a count, so an int in them
     is a rational in canonical form and prints as a Fraction would; the
-    witness holds indices and degrees, and its ints stay numbers."""
-    check: str
-    witness: object = None
-    expected: object = None
-    actual: object = None
+    witness holds indices and degrees, and its ints stay numbers.
+    Immutable, and equal to a violation with the same four fields."""
+
+    __slots__ = ("check", "witness", "expected", "actual")
+
+    def __init__(self, check, witness=None, expected=None, actual=None):
+        init = object.__setattr__
+        init(self, "check", check)
+        init(self, "witness", witness)
+        init(self, "expected", expected)
+        init(self, "actual", actual)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Violation is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Violation is immutable; cannot delete {name!r}")
+
+    def _fields(self):
+        return (self.check, self.witness, self.expected, self.actual)
+
+    def __eq__(self, other):
+        if type(other) is Violation:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self):
+        return "Violation(check={!r}, witness={!r}, expected={!r}, actual={!r})".format(
+            *self._fields())
 
     def to_json(self):
         return {
@@ -24,13 +46,14 @@ class Violation:
         }
 
 
-@dataclass
 class ValidationReport:
-    """A list of violations plus informational notices; empty list == valid."""
+    """A list of violations plus informational notices; empty list == valid.
+    details holds named results of the check, such as counts and tables."""
 
-    violations: list = field(default_factory=list)
-    notices: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self):
+        self.violations = []
+        self.notices = []
+        self.details = {}
 
     @property
     def ok(self):

@@ -39,7 +39,6 @@ A._space_cache, filled by memo():
 - ("decomposition",): the bracket decomposition data of delta.
 """
 
-from dataclasses import dataclass
 from itertools import chain
 
 from . import oracle
@@ -55,11 +54,13 @@ KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn", "tder": "TDer",
                "centralizer": "Cent"}
 
 
-@dataclass
 class MapBlock:
-    k: int
-    degree: object
-    basis: list
+    """Homogeneous maps of one degree at twist power k."""
+
+    def __init__(self, k, degree, basis):
+        self.k = k
+        self.degree = degree
+        self.basis = basis
 
 
 def memo(algebra, key, build):
@@ -75,16 +76,17 @@ def _unflatten(A, row):
     return Matrix([row[r * n:(r + 1) * n] for r in range(n)])
 
 
-@dataclass
 class GradedMapSpace:
     """Homogeneous map blocks of one kind.  solved marks blocks that are the
     solver's own (see _blocks_to_space and union_space): the span of one
     degree then depends only on the kind and on the twist powers alpha^k of
     the blocks, so span() keeps it in the algebra's space cache."""
-    algebra: ColorAlgebra
-    kind: str
-    blocks: list
-    solved: bool = False
+
+    def __init__(self, algebra, kind, blocks, solved=False):
+        self.algebra = algebra
+        self.kind = kind
+        self.blocks = blocks
+        self.solved = solved
 
     def dimension(self):
         return sum(len(b.basis) for b in self.blocks)

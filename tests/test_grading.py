@@ -205,3 +205,58 @@ def test_eps_at_negative_degrees_is_exact():
     assert validate_bicharacter(eps).ok
     with pytest.raises(TypeError):
         rational(2 ** -2)   # the float such a power would be
+
+
+coordinates = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-4, 4))
+
+
+@given(st.lists(coordinates, max_size=12))
+@settings(max_examples=60)
+def test_group_element_orders_and_hashes_as_its_coordinates(vectors):
+    """Sorting elements agrees with sorting their (free, torsion) tuples;
+    equal elements, also from torsion representatives a modulus apart,
+    hash equal."""
+    g = GradingGroup(free_rank=2, torsion=(3,))
+    elements = [_elem(g, v) for v in vectors]
+    assert [(e.free, e.torsion) for e in sorted(elements)] == sorted(
+        (e.free, e.torsion) for e in elements)
+    for e, v in zip(elements, vectors):
+        twin = _elem(g, (v[0], v[1], v[2] + 3))
+        assert twin == e and hash(twin) == hash(e) and not twin != e
+        assert e <= twin and e >= twin and not e < twin and not e > twin
+    for a in elements:
+        for b in elements:
+            assert (a < b) == ((a.free, a.torsion) < (b.free, b.torsion))
+            assert (a == b) == ((a.free, a.torsion) == (b.free, b.torsion))
+    assert len(set(elements)) == len({(e.free, e.torsion) for e in elements})
+
+
+def test_group_element_is_immutable_and_keeps_its_repr():
+    g = GradingGroup(free_rank=2, torsion=(3,))
+    e = g.element(free=(1, -2), torsion=(5,))
+    for name in ("free", "torsion", "other"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, (0,))
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert e.free == (1, -2) and e.torsion == (2,)
+    assert repr(e) == "(1,-2,2)" and repr(GradingGroup().zero()) == "()"
+    assert e != (e.free, e.torsion)
+    with pytest.raises(TypeError):
+        e < (1, -2)
+
+
+def test_group_value_ignores_its_sum_memo():
+    """Equality and hashing are those of (free_rank, torsion): a group whose
+    add memo is filled equals a fresh one, and so do their bicharacters."""
+    g = GradingGroup(free_rank=1, torsion=(2,))
+    a = g.element(free=(1,), torsion=(1,))
+    g.add(a, a)
+    fresh = GradingGroup(1, (2,))
+    assert g._sums and not fresh._sums
+    assert g == fresh and hash(g) == hash(fresh) and len({g, fresh}) == 1
+    assert g != GradingGroup(1, (3,)) and g != GradingGroup(2, (2,))
+    assert trivial_bicharacter(g) == trivial_bicharacter(fresh)
+    for kwargs in ({"free_rank": -1}, {"torsion": (1,)}, {"torsion": (2, 0)}):
+        with pytest.raises(ShapeError):
+            GradingGroup(**kwargs)

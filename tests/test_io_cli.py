@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,6 +15,16 @@ from nhlc import io_json
 from nhlc.builders import build_simple_nlie, build_super_heis
 from nhlc.cli import main
 from nhlc.errors import AlgebraValidationError, FormatError
+from nhlc.grading import Bicharacter, GradingGroup
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
 
 
 def _run_cli(args, stdin_text=None, env_extra=None):
@@ -515,6 +528,107 @@ def test_bad_input_gets_a_report(tmp_path, args, code):
     assert bool(doc["violations"]) == (code == 1)
 
 
+def _two_degree_doc(size):
+    """A binary algebra without brackets on two basis elements of degrees
+    (size, 0) and (0, size) over Z^2, with eps(e1, e2) = 2."""
+    return {"name": "two-degrees", "arity": 2,
+            "group": {"free_rank": 2, "torsion": []},
+            "bicharacter": [["1", "2"], ["1/2", "1"]],
+            "basis": [{"name": "a", "degree": [size, 0]},
+                      {"name": "b", "degree": [0, size]}],
+            "alpha": [["1", "0"], ["0", "1"]], "brackets": []}
+
+
+def test_huge_degrees_refused_at_load(tmp_path):
+    """Degrees 10^6 under eps(e1, e2) = 2 would make eps values powers of 2
+    with exponents near 10^12: loading refuses the file before it forms
+    any, with exit 1 and a load report, well under a second.  The same
+    file with degrees 10 loads and validates."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_two_degree_doc(10 ** 6)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nhlc.cli", "validate", "--json", str(path)],
+        capture_output=True, text=True, timeout=20, env=_src_env())
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    [violation] = json.loads(proc.stdout)["violations"]
+    assert violation["check"] == "load"
+    assert "degrees too large" in violation["actual"]
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="degrees too large"):
+        io_json.loads(path.read_text())
+    assert time.perf_counter() - start < 1
+    small = io_json.dict_to_algebra(_two_degree_doc(10))
+    assert io_json.eps_bit_bound(small.eps, small.degrees, 2) <= io_json.MAX_EPS_BITS
+
+
+def test_stock_algebras_are_far_below_the_eps_bound(a4, super_heis, color_heis3,
+                                                    rational_heis, regraded_a4):
+    for A in (a4, super_heis, color_heis3, rational_heis, regraded_a4,
+              build_simple_nlie(5)):
+        assert io_json.eps_bit_bound(A.eps, A.degrees, A.arity) <= 64
+
+
+ENTRIES = [1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eps_bit_bound_holds_on_degree_sums(data):
+    """Over Z^2 x Z/2 with any table, eps_bit_bound bounds log2 of the
+    numerator and the denominator of eps on signed sums of up to 2n basis
+    degrees, the extreme sums 2n d and +-2n e of basis degrees among them,
+    and of the squares validate_bicharacter takes of the entries of the
+    torsion row and column, also when every free coordinate is zero."""
+    arity = data.draw(st.integers(2, 4))
+    g = GradingGroup(free_rank=2, torsion=(2,))
+    table = [[data.draw(st.sampled_from(ENTRIES)) for _ in range(3)]
+             for _ in range(3)]
+    eps = Bicharacter(g, table)
+    degrees = [g.from_vector(v) for v in data.draw(st.lists(st.tuples(
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1)),
+        min_size=1, max_size=3))]
+
+    def fits(x, bound):
+        x = Fraction(x)
+        return max(abs(x.numerator), x.denominator) <= 2 ** bound
+
+    def degree_sum(drawn):
+        return g.sum(g.neg(d) if negate else d for d, negate in drawn)
+    bound = io_json.eps_bit_bound(eps, degrees, arity)
+    terms = st.lists(st.tuples(st.sampled_from(degrees), st.booleans()),
+                     max_size=2 * arity)
+    assert fits(eps.value(degree_sum(data.draw(terms)),
+                          degree_sum(data.draw(terms))), bound)
+    for d in degrees:
+        for e in degrees:
+            for negate in (False, True):
+                assert fits(eps.value(degree_sum([(d, False)] * 2 * arity),
+                                      degree_sum([(e, negate)] * 2 * arity)),
+                            bound)
+    torsion_entries = table[2] + [row[2] for row in table]
+    only_torsion = [g.from_vector((0, 0) + d.torsion) for d in degrees]
+    for bound in (bound, io_json.eps_bit_bound(eps, only_torsion, arity)):
+        assert all(fits(Fraction(t) ** 2, bound) for t in torsion_entries)
+    lone = Bicharacter(GradingGroup(torsion=(2,)), [[2]])
+    assert fits(2 ** 2, io_json.eps_bit_bound(lone, [], arity))
+
+
+def test_cli_import_adds_no_dataclasses():
+    """import nhlc.cli, over what a bare interpreter has loaded already,
+    adds neither dataclasses nor inspect: together with ast, dis and
+    tokenize they cost every command about 30 ms of start-up."""
+    code = "import sys; {}print(' '.join(sorted(sys.modules)))"
+
+    def loaded(statement):
+        proc = subprocess.run([sys.executable, "-c", code.format(statement)],
+                              capture_output=True, text=True, env=_src_env(),
+                              timeout=60, check=True)
+        return set(proc.stdout.split())
+    added = loaded("import nhlc.cli; ") - loaded("")
+    assert "nhlc.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
 # -- fuzzing ------------------------------------------------------------------
 
 REPORT_KEYS = {"command", "algebra", "parameters", "results", "violations",
@@ -549,8 +663,9 @@ FUZZ_COMMANDS = [
 ]
 
 # small JSON values to put in place of one field; no large integers, since
-# a huge degree under a rational bicharacter or a huge twist power is a
-# resource limit and not a malformed input
+# a huge twist power is a resource limit and not a malformed input (huge
+# degrees under a rational bicharacter are refused at load, see
+# test_huge_degrees_refused_at_load)
 SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(
         [0.5, 2.0, "", "x", "1/2", "-1", "1/0"]),
