@@ -272,6 +272,22 @@ class ColorAlgebra:
         return f"ColorAlgebra({self.name!r}, arity={self.arity}, dim={self.dim})"
 
 
+def slot_brackets(algebra, ts, acols, dcols, tail):
+    """For every slot q of ts: [acols[t_1], .., dcols[t_q], .., acols[t_m], *tail],
+    paired with the degree |t_1| + .. + |t_(q-1)| of the leaves before it.
+    Columns, tail and values are sparse vectors.  The one slot expansion of
+    the Jacobi sweep, the oracle and delta_D; the solver keeps its own."""
+    A = algebra
+    out = []
+    prefix = A.group.zero()
+    for q, t in enumerate(ts):
+        args = [acols[i] for i in ts] + tail
+        args[q] = dcols[t]
+        out.append((prefix, A.sparse_bracket(args)))
+        prefix = A.group.add(prefix, A.degrees[t])
+    return out
+
+
 class HomMap:
     """Homogeneous linear endomorphism tagged with its degree."""
 
@@ -341,7 +357,6 @@ def validate_algebra(algebra):
     """
     A = algebra
     report = ValidationReport()
-    g = A.group
 
     for t in A.stored_tuples():
         total = A.degree_sum(A.degrees[i] for i in t)
@@ -376,28 +391,18 @@ def validate_algebra(algebra):
             report.add("twist-multiplicative", witness=t, expected=lhs, actual=rhs)
 
     def jacobi_failures(xtuples, ytuples):
-        ydata = []
-        for ys in ytuples:
-            prefixes = []
-            p = g.zero()
-            for i in range(n):
-                prefixes.append(p)
-                p = g.add(p, A.degrees[ys[i]])
-            ydata.append((ys, support(A.bracket_basis(ys)), prefixes))
+        ydata = [(ys, support(A.bracket_basis(ys))) for ys in ytuples]
         for xs in xtuples:
             xdeg = A.degree_sum(A.degrees[i] for i in xs)
             xac = [acols[i] for i in xs]
             # [xs, y] for every basis vector y, the inner value of each slot
             inners = [support(A.bracket_basis(xs + (y,))) for y in range(dim)]
-            for ys, inner, prefixes in ydata:
+            for ys, inner in ydata:
                 lhs = dense(A.sparse_bracket(xac + [inner]), dim)
                 rhs = {}
-                for i in range(n):
-                    sign = A.eps.value(xdeg, prefixes[i])
-                    args = [acols[y] for y in ys]
-                    args[i] = inners[ys[i]]
-                    accumulate(rhs, A.sparse_bracket(args),
-                               None if sign == 1 else sign)
+                for prefix, term in slot_brackets(A, ys, acols, inners, []):
+                    sign = A.eps.value(xdeg, prefix)
+                    accumulate(rhs, term, None if sign == 1 else sign)
                 rhs = dense(rhs.items(), dim)
                 if lhs != rhs:
                     yield (xs, ys), rhs, lhs

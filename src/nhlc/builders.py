@@ -5,14 +5,14 @@ raises; the twist-by-morphism builder re-validates its output because the
 twisted bracket is only trusted after the axioms are machine-checked.
 """
 
-from .algebra import ColorAlgebra, validate_algebra
+from .algebra import ColorAlgebra, HomMap, validate_algebra
 from .errors import AlgebraValidationError, ArityError, ShapeError
 from .grading import Bicharacter, GradingGroup, trivial_bicharacter
 from .linalg import F1, Matrix
 
 
 def build_abelian(dim, group=None, degrees=None, eps=None, alpha=None,
-                  arity=3, name=None):
+                  arity=3):
     """All-brackets-zero algebra; alpha must still be even for the degrees."""
     if group is None:
         group = GradingGroup()
@@ -23,15 +23,13 @@ def build_abelian(dim, group=None, degrees=None, eps=None, alpha=None,
     if alpha is None:
         alpha = Matrix.identity(dim)
     basis = [(f"a{i + 1}", d) for i, d in enumerate(degrees)]
-    out = ColorAlgebra(name or f"ABELIAN_{dim}", arity, group, eps, basis, alpha, {})
-    for i in range(dim):
-        for j in range(dim):
-            if out.alpha[j][i] != 0 and out.degrees[j] != out.degrees[i]:
-                raise ShapeError("alpha is not even for the given degrees")
+    out = ColorAlgebra(f"ABELIAN_{dim}", arity, group, eps, basis, alpha, {})
+    if not HomMap(group.zero(), out.alpha).respects_blocks(out):
+        raise ShapeError("alpha is not even for the given degrees")
     return out
 
 
-def build_simple_nlie(n, name=None):
+def build_simple_nlie(n):
     """The (n+1)-dimensional simple n-Lie algebra with identity twist.
 
     Dropping basis element i from (e_1, ..., e_{n+1}) brackets to
@@ -45,8 +43,7 @@ def build_simple_nlie(n, name=None):
     for i in range(1, dim + 1):
         t = tuple(j - 1 for j in range(1, dim + 1) if j != i)
         constants[t] = {i - 1: (-1) ** (n + 1 + i)}
-    if name is None:
-        name = "A4" if n == 3 else f"SIMPLE_{dim}D_{n}LIE"
+    name = "A4" if n == 3 else f"SIMPLE_{dim}D_{n}LIE"
     basis = [(f"e{i + 1}", group.zero()) for i in range(dim)]
     return ColorAlgebra(name, n, group, trivial_bicharacter(group), basis,
                         Matrix.identity(dim), constants)
@@ -66,10 +63,8 @@ def build_yau_twist(algebra, phi, name):
         raise ShapeError("twist builder needs an algebra with identity twist")
     if phi.rows != A.dim or phi.cols != A.dim:
         raise ShapeError("phi must be a dim x dim matrix")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if phi[j][i] != 0 and A.degrees[j] != A.degrees[i]:
-                raise ShapeError("phi is not even")
+    if not HomMap(A.group.zero(), phi).respects_blocks(A):
+        raise ShapeError("phi is not even")
     pcols = [phi.column(i) for i in range(A.dim)]
     for t in A.all_tuples():
         lhs = phi.apply(A.bracket_basis(t))

@@ -148,7 +148,8 @@ def _read_input(path, what, parse):
 
 def _load_map(A, path):
     """The map of a map file.  Its degree is inferred from the support of
-    the matrix when the file gives none, and the support must agree with it."""
+    the matrix when the file gives none, and the support must agree with it.
+    A stated degree must be one a nonzero map can have (candidate_degrees)."""
     def parse(doc):
         degree = doc.get("degree")
         return (io_json.parse_matrix(doc["matrix"]),
@@ -164,6 +165,9 @@ def _load_map(A, path):
     D = HomMap(degree, matrix)
     if not D.respects_blocks(A):
         raise FormatError(f"map support is not homogeneous of degree {degree!r}")
+    if degree not in spaces_mod.candidate_degrees(A):   # a zero matrix
+        raise FormatError(f"map degree {degree!r} is not a difference of "
+                          f"two basis degrees")
     return D
 
 

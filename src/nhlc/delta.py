@@ -10,8 +10,8 @@ by applying the formula to a kernel basis of the decomposition matrix.
 from itertools import product
 
 from . import oracle
-from .algebra import HomMap, reduced_sweep, skew_premises
-from .errors import DecompositionError, DomainError
+from .algebra import HomMap, reduced_sweep, skew_premises, slot_brackets
+from .errors import DomainError
 from .linalg import (F0, Matrix, accumulate, dense, nullspace,
                      nullspace_of_columns, solve_particular, support)
 from .report import ValidationReport
@@ -19,16 +19,6 @@ from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
                      distinct_twist_pairs, distinct_twists,
                      double_derivation_space, inner_generators, memo,
                      require, twist_class, union_space)
-
-
-class BracketDecomposition:
-    """x = sum_i coefficients[i] * bracket(basis tuples[i])."""
-
-    def __init__(self, target, tuples, coefficients, kernel_basis):
-        self.target = target
-        self.tuples = tuples
-        self.coefficients = coefficients
-        self.kernel_basis = kernel_basis
 
 
 def _decomposition(algebra):
@@ -56,16 +46,6 @@ def _decomposition(algebra):
     return memo(A, ("decomposition",), build)
 
 
-def bracket_decomposition(algebra, x):
-    """Deterministic decomposition of x over basis-tuple brackets."""
-    tuples, matrix, _, kernel = _decomposition(algebra)
-    sol = solve_particular(matrix, x)
-    if sol is None:
-        raise DecompositionError("vector lies outside the derived subalgebra")
-    return BracketDecomposition(target=list(x), tuples=tuples,
-                                coefficients=sol, kernel_basis=kernel)
-
-
 def _columns(algebra, D, k):
     """(acols, dcols): the columns of alpha^k and of D as sparse vectors,
     built once per (k, D) for the slot terms of every tuple."""
@@ -74,24 +54,14 @@ def _columns(algebra, D, k):
             [support(D.matrix.column(i)) for i in range(algebra.dim)])
 
 
-def _slot_terms(algebra, t, D, acols, dcols):
-    """Per slot s of the tuple t, as a sparse vector: the bracket with D in
-    slot s and alpha^k elsewhere, times the Koszul prefix sign
-    eps(|D|, |t_1| + .. + |t_(s-1)|); acols and dcols are _columns(D, k)."""
-    A = algebra
-    out = []
-    for prefix, term in oracle.slot_brackets(A, t, acols, dcols, []):
-        sign = A.eps.value(D.degree, prefix)
-        out.append([(r, sign * c) for r, c in term])
-    return out
-
-
 def _tuple_delta_image(algebra, t, D, acols, dcols):
-    """One decomposition tuple's contribution: the sum of its slot terms."""
+    """One decomposition tuple's contribution: the sum of its slot terms,
+    each times its Koszul prefix sign; acols and dcols are _columns(D, k)."""
+    A = algebra
     acc = {}
-    for term in _slot_terms(algebra, t, D, acols, dcols):
-        accumulate(acc, term)
-    return dense(acc.items(), algebra.dim)
+    for prefix, term in slot_brackets(A, t, acols, dcols, []):
+        accumulate(acc, term, A.eps.value(D.degree, prefix))
+    return dense(acc.items(), A.dim)
 
 
 def _images(algebra, D, k):
@@ -149,14 +119,16 @@ def verify_delta_well_defined_all(algebra, k_max):
 
 
 def _slot_failures(algebra, E, k, idx, tuples):
-    """Per tuple t and slot s, in order, where E[t] differs from the slot
-    term of s: (witness, E[t], slot term)."""
+    """Per tuple t and slot s, in order, where E[t] differs from the signed
+    slot term of s (_tuple_delta_image): (witness, E[t], slot term)."""
     A = algebra
     acols, dcols = _columns(A, E, k)
     for t in tuples:
         lhs = E.apply(A.bracket_basis(t))
-        for slot, term in enumerate(_slot_terms(A, t, E, acols, dcols)):
-            rhs = dense(term, A.dim)
+        slots = slot_brackets(A, t, acols, dcols, [])
+        for slot, (prefix, term) in enumerate(slots):
+            sign = A.eps.value(E.degree, prefix)
+            rhs = dense([(r, sign * c) for r, c in term], A.dim)
             if lhs != rhs:
                 yield (k, idx, slot, t), lhs, rhs
 
@@ -281,12 +253,11 @@ def verify_delta_homomorphism(algebra, k_max):
     return report
 
 
-def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
+def inner_centralizer_in_double_derivations(algebra, k_max):
     """The subspace of double derivations commuting with every inner map.
 
     For perfect algebras with nonzero inner space this is expected to be
-    zero.  inner_maps overrides the generator set (testing hook); passing an
-    empty list removes all constraints and returns the full space.
+    zero.
 
     Inner and DDer spaces depend on k only through alpha^k, so the kernel
     of each degree is solved once per twist class and reused for the blocks
@@ -294,8 +265,7 @@ def inner_centralizer_in_double_derivations(algebra, k_max, inner_maps=None):
     """
     A = algebra
     require(A, k_max, "arity", "perfect")
-    if inner_maps is None:
-        inner_maps = union_space(A, "inner", k_max).maps()
+    inner_maps = union_space(A, "inner", k_max).maps()
     zero = Matrix.zeros(A.dim, A.dim)
     kernels = {}   # twist class -> [(degree, kernel maps)]
     for j in distinct_twists(A, k_max):

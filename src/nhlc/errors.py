@@ -25,10 +25,6 @@ class TruncationError(NhlcError):
     """A map space is not closed within the computed twist-power range."""
 
 
-class DecompositionError(NhlcError):
-    """A vector does not lie in the derived subalgebra."""
-
-
 class DomainError(NhlcError, ValueError):
     """An argument lies outside the domain of an operation."""
 

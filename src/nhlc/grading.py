@@ -7,7 +7,7 @@ degrees is the source of every Koszul sign in the bracket calculus.
 
 from fractions import Fraction
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 from .linalg import rational
 from .report import ValidationReport
 
@@ -59,9 +59,6 @@ class GroupElement:
 
     def exponents(self):
         return self.free + self.torsion
-
-    def is_zero(self):
-        return not any(self.free) and not any(self.torsion)
 
     def __repr__(self):
         return f"({','.join(map(str, self.free + self.torsion))})"
@@ -155,7 +152,8 @@ class Bicharacter:
 
     table[i][j] is the value on (g_i, g_j); values on arbitrary elements
     follow by bimultiplicativity from the generator exponents.  Table
-    entries and values are canonical rationals (linalg.rational).
+    entries and values are canonical rationals (linalg.rational) in Q^x:
+    a 0 entry raises DomainError.
     """
 
     def __init__(self, group, table):
@@ -163,6 +161,11 @@ class Bicharacter:
         table = tuple(tuple(rational(x) for x in row) for row in table)
         if len(table) != n or any(len(row) != n for row in table):
             raise ShapeError(f"bicharacter table must be {n}x{n}")
+        for i, row in enumerate(table):
+            for j, x in enumerate(row):
+                if x == 0:
+                    raise DomainError(f"bicharacter entry ({i}, {j}) is 0, "
+                                      f"not in Q^x")
         self.group = group
         self.table = table
         self._memo = {}
@@ -208,11 +211,6 @@ def validate_bicharacter(eps):
     report = ValidationReport()
     table = eps.table
     n = eps.group.generator_count
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == 0:
-                report.add("bicharacter-nonzero", witness=(i, j),
-                           expected="nonzero", actual=table[i][j])
     for i in range(n):
         for j in range(n):
             prod = table[i][j] * table[j][i]

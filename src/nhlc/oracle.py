@@ -54,24 +54,9 @@ R = -R.  When a premise fails, the full sets are swept.
 
 from itertools import combinations_with_replacement, product
 
-from .algebra import live_tuples, reduced_sweep, skew_premises
+from .algebra import live_tuples, reduced_sweep, skew_premises, slot_brackets
 from .errors import ArityError
 from .linalg import F1, accumulate, support
-
-
-def slot_brackets(algebra, ts, acols, dcols, tail):
-    """For every slot q of ts: [acols[t_1], .., dcols[t_q], .., acols[t_m], *tail],
-    paired with the degree |t_1| + .. + |t_(q-1)| of the leaves before it.
-    Columns, tail and values are sparse vectors."""
-    A = algebra
-    out = []
-    prefix = A.group.zero()
-    for q, t in enumerate(ts):
-        args = [acols[i] for i in ts] + tail
-        args[q] = dcols[t]
-        out.append((prefix, A.sparse_bracket(args)))
-        prefix = A.group.add(prefix, A.degrees[t])
-    return out
 
 
 def _leibniz(algebra, D, k, live, full, witness):

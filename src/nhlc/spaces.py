@@ -631,7 +631,7 @@ def verify_inner_ideal(algebra, k_max):
     return report
 
 
-def maps_as_color_algebra(space, name=None):
+def maps_as_color_algebra(space):
     """Package a commutator-closed map space as a binary color algebra.
 
     Basis: space.merged_basis() in order.  Bracket: color commutator in
@@ -667,7 +667,7 @@ def maps_as_color_algebra(space, name=None):
                 constants[(p, q)] = value
     label = KIND_LABELS.get(space.kind, space.kind)
     basis = [(f"D{i + 1}", bm.degree) for i, bm in enumerate(basis_maps)]
-    out = ColorAlgebra(name or f"{label}({A.name})", 2, A.group, A.eps,
+    out = ColorAlgebra(f"{label}({A.name})", 2, A.group, A.eps,
                        basis, alpha, constants)
     rep = validate_algebra(out)
     if not rep.ok:

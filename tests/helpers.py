@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from nhlc.algebra import ColorAlgebra, HomMap
+from nhlc.builders import build_simple_nlie
+from nhlc.grading import Bicharacter, GradingGroup
 from nhlc.linalg import Matrix
 
 F0 = Fraction(0)
@@ -324,6 +326,34 @@ def direct_sum(A, B, name):
             [(f"b_{nm}", deg) for nm, deg in B.basis]
     return ColorAlgebra(name, A.arity, A.group, A.eps, basis,
                         Matrix.identity(dim), constants)
+
+
+def color_simple_nlie(n):
+    """The simple n-Lie algebra made an eps-colour algebra by Scheunert's
+    cocycle twist (J. Math. Phys. 20 (1979)): e1, e2, e3 of degrees a, b,
+    a + b in Z/2 x Z/2 and the other basis vectors of degree 0; with
+    sigma(a, b) = -1 and 1 on the other generator pairs, each stored value
+    is multiplied by the product of sigma(|x_p|, |x_q|) over p < q, and
+    eps(u, v) = sigma(u, v) / sigma(v, u).  So eps(g, g) = 1 on every
+    degree, but eps(a, b) = -1: repeated indices are dropped while the
+    signs between distinct degrees are not trivial."""
+    simple = build_simple_nlie(n)
+    g = GradingGroup(torsion=(2, 2))
+    degrees = ([g.element(torsion=(1, 0)), g.element(torsion=(0, 1)),
+                g.element(torsion=(1, 1))] + [g.zero()] * (n - 2))
+    constants = {}
+    for t, value in simple.constants.items():
+        sign = 1
+        for p in range(len(t)):
+            for q in range(p + 1, len(t)):
+                sign *= (-1) ** (degrees[t[p]].torsion[0]
+                                 * degrees[t[q]].torsion[1])
+        constants[t] = {j: sign * c for j, c in value.items()}
+    eps = Bicharacter(g, [[1, -1], [-1, 1]])
+    name = "COLOR_A4" if n == 3 else f"COLOR_SIMPLE_{n + 1}D_{n}LIE"
+    return ColorAlgebra(name, n, g, eps,
+                        [(f"e{i + 1}", d) for i, d in enumerate(degrees)],
+                        simple.alpha, constants)
 
 
 def conjugate_algebra(A, P, name):

@@ -66,9 +66,13 @@ def test_criterion_01_axiom_suite(a4, abelian3, twisted_a4, super_heis,
 
 
 def test_criterion_02_solver_oracle_equivalence(a4, abelian3, twisted_a4,
-                                                super_heis, cross3):
+                                                super_heis, cross3, color_a4,
+                                                color_simple4):
     rng = random.Random(20240817)
-    builtins = _builtins(a4, abelian3, twisted_a4, super_heis, cross3)
+    # the two colour-signed simple algebras come last, so the maps drawn
+    # for the others are unchanged
+    builtins = _builtins(a4, abelian3, twisted_a4, super_heis, cross3) + [
+        color_a4, color_simple4]
     passing_projections = 0
     outside_failures = 0
     for A in builtins:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nhlc import io_json
 from nhlc.builders import build_simple_nlie, build_super_heis
 from nhlc.cli import main
-from nhlc.errors import AlgebraValidationError, FormatError
+from nhlc.errors import AlgebraValidationError, DomainError, FormatError
 from nhlc.grading import Bicharacter, GradingGroup
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -561,6 +561,68 @@ def test_huge_degrees_refused_at_load(tmp_path):
     assert io_json.eps_bit_bound(small.eps, small.degrees, 2) <= io_json.MAX_EPS_BITS
 
 
+ZERO_ENTRY_DOC = {
+    "name": "zero-entry", "arity": 2, "group": {"free_rank": 2, "torsion": []},
+    "bicharacter": [["1", "0"], ["0", "1"]],
+    "basis": [{"name": "a", "degree": [-1, 0]}, {"name": "b", "degree": [0, 1]},
+              {"name": "c", "degree": [-1, 1]}],
+    "alpha": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "brackets": [{"args": [0, 1], "value": {"2": "1"}}]}
+
+
+@pytest.mark.parametrize("args", [
+    ["validate"], ["spaces", "--kind", "der", "--k", "0"],
+    ["verify", "--all", "--k-max", "0"]])
+def test_zero_bicharacter_entry_refused_at_load(tmp_path, args):
+    """A bicharacter takes values in Q^x.  A 0 entry, raised to the
+    negative powers of the degrees (-1, 0) and (-1, 1), once ended these
+    commands in a ZeroDivisionError; now the file is refused at load with
+    exit 1 and a report naming the entry."""
+    with pytest.raises(DomainError, match=r"entry \(0, 1\) is 0"):
+        Bicharacter(GradingGroup(free_rank=2), [[1, 0], [0, 1]])
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_ENTRY_DOC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nhlc.cli", *args, "--json", str(path)],
+        capture_output=True, text=True, timeout=20, env=_src_env())
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    [violation] = json.loads(proc.stdout)["violations"]
+    assert "bicharacter entry (0, 1) is 0" in violation["actual"]
+
+
+ZERO_3X3 = [["0"] * 3 for _ in range(3)]
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--kind", "der"], ["check", "--kind", "tder"], ["delta"]])
+def test_map_degree_outside_the_candidates_refused(tmp_path, rational_heis,
+                                                   args):
+    """On RATIONAL_HEIS (eps(e1, e2) = 2) the zero map of degree
+    (10^9, 10^9) once ran `check --kind der` for seconds and `tder` until
+    killed: no nonzero map has that degree, so the map file is refused
+    with exit 1 and a report, in well under a second.  The zero map of a
+    candidate degree is still checked."""
+    path = tmp_path / "rh.json"
+    io_json.save(rational_heis, path)
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"degree": [10 ** 9, 10 ** 9], "matrix": ZERO_3X3}))
+    cmd = [*args, "--k", "0", "--map", str(mp), "--json", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *cmd],
+                          capture_output=True, text=True, timeout=10,
+                          env=_src_env())
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    [violation] = json.loads(proc.stdout)["violations"]
+    assert "is not a difference of two basis degrees" in violation["actual"]
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(cmd) == 1
+    assert time.perf_counter() - start < 1
+    if args[0] == "check":
+        mp.write_text(json.dumps({"degree": [1, -1], "matrix": ZERO_3X3}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(cmd) == 0
+
+
 def test_stock_algebras_are_far_below_the_eps_bound(a4, super_heis, color_heis3,
                                                     rational_heis, regraded_a4):
     for A in (a4, super_heis, color_heis3, rational_heis, regraded_a4,
@@ -663,9 +725,11 @@ FUZZ_COMMANDS = [
 ]
 
 # small JSON values to put in place of one field; no large integers, since
-# a huge twist power is a resource limit and not a malformed input (huge
-# degrees under a rational bicharacter are refused at load, see
-# test_huge_degrees_refused_at_load)
+# a huge twist power is a resource limit and not a malformed input.  Degree
+# entries may also be +-10^9: huge degrees under a rational bicharacter are
+# refused at load (test_huge_degrees_refused_at_load), and map degrees
+# outside the candidate degrees when the map is read
+# (test_map_degree_outside_the_candidates_refused)
 SMALL_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(
         [0.5, 2.0, "", "x", "1/2", "-1", "1/0"]),
@@ -682,9 +746,13 @@ def fuzz_cases(draw):
     command = draw(st.sampled_from(range(len(FUZZ_COMMANDS))))
     extra = FUZZ_COMMANDS[command][1]
     file = draw(st.sampled_from(["algebra"] + ([extra] if extra else [])))
-    return (draw(st.sampled_from(["a4", "color_heis3"])), command, file,
-            draw(st.sampled_from(FIELDS[file])), draw(st.integers(0, 15)),
-            draw(st.none() | st.integers(0, 99)), draw(SMALL_JSON))
+    field = draw(st.sampled_from(FIELDS[file]))
+    values = SMALL_JSON
+    if field[-2:] == ("degree", "*"):
+        values = values | st.sampled_from([10 ** 9, -10 ** 9])
+    return (draw(st.sampled_from(["a4", "color_heis3", "rational_heis"])),
+            command, file, field, draw(st.integers(0, 15)),
+            draw(st.none() | st.integers(0, 99)), draw(values))
 
 
 def _occurrences(node, field):
@@ -702,10 +770,11 @@ def _occurrences(node, field):
 
 
 def _input_docs(A):
-    """An algebra file of A, a map file with its first DDer^0 basis map and
-    a span file of one vector."""
-    from nhlc.spaces import double_derivation_space
-    D = double_derivation_space(A, 0).maps()[0]
+    """An algebra file of A, a map file with its first DDer^0 basis map
+    (Der^0 when A is binary) and a span file of one vector."""
+    from nhlc.spaces import derivation_space, double_derivation_space
+    D = (double_derivation_space if A.arity >= 3
+         else derivation_space)(A, 0).maps()[0]
     return {"algebra": io_json.algebra_to_dict(A),
             "map": {"degree": list(D.degree.free + D.degree.torsion),
                     "matrix": io_json.matrix_to_grid(D.matrix)},
@@ -721,9 +790,9 @@ def fuzz_dir(tmp_path_factory):
 @given(case=fuzz_cases())
 @example(case=("a4", 0, "algebra", ("brackets", "*", "value"), 0, None, [1]))
 def test_fuzzed_input_gets_a_report(request, fuzz_dir, case):
-    """Valid A4 or COLOR_HEIS3 inputs with one field replaced by a small
-    JSON value, or with the JSON cut short: main returns 0 or 1, prints a
-    report and lets no exception out.  The explicit example is a bracket
+    """Valid A4, COLOR_HEIS3 or RATIONAL_HEIS inputs with one field replaced
+    by a small JSON value, or with the JSON cut short: main returns 0 or 1,
+    prints a report and lets no exception out.  The explicit example is a bracket
     value that is a list, which once escaped as AttributeError."""
     algebra, command, file, field, entry, cut, value = case
     docs = _input_docs(request.getfixturevalue(algebra))

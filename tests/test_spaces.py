@@ -57,19 +57,25 @@ def test_candidate_degrees_free_grading():
 # -- derivation / double derivation spaces ------------------------------------
 
 def test_derivation_dims_match_independent_route(a4, abelian3, twisted_a4,
-                                                 regraded_a4, super_heis):
-    # frozen values from the brute-force computation done before the build
+                                                 regraded_a4, super_heis,
+                                                 color_a4, color_simple4):
+    # frozen values from the brute-force computation done before the build;
+    # the colour-signed simple algebras have the dimensions of so(n + 1), and
+    # the naive DDer of the 4-ary one is left out (12 s)
     frozen = {
         (a4, "der"): 6, (a4, "dder"): 6,
         (abelian3, "der"): 9, (abelian3, "dder"): 9,
         (twisted_a4, "der"): 6, (twisted_a4, "dder"): 6,
         (regraded_a4, "der"): 6,
         (super_heis, "der"): 4,
+        (color_a4, "der"): 6, (color_a4, "dder"): 6,
+        (color_simple4, "der"): 10,
     }
     for (A, kind), expected in frozen.items():
         space = (derivation_space if kind == "der" else double_derivation_space)(A, 0)
         assert space.dimension() == expected, (A.name, kind)
         assert naive_space_dimension(A, kind, 0) == expected, (A.name, kind)
+    assert double_derivation_space(color_simple4, 0).dimension() == 10
 
 
 def test_derivation_space_k1_dimension(a4):
@@ -622,6 +628,40 @@ def test_invariants_under_change_of_basis(name, request):
     assert len(center(A)) == len(center(B))
     assert len(derived_subalgebra(A)) == len(derived_subalgebra(B))
     assert is_perfect(A) == is_perfect(B)
+
+
+TWISTS_OF_A4 = {
+    "sign_a4": lambda: build_yau_twist(
+        build_simple_nlie(3), Matrix([[-1, 0, 0, 0], [0, -1, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 1]]),
+        name="SIGN_A4"),
+    "quarter_turn_a4": _quarter_turn_a4,
+}
+
+
+@pytest.mark.parametrize("name", ["a4", "color_a4", "sign_a4",
+                                  "quarter_turn_a4"])
+def test_verify_verdicts_under_change_of_basis(name, request):
+    """Every check of `nhlc verify --all --k-max 1` keeps its status and
+    its number of violations when A is rewritten in a dense rational
+    basis: the passes of A4 and COLOR_A4, and the inner-centralizer-trivial
+    and triple-invariance FAILs of the sign and quarter-turn twists of A4
+    (their inner maps' images do not span A), which move with the basis."""
+    from nhlc.cli import _run_verify
+    A = (TWISTS_OF_A4[name]() if name in TWISTS_OF_A4
+         else request.getfixturevalue(name))
+    B = conjugate_algebra(A, random_basis_change(A, random.Random(4)),
+                          A.name + "_P")
+
+    def verdicts(X):
+        return [(e["check"], e["status"], len(e.get("violations", [])))
+                for e in _run_verify(X, 1, False)[0]]
+
+    before = verdicts(A)
+    assert verdicts(B) == before
+    failed = {check for check, status, _ in before if status == "violated"}
+    assert failed == ({"inner-centralizer-trivial", "triple-invariance"}
+                      if name in TWISTS_OF_A4 else set())
 
 
 # -- direct sums ----------------------------------------------------------------

@@ -69,7 +69,8 @@ def _map_algebra(request, source, name):
     (None, "super_heis"), (None, "rational_heis"), (None, "cross3"),
     (None, "sl2_heis3"),
     ("inn", "a4"), ("der", "a4"), ("dder", "a4"),
-    ("inn", "color_heis3"), ("der", "color_heis3"), ("dder", "color_heis3")])
+    ("inn", "color_heis3"), ("der", "color_heis3"), ("dder", "color_heis3"),
+    ("inn", "color_a4"), ("der", "color_a4"), ("dder", "color_a4")])
 def test_tder_sorted_pairs_match_all_ordered_pairs(request, source, name):
     """The TDer solve imposes its rule on the triples (x, y, z) with y <= z
     only; its blocks equal those of the system on all ordered pairs, and
