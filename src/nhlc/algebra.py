@@ -9,10 +9,14 @@ on sparse arguments against a memo of sparse basis-bracket values.
 
 from itertools import combinations_with_replacement, product
 
-from .errors import ArityError, InvertibilityError, ShapeError
+from .errors import ArityError, DomainError, InvertibilityError, ShapeError
 from .grading import integer, validate_bicharacter
 from .linalg import F0, F1, Matrix, accumulate, dense, rational, support
 from .report import ValidationReport
+
+# The most distinct powers of the twist that are formed: one of infinite
+# order, such as diag(2, 1), repeats none, and alpha^k may need k bits.
+MAX_TWIST_POWERS = 1 << 12
 
 
 def normalize_tuple(indices, degrees, eps):
@@ -112,15 +116,15 @@ def reduced_sweep(failures, reduced, full):
     return failures(*full)
 
 
-def skew_premises(algebra, D, twist):
+def skew_premises(algebra, D, k):
     """True when eps is a valid bicharacter (validate_bicharacter), the map
-    D is homogeneous of its stated degree and the twist matrix is even:
+    D is homogeneous of its stated degree and the twist alpha^k is even:
     then every bracket of basis vectors and their images under D and the
     twist has homogeneous arguments and is color-skew (normalize_tuple).
     The premises of the reduced sweeps of the oracle and of delta."""
     A = algebra
     return (validate_bicharacter(A.eps).ok and D.respects_blocks(A)
-            and HomMap(A.group.zero(), twist).respects_blocks(A))
+            and HomMap(A.group.zero(), A.alpha_power(k)).respects_blocks(A))
 
 
 class ColorAlgebra:
@@ -171,7 +175,7 @@ class ColorAlgebra:
         self._bracket_memo = {}
         self._sparse_memo = {}
         self._basis_vecs = {}
-        self._alpha_powers = {0: Matrix.identity(self.dim), 1: self.alpha}
+        self._twists = {}        # _twist_walk: step 1 or -1 -> its walk
         self._space_cache = {}   # spaces.memo
 
     # -- basic helpers ----------------------------------------------------
@@ -190,26 +194,14 @@ class ColorAlgebra:
         return got
 
     def alpha_power(self, k):
-        """alpha^k; negative k requires an invertible twist.
+        """alpha^k from the twist record (_twist_walk); k < 0 inverts alpha."""
+        j, walk = _twist_walk(self, abs(k), 1 if k >= 0 else -1)
+        return walk["powers"][j][0]
 
-        Steps from the nearest cached power towards k, caching every power
-        on the way.
-        """
-        powers = self._alpha_powers
-        if k < 0 and -1 not in powers:
-            inv = self.alpha.inverse()
-            if inv is None:
-                raise InvertibilityError(
-                    f"twist of {self.name} is singular; negative powers undefined")
-            powers[-1] = inv
-        step = 1 if k > 0 else -1
-        j = k
-        while j not in powers:
-            j -= step
-        while j != k:
-            powers[j + step] = powers[j] * powers[step]
-            j += step
-        return powers[k]
+    def alpha_columns(self, k):
+        """The sparse columns of alpha^k, kept with it (alpha_power); read only."""
+        j, walk = _twist_walk(self, abs(k), 1 if k >= 0 else -1)
+        return walk["powers"][j][1]
 
     def bracket_basis(self, indices):
         """Bracket of basis elements in any order, as a coordinate tuple."""
@@ -270,6 +262,85 @@ class ColorAlgebra:
 
     def __repr__(self):
         return f"ColorAlgebra({self.name!r}, arity={self.arity}, dim={self.dim})"
+
+
+def _twist_walk(A, m, step=1):
+    """(j, walk): the least j >= 0 with a^j = a^m, read off the first
+    repeat by its period (twist_class), for m >= 0 and a = alpha^step; and
+    the twist record, the walk of a^0, a^1, ... kept on the algebra up to m
+    or to the first repeat: {"base": a, "powers": [(a^k, its sparse
+    columns)] and "seen": {a^k data: k} of the distinct powers, "repeat":
+    (j, K) once a^K = a^j is found}.  A singular twist has no alpha^-1
+    (InvertibilityError); MAX_TWIST_POWERS bounds the walk (DomainError)."""
+    walk = A._twists.get(step)
+    if walk is None:
+        base = A.alpha if step == 1 else A.alpha.inverse()
+        if base is None:
+            raise InvertibilityError(
+                f"twist of {A.name} is singular; negative powers undefined")
+        walk = A._twists[step] = {"base": base, "powers": [], "seen": {},
+                                  "repeat": None}
+    powers, seen = walk["powers"], walk["seen"]
+    while walk["repeat"] is None and len(powers) <= m:
+        k = len(powers)
+        if k == MAX_TWIST_POWERS:
+            raise DomainError(f"twist power {step * m} refused: the first "
+                              f"{k} powers of the twist of {A.name} repeat none")
+        power = powers[-1][0] * walk["base"] if powers else Matrix.identity(A.dim)
+        if power.data in seen:
+            walk["repeat"] = (seen[power.data], k)
+        else:
+            seen[power.data] = k
+            powers.append((power, [support(c) for c in zip(*power.data)]))
+    j, K = walk["repeat"] or (0, m + 1)   # no repeat: m is its own class
+    return (m if m < K else j + (m - j) % (K - j)), walk
+
+
+def twist_class(algebra, k):
+    """The least j >= 0 with alpha^j = alpha^k, for k >= 0; a negative k is
+    its own class.
+
+    Let alpha^K = alpha^j with j < K be the first repeated power
+    (distinct_twists).  The powers below K are distinct, and
+    alpha^(j+m) = alpha^(K+m) for every m >= 0, so from j on the powers
+    repeat with period K - j: for k >= K the class is j + (k - j) mod
+    (K - j).  So no power beyond the first repeat is computed, whatever k
+    is.
+    """
+    return k if k < 0 else _twist_walk(algebra, k)[0]
+
+
+def distinct_twists(algebra, k_max):
+    """The k in [0, k_max] whose twist power alpha^k is new; verdicts and
+    spaces depend on k only through alpha^k.
+
+    The list ends at the first repeated power.  If alpha^j = alpha^k with
+    j < k, then alpha^(j+m) = alpha^(k+m) for every m >= 0, so each power
+    from k on equals one with a smaller exponent, and by induction one in
+    [j, k): none of them is new.  Every power before the first repeat is
+    new.  So a twist whose powers repeat (of finite order, or nilpotent)
+    costs its number of distinct powers, whatever k_max is, and one whose
+    powers never repeat one power and one lookup per k (_twist_walk).
+    """
+    found = len(_twist_walk(algebra, k_max)[1]["powers"])
+    return list(range(min(k_max + 1, found)))
+
+
+def distinct_twist_pairs(algebra, k_max):
+    """The (k, s) with k + s <= k_max whose powers (alpha^k, alpha^s,
+    alpha^(k+s)) are new, in lexicographic order.
+
+    Since alpha^(k+s) = alpha^k alpha^s, the triple repeats an earlier one
+    exactly when alpha^k or alpha^s repeats an earlier power: if
+    alpha^k = alpha^k' for some k' < k, the pair (k', s) comes first with the
+    same powers, and likewise for s; if neither repeats, an earlier pair
+    with the same powers would need k' >= k and s' >= s, so it is not
+    earlier.  So the pairs are
+    those of distinct twists.  For the same reason a shift pair
+    (alpha^k, alpha^(k+1)) is new exactly when alpha^k is.
+    """
+    ks = distinct_twists(algebra, k_max)
+    return [(k, s) for k in ks for s in ks if k + s <= k_max]
 
 
 def slot_brackets(algebra, ts, acols, dcols, tail):
@@ -354,6 +425,14 @@ def validate_algebra(algebra):
     So J on any ordered pair is a nonzero multiple of J on the sorted pair,
     and J vanishes when xs or ys repeats an index of degree g with
     eps(g, g) = 1, since swapping the two copies gives J = -J.
+
+    Multiplicativity of the twist, alpha [t] = [alpha e_t1, .., alpha e_tn],
+    is checked on the live n-tuples, a subsequence of the sorted ones, under
+    the same condition.  A dead t repeats an index i of degree g with
+    eps(g, g) = 1 in adjacent slots.  Its left side is alpha(0) = 0; on its
+    right side alpha e_i, homogeneous since evenness is checked first, fills
+    both slots, and color-skewness makes the bracket vanish.  So a dead
+    tuple never fails, and the failures are the sorted sweep's, in order.
     """
     A = algebra
     report = ValidationReport()
@@ -364,13 +443,9 @@ def validate_algebra(algebra):
             if A.degrees[j] != total:
                 report.add("grading", witness=(t, j), expected=total,
                            actual=A.degrees[j])
-        for a in range(len(t) - 1):
-            if t[a] == t[a + 1]:
-                d = A.degrees[t[a]]
-                if A.eps.value(d, d) == 1:
-                    report.add("repeated-argument", witness=t,
-                               expected="zero value", actual=A.constants[t])
-                    break
+        if normalize_tuple(t, A.degrees, A.eps) is None:   # t is sorted
+            report.add("repeated-argument", witness=t,
+                       expected="zero value", actual=A.constants[t])
 
     for i in range(A.dim):
         for j in range(A.dim):
@@ -383,8 +458,10 @@ def validate_algebra(algebra):
 
     n = A.arity
     dim = A.dim
-    acols = [support(A.alpha.column(i)) for i in range(dim)]
-    for t in A.all_tuples():
+    acols = A.alpha_columns(1)
+    live = (live_tuples(A.degrees, A.eps, n)
+            if validate_bicharacter(A.eps).ok else None)
+    for t in A.all_tuples() if live is None else live:
         lhs = A.alpha.apply(A.bracket_basis(t))
         rhs = dense(A.sparse_bracket([acols[i] for i in t]), dim)
         if lhs != rhs:
@@ -407,10 +484,8 @@ def validate_algebra(algebra):
                 if lhs != rhs:
                     yield (xs, ys), rhs, lhs
 
-    reduced = None
-    if validate_bicharacter(A.eps).ok:
-        reduced = (live_tuples(A.degrees, A.eps, n - 1),
-                   live_tuples(A.degrees, A.eps, n))
+    reduced = (None if live is None
+               else (live_tuples(A.degrees, A.eps, n - 1), live))
     full = (product(range(dim), repeat=n - 1), product(range(dim), repeat=n))
     for witness, expected, actual in reduced_sweep(jacobi_failures, reduced,
                                                    full):

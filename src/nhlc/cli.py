@@ -18,7 +18,7 @@ import sys
 from . import delta as delta_mod
 from . import io_json, oracle, triple
 from . import spaces as spaces_mod
-from .algebra import HomMap
+from .algebra import HomMap, distinct_twists
 from .builders import BUILTIN_BUILDERS, build_simple_nlie
 from .errors import (AlgebraValidationError, ArityError, FormatError,
                      HypothesisError, InvertibilityError, NhlcError,
@@ -300,7 +300,7 @@ def _cmd_tder(args):
     else:
         A2 = _build_map_algebra(A, source or "der", args.k_max)
     blocks = []
-    for k in spaces_mod.distinct_twists(A2, args.k_max):
+    for k in distinct_twists(A2, args.k_max):
         space = triple.triple_derivation_space(A2, k)
         blocks.extend(_space_blocks_json(space))
     results = {"algebra2": A2.name, "blocks": blocks}

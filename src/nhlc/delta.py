@@ -10,15 +10,15 @@ by applying the formula to a kernel basis of the decomposition matrix.
 from itertools import product
 
 from . import oracle
-from .algebra import HomMap, reduced_sweep, skew_premises, slot_brackets
+from .algebra import (HomMap, distinct_twist_pairs, distinct_twists,
+                      reduced_sweep, skew_premises, slot_brackets, twist_class)
 from .errors import DomainError
 from .linalg import (F0, Matrix, accumulate, dense, nullspace,
                      nullspace_of_columns, solve_particular, support)
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, MapBlock, ad_map, color_commutator,
-                     distinct_twist_pairs, distinct_twists,
                      double_derivation_space, inner_generators, memo,
-                     require, twist_class, union_space)
+                     require, union_space)
 
 
 def _decomposition(algebra):
@@ -46,17 +46,10 @@ def _decomposition(algebra):
     return memo(A, ("decomposition",), build)
 
 
-def _columns(algebra, D, k):
-    """(acols, dcols): the columns of alpha^k and of D as sparse vectors,
-    built once per (k, D) for the slot terms of every tuple."""
-    ak = algebra.alpha_power(k)
-    return ([support(ak.column(i)) for i in range(algebra.dim)],
-            [support(D.matrix.column(i)) for i in range(algebra.dim)])
-
-
 def _tuple_delta_image(algebra, t, D, acols, dcols):
     """One decomposition tuple's contribution: the sum of its slot terms,
-    each times its Koszul prefix sign; acols and dcols are _columns(D, k)."""
+    each times its Koszul prefix sign; acols and dcols are the sparse
+    columns of alpha^k and of D."""
     A = algebra
     acc = {}
     for prefix, term in slot_brackets(A, t, acols, dcols, []):
@@ -67,7 +60,8 @@ def _tuple_delta_image(algebra, t, D, acols, dcols):
 def _images(algebra, D, k):
     """The matrix whose columns are the decomposition tuples' images."""
     tuples = _decomposition(algebra)[0]
-    acols, dcols = _columns(algebra, D, k)
+    acols = algebra.alpha_columns(k)
+    dcols = [support(D.matrix.column(i)) for i in range(algebra.dim)]
     images = [_tuple_delta_image(algebra, t, D, acols, dcols)
               for t in tuples]
     return Matrix.from_columns(images, algebra.dim)
@@ -122,7 +116,8 @@ def _slot_failures(algebra, E, k, idx, tuples):
     """Per tuple t and slot s, in order, where E[t] differs from the signed
     slot term of s (_tuple_delta_image): (witness, E[t], slot term)."""
     A = algebra
-    acols, dcols = _columns(A, E, k)
+    acols = A.alpha_columns(k)
+    dcols = [support(E.matrix.column(i)) for i in range(A.dim)]
     for t in tuples:
         lhs = E.apply(A.bracket_basis(t))
         slots = slot_brackets(A, t, acols, dcols, [])
@@ -165,11 +160,10 @@ def verify_delta_residual_laws(algebra, k_max):
     n = A.arity
     checks = 0
     for k in distinct_twists(A, k_max):
-        ak = A.alpha_power(k)
         for idx, D in enumerate(double_derivation_space(A, k).maps()):
             delta = delta_of(A, D, k)
             E = HomMap(D.degree, D.matrix - delta.matrix)
-            reduced = (A.all_tuples(),) if skew_premises(A, E, ak) else None
+            reduced = (A.all_tuples(),) if skew_premises(A, E, k) else None
             full = (product(range(A.dim), repeat=n),)
             for witness, expected, actual in reduced_sweep(
                     lambda ts: _slot_failures(A, E, k, idx, ts), reduced, full):

@@ -3,8 +3,8 @@
 Rationals are serialized as "p/q" strings (bare "p" when the denominator is
 one) so no float ever enters a file.  Degree vectors are the free
 coordinates followed by the torsion residues.  Loading validates the
-bicharacter axioms and the full algebra axioms; a failing file is rejected
-with the offending report attached.
+bicharacter axioms and, when they hold, the full algebra axioms; a failing
+file is rejected with the offending report attached.
 """
 
 import json
@@ -133,10 +133,11 @@ def dict_to_algebra(doc, validate=True):
 
 
 def check_axioms(A):
-    """The axiom report of A (its bicharacter, then its identities); raises
-    AlgebraValidationError when the algebra fails it."""
+    """The axiom report of A: its bicharacter, then, if that passes, its
+    identities; raises AlgebraValidationError when A fails it."""
     report = validate_bicharacter(A.eps)
-    report.merge(validate_algebra(A))
+    if report.ok:
+        report.merge(validate_algebra(A))
     if not report.ok:
         raise AlgebraValidationError(f"algebra {A.name!r} fails validation", report)
     return report

@@ -68,8 +68,7 @@ def _leibniz(algebra, D, k, live, full, witness):
     if D.matrix * A.alpha != A.alpha * D.matrix:
         return False, ("twist-commute",)
     d = D.degree
-    ak = A.alpha_power(k)
-    acols = [support(ak.column(i)) for i in range(A.dim)]
+    acols = A.alpha_columns(k)
     dcols = [support(D.matrix.column(i)) for i in range(A.dim)]
     inner = {}
 
@@ -102,7 +101,7 @@ def _leibniz(algebra, D, k, live, full, witness):
                 if any(diff.values()):
                     yield witness(xs, ys)
 
-    reduced = live if skew_premises(A, D, ak) else None
+    reduced = live if skew_premises(A, D, k) else None
     first = next(reduced_sweep(failures, reduced, full), None)
     return first is None, first
 

@@ -24,13 +24,12 @@ center, the centralizers, the derived subalgebra and the inner generators
 sweep live tuples too.
 
 Spaces depend on the twist power only through the matrix alpha^k; for
-twists of finite order the blocks repeat (distinct_twists), and the twist
-class of k, the least j with alpha^j = alpha^k (twist_class), keys them.
+twists of finite order the blocks repeat (algebra.distinct_twists), and the
+twist class of k, the least j with alpha^j = alpha^k (algebra.twist_class),
+keys them.
 Every memo of the algebra's derived data lives in its one dict
 A._space_cache, filled by memo():
 
-- ("twists",): the walk of the powers alpha^0, alpha^1, ... up to the first
-  repeat (_twist_walk);
 - (kind, twist class of k): the solved blocks of der, dder, inner and tder;
 - ("span", kind, degree, set of twist classes): the canonical span of one
   degree of a solved space (GradedMapSpace.span);
@@ -42,7 +41,9 @@ A._space_cache, filled by memo():
 from itertools import chain
 
 from . import oracle
-from .algebra import ColorAlgebra, HomMap, live_tuples, validate_algebra
+from .algebra import (ColorAlgebra, HomMap, distinct_twist_pairs,
+                      distinct_twists, live_tuples, twist_class,
+                      validate_algebra)
 from .errors import (AlgebraValidationError, ArityError, DomainError,
                      HypothesisError, ShapeError, TruncationError)
 from .linalg import (F0, F1, Matrix, RowReducer, accumulate, coords_in_basis,
@@ -211,8 +212,7 @@ def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
     computed once per inner tuple ys."""
     dim = A.dim
     g = A.group
-    ak = A.alpha_power(k)
-    acols = [support(ak.column(i)) for i in range(dim)]
+    acols = A.alpha_columns(k)
     nested = xtuples != [()]
 
     def unknown_slots(ts, tail):
@@ -451,77 +451,6 @@ def color_commutator(D1, D2, eps):
 def alpha_shift(algebra, D):
     """The induced twist on map spaces: D -> D o alpha."""
     return HomMap(D.degree, D.matrix * algebra.alpha)
-
-
-def _twist_walk(algebra, k_max):
-    """The walk of the powers alpha^0, alpha^1, ..., kept in the space cache
-    and extended to k_max or to the first repeated power, whichever comes
-    first: {"seen": {alpha^k data: k} of the distinct powers found,
-    "repeat": (j, K) when alpha^K = alpha^j is the first repeat, else None}.
-    """
-    walk = memo(algebra, ("twists",), lambda: {"seen": {}, "repeat": None})
-    seen = walk["seen"]
-    while walk["repeat"] is None and len(seen) <= k_max:
-        k = len(seen)
-        power = algebra.alpha_power(k).data
-        if power in seen:
-            walk["repeat"] = (seen[power], k)
-        else:
-            seen[power] = k
-    return walk
-
-
-def twist_class(algebra, k):
-    """The least j >= 0 with alpha^j = alpha^k, for k >= 0; a negative k is
-    its own class.
-
-    Let alpha^K = alpha^j with j < K be the first repeated power
-    (distinct_twists).  The powers below K are distinct, and
-    alpha^(j+m) = alpha^(K+m) for every m >= 0, so from j on the powers
-    repeat with period K - j: for k >= K the class is j + (k - j) mod
-    (K - j).  So no power beyond the first repeat is computed, whatever k
-    is.
-    """
-    if k < 0:
-        return k
-    repeat = _twist_walk(algebra, k)["repeat"]
-    if repeat is None or k < repeat[1]:
-        return k
-    j, K = repeat
-    return j + (k - j) % (K - j)
-
-
-def distinct_twists(algebra, k_max):
-    """The k in [0, k_max] whose twist power alpha^k is new; verdicts and
-    spaces depend on k only through alpha^k.
-
-    The list ends at the first repeated power.  If alpha^j = alpha^k with
-    j < k, then alpha^(j+m) = alpha^(k+m) for every m >= 0, so each power
-    from k on equals one with a smaller exponent, and by induction one in
-    [j, k): none of them is new.  Every power before the first repeat is
-    new.  So a twist whose powers repeat (of finite order, or nilpotent)
-    costs its number of distinct powers, whatever k_max is, and one whose
-    powers never repeat one power and one lookup per k (_twist_walk).
-    """
-    found = len(_twist_walk(algebra, k_max)["seen"])
-    return list(range(min(k_max + 1, found)))
-
-
-def distinct_twist_pairs(algebra, k_max):
-    """The (k, s) with k + s <= k_max whose powers (alpha^k, alpha^s,
-    alpha^(k+s)) are new, in lexicographic order.
-
-    Since alpha^(k+s) = alpha^k alpha^s, the triple repeats an earlier one
-    exactly when alpha^k or alpha^s repeats an earlier power: if
-    alpha^k = alpha^k' for some k' < k, the pair (k', s) comes first with the
-    same powers, and likewise for s; if neither repeats, an earlier pair
-    with the same powers would need k' >= k and s' >= s, so it is not
-    earlier.  So the pairs are
-    those of distinct twists.  For the same reason a shift pair
-    (alpha^k, alpha^(k+1)) is new exactly when alpha^k is.
-    """
-    ks = distinct_twists(algebra, k_max)
-    return [(k, s) for k in ks for s in ks if k + s <= k_max]
 
 
 def verify_double_derivation_closure(algebra, k_max):

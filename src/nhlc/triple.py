@@ -12,12 +12,13 @@ derivation-map algebras of a centerless perfect algebra against the plain
 derivation space; equality is expected exactly under those hypotheses.
 """
 
+from .algebra import distinct_twists, live_tuples
 from .errors import ArityError, HypothesisError
 from .linalg import nullspace_of_columns, span_basis, subspace_contains
 from .report import ValidationReport
 from .spaces import (_blocks_to_space, _cached_blocks, _solve_blocks, center,
-                     derivation_space, distinct_twists, is_perfect,
-                     live_tuples, maps_as_color_algebra, require, union_space)
+                     derivation_space, is_perfect, maps_as_color_algebra,
+                     require, union_space)
 
 
 def triple_derivation_space(algebra, k):

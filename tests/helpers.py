@@ -194,13 +194,25 @@ def _unit(dim, i):
     return v
 
 
+def plain_power(M, k):
+    """M^k by |k| plain products, of M for k >= 0 and of M.inverse() for
+    k < 0: the independent route's twist powers, which never read the
+    twist record behind ColorAlgebra.alpha_power."""
+    if k < 0:
+        M, k = M.inverse(), -k
+    out = Matrix.identity(M.rows)
+    for _ in range(k):
+        out = out * M
+    return out
+
+
 def derivation_residual(A, E, k, d):
     """Residual of the twisted Leibniz rule for the map E of degree d."""
     out = []
     C1 = E.matrix * A.alpha
     C2 = A.alpha * E.matrix
     out.extend((C1 - C2).flatten())
-    ak = A.alpha_power(k)
+    ak = plain_power(A.alpha, k)
     acols = [ak.column(i) for i in range(A.dim)]
     ecols = [E.matrix.column(i) for i in range(A.dim)]
     for t in combinations_with_replacement(range(A.dim), A.arity):
@@ -225,7 +237,7 @@ def double_derivation_residual(A, E, k, d):
     C2 = A.alpha * E.matrix
     out.extend((C1 - C2).flatten())
     n = A.arity
-    ak = A.alpha_power(k)
+    ak = plain_power(A.alpha, k)
     acols = [ak.column(i) for i in range(A.dim)]
     ecols = [E.matrix.column(i) for i in range(A.dim)]
     ytuples = list(combinations_with_replacement(range(A.dim), n))
@@ -263,7 +275,7 @@ def triple_derivation_residual(A, E, k, d):
     C1 = E.matrix * A.alpha
     C2 = A.alpha * E.matrix
     out.extend((C1 - C2).flatten())
-    ak = A.alpha_power(k)
+    ak = plain_power(A.alpha, k)
     acols = [ak.column(i) for i in range(A.dim)]
     ecols = [E.matrix.column(i) for i in range(A.dim)]
     for x in range(A.dim):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from itertools import combinations_with_replacement
+
 from helpers import (a4_injection_mutants, conjugate_algebra, is_canonical,
                      random_basis_change, reference_bracket,
                      reference_jacobi_failures)
@@ -384,5 +386,48 @@ def test_jacobi_witnesses_of_random_graded_mutants(name, request):
                               list(A.basis), A.alpha, constants)
         want = reference_jacobi_failures(mutant)
         assert _jacobi_witnesses(mutant) == want, (t, j)
+        failing += bool(want)
+    assert failing
+
+
+# -- twist multiplicativity against the all-sorted reference ------------------
+
+def _twist_witnesses(A):
+    return [(v.witness, v.expected, v.actual)
+            for v in validate_algebra(A).violations
+            if v.check == "twist-multiplicative"]
+
+
+def _reference_twist_failures(A):
+    """alpha [t] = [alpha e_t1, .., alpha e_tn] on every sorted n-tuple t,
+    dead ones included, by the dense reference bracket: the failing t as
+    (t, lhs, rhs)."""
+    units = [A.basis_vector(i) for i in range(A.dim)]
+    cols = [A.alpha.column(i) for i in range(A.dim)]
+    out = []
+    for t in combinations_with_replacement(range(A.dim), A.arity):
+        lhs = A.alpha.apply(reference_bracket(A, [units[i] for i in t]))
+        rhs = reference_bracket(A, [cols[i] for i in t])
+        if lhs != rhs:
+            out.append((t, lhs, rhs))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "regraded_a4",
+                                  "super_heis", "color_heis3", "color_a4",
+                                  "cross3", "rational_heis"])
+def test_twist_witnesses_of_twist_breaking_mutants(name, request):
+    """validate_algebra checks twist multiplicativity on live tuples only;
+    with the twist's column i doubled, for each i, its witnesses equal the
+    all-sorted reference's, in order and number, and some mutants fail."""
+    A = request.getfixturevalue(name)
+    failing = 0
+    for i in range(A.dim):
+        alpha = Matrix([[2 * x if c == i else x for c, x in enumerate(row)]
+                        for row in A.alpha.data])
+        mutant = ColorAlgebra(A.name + "_twist", A.arity, A.group, A.eps,
+                              list(A.basis), alpha, A.constants)
+        want = _reference_twist_failures(mutant)
+        assert _twist_witnesses(mutant) == want, i
         failing += bool(want)
     assert failing

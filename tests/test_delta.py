@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import nhlc.delta as delta_mod
 from helpers import conjugate_algebra, is_canonical, random_basis_change
 from nhlc import oracle
-from nhlc.algebra import HomMap, validate_algebra
+from nhlc.algebra import HomMap, distinct_twists, validate_algebra
 from nhlc.delta import (delta_of, inner_centralizer_in_double_derivations,
                         verify_delta_derivation_criterion,
                         verify_delta_homomorphism, verify_delta_residual_laws,
@@ -17,8 +17,7 @@ from nhlc.builders import build_simple_nlie, build_yau_twist
 from nhlc.errors import HypothesisError
 from nhlc.linalg import Matrix, nullspace_of_columns, solve_particular
 from nhlc.spaces import (center, color_commutator, derivation_space,
-                         distinct_twists, double_derivation_space,
-                         inner_space, is_perfect)
+                         double_derivation_space, inner_space, is_perfect)
 
 F = Fraction
 

@@ -590,6 +590,104 @@ def test_zero_bicharacter_entry_refused_at_load(tmp_path, args):
     assert "bicharacter entry (0, 1) is 0" in violation["actual"]
 
 
+BAD_EPS_DOC = {
+    "name": "bad-eps", "arity": 6, "group": {"free_rank": 0, "torsion": [2]},
+    "bicharacter": [["2"]],
+    "basis": [{"name": n, "degree": [d]} for n, d in
+              [("a", 0), ("b", 1), ("c", 0), ("d", 1)]],
+    "alpha": [[str(int(i == j)) for j in range(4)] for i in range(4)],
+    "brackets": []}
+
+
+@pytest.mark.parametrize("args", [
+    ["validate"], ["spaces", "--kind", "der", "--k", "0"],
+    ["verify", "--all", "--k-max", "0"]])
+def test_invalid_bicharacter_refused_without_the_sweep(tmp_path, args):
+    """eps(odd, odd) = 2 is no bicharacter of Z/2.  Loading once went on to
+    the Jacobi sweep over every ordered tuple pair, 4^5 x 4^6 at arity 6,
+    and ran for minutes; now the bicharacter report stands alone: exit 1,
+    and every violation is a bicharacter one."""
+    path = tmp_path / "bad-eps.json"
+    path.write_text(json.dumps(BAD_EPS_DOC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nhlc.cli", *args, "--json", str(path)],
+        capture_output=True, text=True, timeout=10, env=_src_env())
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    violations = json.loads(proc.stdout)["violations"]
+    assert violations and all(v["check"].startswith("bicharacter-")
+                              for v in violations)
+
+
+ZERO_4X4 = [["0"] * 4 for _ in range(4)]
+K_HUGE = 10 ** 9
+
+
+def _without_k(report):
+    """A report with the echoed twist power left out."""
+    for part in ("parameters", "results"):
+        report[part].pop("k", None)
+    return report
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--kind", "der"], ["check", "--kind", "dder"], ["delta"]])
+@pytest.mark.parametrize("name, period", [("a4", 1), ("twisted_a4", 2)])
+def test_huge_twist_power_is_read_at_its_class(tmp_path, request, name,
+                                               period, args):
+    """The twist of A4 has order 1 and that of TWISTED_A4 order 2; at
+    --k 10^9 these commands once stepped through every power and were
+    killed after 30 s.  Now alpha^k is read at the twist class of k: exit 0
+    and the report at k mod the order, but for the echoed k."""
+    path = tmp_path / "algebra.json"
+    io_json.save(request.getfixturevalue(name), path)
+    mp = tmp_path / "zero.json"
+    mp.write_text(json.dumps({"matrix": ZERO_4X4}))
+
+    def cmd(k):
+        return [*args, "--k", str(k), "--map", str(mp), "--json", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *cmd(K_HUGE)],
+                          capture_output=True, text=True, timeout=10,
+                          env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(cmd(K_HUGE % period)) == 0
+    assert _without_k(json.loads(proc.stdout)) == \
+        _without_k(json.loads(out.getvalue()))
+
+
+def test_twist_power_of_infinite_order_refused(tmp_path, color_heis3):
+    """COLOR_HEIS3 with the twist y -> y + z is valid, and the twist has
+    infinite order: its powers never repeat, so --k 10^9 would walk 10^9
+    powers.  The walk stops at MAX_TWIST_POWERS with exit 1 and a report;
+    below that, powers are formed as before."""
+    from nhlc.algebra import MAX_TWIST_POWERS, ColorAlgebra
+    from nhlc.linalg import Matrix
+    A = color_heis3
+    shear = Matrix([[int(i == j or (i, j) == (3, 2)) for j in range(4)]
+                    for i in range(4)])
+    path = tmp_path / "shear.json"
+    io_json.save(ColorAlgebra("HEIS3_SHEAR", 3, A.group, A.eps, list(A.basis),
+                              shear, A.constants), path)
+    mp = tmp_path / "e11.json"
+    mp.write_text(json.dumps({"matrix": [["1", "0", "0", "0"]] + ZERO_4X4[1:]}))
+
+    def cmd(k):
+        return ["check", "--kind", "dder", "--k", str(k), "--map", str(mp),
+                "--json", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *cmd(K_HUGE)],
+                          capture_output=True, text=True, timeout=10,
+                          env=_src_env())
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    [violation] = json.loads(proc.stdout)["violations"]
+    assert violation["actual"] == (
+        f"twist power {K_HUGE} refused: the first {MAX_TWIST_POWERS} "
+        f"powers of the twist of HEIS3_SHEAR repeat none")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(cmd(MAX_TWIST_POWERS - 1)) == 0
+        assert main(cmd(-K_HUGE)) == 1
+
+
 ZERO_3X3 = [["0"] * 3 for _ in range(3)]
 
 
@@ -722,10 +820,14 @@ FUZZ_COMMANDS = [
     (["check", "--kind", "dder", "--map", "map.json"], "map"),
     (["check", "--kind", "tder", "--map", "map.json"], "map"),
     (["delta", "--map", "map.json"], "map"),
+    (["check", "--kind", "dder", "--k", "1000000000", "--map", "map.json"],
+     "map"),
+    (["delta", "--k", "1000000000", "--map", "map.json"], "map"),
 ]
 
-# small JSON values to put in place of one field; no large integers, since
-# a huge twist power is a resource limit and not a malformed input.  Degree
+# small JSON values to put in place of one field; huge integers go to --k
+# above, where a twist of finite order is read at the class of k and one of
+# infinite order is refused past MAX_TWIST_POWERS.  Degree
 # entries may also be +-10^9: huge degrees under a rational bicharacter are
 # refused at load (test_huge_degrees_refused_at_load), and map degrees
 # outside the candidate degrees when the map is read

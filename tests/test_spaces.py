@@ -1,29 +1,32 @@
 import random
 import time
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
 from fractions import Fraction
 
 from helpers import (conjugate_algebra, direct_sum, in_map_span,
-                     naive_space_dimension, random_basis_change, subspace_eq)
+                     naive_space_dimension, plain_power, random_basis_change,
+                     subspace_eq)
 from nhlc import oracle, spaces
-from nhlc.algebra import HomMap, validate_algebra
+from nhlc.algebra import (MAX_TWIST_POWERS, HomMap, distinct_twist_pairs,
+                          distinct_twists, twist_class, validate_algebra)
 from nhlc.builders import (build_abelian, build_simple_nlie, build_twisted_a4,
                            build_yau_twist)
-from nhlc.errors import ArityError, HypothesisError, InvertibilityError
+from nhlc.errors import (ArityError, DomainError, HypothesisError,
+                         InvertibilityError)
 from nhlc.grading import GradingGroup
 from nhlc.linalg import (Matrix, nullspace_of_columns, span_basis,
-                         subspace_contains)
+                         subspace_contains, support)
 from nhlc.spaces import (GradedMapSpace, MapBlock, _allowed_positions,
                          _alpha_commute_rows, _blocks_to_space, _leibniz_rows,
                          ad_map, alpha_shift, candidate_degrees, center,
                          centralizer, color_commutator, derivation_space,
-                         derived_subalgebra, distinct_twist_pairs,
-                         distinct_twists, double_derivation_space,
+                         derived_subalgebra, double_derivation_space,
                          fixed_point_basis, inner_generators, inner_space,
                          is_perfect, live_tuples, maps_as_color_algebra,
-                         twist_class, union_space,
+                         union_space,
                          verify_double_derivation_closure, verify_inner_ideal)
 
 F = Fraction
@@ -304,21 +307,21 @@ def _pairs_up_to(k_max):
 
 def _keyed_shifts(A, k_max):
     """The k whose pair (alpha^k, alpha^(k+1)) is new."""
-    P = A.alpha_power
+    P = partial(plain_power, A.alpha)
     return list(_first_of_each(range(k_max + 1),
                                lambda k: (P(k).data, P(k + 1).data)))
 
 
 def _keyed_twist_pairs(A, k_max):
     """The (k, s), k + s <= k_max, whose (alpha^k, alpha^s, alpha^(k+s)) is new."""
-    P = A.alpha_power
+    P = partial(plain_power, A.alpha)
     return list(_first_of_each(_pairs_up_to(k_max), lambda p: (
         P(p[0]).data, P(p[1]).data, P(p[0] + p[1]).data)))
 
 
 def _keyed_commutator_pairs(A, k_max):
     """The (k, s) whose unordered {alpha^k, alpha^s} and alpha^(k+s) are new."""
-    P = A.alpha_power
+    P = partial(plain_power, A.alpha)
     return list(_first_of_each(_pairs_up_to(k_max), lambda p: (
         frozenset((P(p[0]).data, P(p[1]).data)), P(p[0] + p[1]).data)))
 
@@ -345,7 +348,7 @@ def test_twist_classes_are_the_first_occurrences(k_max):
     exponents does."""
     for A in _twist_probes():
         ks = list(range(k_max + 1))
-        keyed = list(_first_of_each(ks, lambda k: A.alpha_power(k).data))
+        keyed = list(_first_of_each(ks, lambda k: plain_power(A.alpha, k).data))
         pairs = distinct_twist_pairs(A, k_max)
         assert distinct_twists(A, k_max) == keyed == _keyed_shifts(A, k_max)
         assert pairs == _keyed_twist_pairs(A, k_max), A.name
@@ -361,9 +364,9 @@ def test_twist_class_is_the_least_equal_power(k_max):
     twist, whose powers repeat from alpha^3 = 0 on; once that repeat is
     found, the powers before it are still their own classes."""
     for A in _twist_probes():
+        powers = [plain_power(A.alpha, k) for k in range(k_max + 1)]
         for k in range(k_max + 1):
-            assert twist_class(A, k) == next(
-                j for j in range(k + 1) if A.alpha_power(j) == A.alpha_power(k))
+            assert twist_class(A, k) == powers.index(powers[k])
         assert twist_class(A, -1) == -1
     a4, _, quarter, _, nilpotent, _ = _twist_probes()
     start = time.perf_counter()
@@ -382,6 +385,62 @@ def test_distinct_twists_stop_at_the_first_repeat(a4, twisted_a4):
     assert distinct_twists(a4, 10 ** 6) == [0]
     assert distinct_twists(twisted_a4, 10 ** 6) == [0, 1]
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("probe", [2, 5], ids=["quarter_turn", "diag_2_1"])
+def test_alpha_powers_are_plain_powers(probe):
+    """alpha_power(m) and alpha_power(-m), m <= 9, equal the plain powers
+    of alpha and of alpha.inverse() on the quarter turn (period 4) and on
+    diag(2, 1) (no repeat), and alpha_columns gives their sparse columns."""
+    A = _twist_probes()[probe]
+    for m in range(10):
+        for k in (m, -m):
+            want = plain_power(A.alpha, k)
+            assert A.alpha_power(k) == want, k
+            assert A.alpha_columns(k) == [support(want.column(i))
+                                          for i in range(A.dim)], k
+
+
+def test_alpha_power_stops_at_the_first_repeat():
+    """A power far past the first repeat is read at its twist class: the
+    quarter turn keeps its four distinct powers, each way, and the
+    nilpotent twist its four (alpha^3 = 0)."""
+    _, _, quarter, _, nilpotent, _ = _twist_probes()
+    start = time.perf_counter()
+    assert quarter.alpha_power(10 ** 9 + 3) == plain_power(quarter.alpha, 3)
+    assert quarter.alpha_power(-10 ** 9 - 1) == plain_power(quarter.alpha, 3)
+    assert nilpotent.alpha_power(10 ** 9) == Matrix.zeros(3, 3)
+    assert time.perf_counter() - start < 1
+    assert [len(quarter._twists[s]["powers"]) for s in (1, -1)] == [4, 4]
+    assert len(nilpotent._twists[1]["powers"]) == 4
+
+
+@pytest.mark.parametrize("probe", [3, 4], ids=["idempotent", "nilpotent"])
+def test_negative_power_of_a_singular_twist_refused(probe):
+    """A singular twist has no alpha^-1, however far the power."""
+    A = _twist_probes()[probe]
+    for k in (-1, -10 ** 9):
+        with pytest.raises(InvertibilityError,
+                           match="singular; negative powers undefined"):
+            A.alpha_power(k)
+    assert A.alpha_power(1) == A.alpha
+
+
+def test_twist_walk_of_infinite_order_is_bounded():
+    """diag(2, 1) repeats no power, so its walk never ends at a repeat: the
+    powers below MAX_TWIST_POWERS are formed, and a power, class or
+    distinct list past them is refused instead of walked to."""
+    A = _twist_probes()[5]
+    top = MAX_TWIST_POWERS - 1
+    assert A.alpha_power(top) == Matrix([[2 ** top, 0], [0, 1]])
+    assert twist_class(A, top) == top
+    assert distinct_twists(A, top) == list(range(MAX_TWIST_POWERS))
+    for call in (A.alpha_power, A.alpha_columns, lambda k: twist_class(A, k),
+                 lambda k: distinct_twists(A, k)):
+        with pytest.raises(DomainError, match="repeat none"):
+            call(10 ** 9)
+    with pytest.raises(DomainError, match="repeat none"):
+        A.alpha_power(-MAX_TWIST_POWERS)
 
 
 def _closure_by_oracle(A, k_max):

@@ -4,11 +4,12 @@ from itertools import product
 
 from helpers import naive_space_dimension
 from nhlc import oracle
+from nhlc.algebra import distinct_twists
 from nhlc.builders import build_abelian
 from nhlc.errors import ArityError, HypothesisError
 from nhlc.linalg import span_basis, subspace_contains
 from nhlc.spaces import (GradedMapSpace, _solve_blocks, derivation_space,
-                         distinct_twists, double_derivation_space, inner_space,
+                         double_derivation_space, inner_space,
                          maps_as_color_algebra)
 from nhlc.triple import (triple_derivation_space, verify_triple_invariance,
                          verify_triple_equals_derivations)
