@@ -83,6 +83,14 @@ def delta_of(algebra, D, k):
     return HomMap(D.degree, _images(A, D, k) * solutions)
 
 
+def _basis_deltas(algebra, k):
+    """[(D, delta_D)] for the basis maps D of DDer^k, computed once per
+    twist class of k."""
+    A = algebra
+    return memo(A, ("delta", twist_class(A, k)), lambda: [
+        (D, delta_of(A, D, k)) for D in double_derivation_space(A, k).maps()])
+
+
 def verify_delta_well_defined(algebra, D, k):
     """Apply the slot-replacement formula to every kernel vector of the
     decomposition matrix; all images must vanish."""
@@ -160,8 +168,7 @@ def verify_delta_residual_laws(algebra, k_max):
     n = A.arity
     checks = 0
     for k in distinct_twists(A, k_max):
-        for idx, D in enumerate(double_derivation_space(A, k).maps()):
-            delta = delta_of(A, D, k)
+        for idx, (D, delta) in enumerate(_basis_deltas(A, k)):
             E = HomMap(D.degree, D.matrix - delta.matrix)
             reduced = (A.all_tuples(),) if skew_premises(A, E, k) else None
             full = (product(range(A.dim), repeat=n),)
@@ -187,11 +194,9 @@ def verify_delta_derivation_criterion(algebra, k_max):
     require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     n = A.arity
-    maps = {k: double_derivation_space(A, k).maps()
-            for k in distinct_twists(A, k_max)}
-    deltas = {k: [delta_of(A, D, k) for D in maps[k]] for k in maps}
-    for k in maps:
-        for idx, (D, delta) in enumerate(zip(maps[k], deltas[k])):
+    ks = distinct_twists(A, k_max)
+    for k in ks:
+        for idx, (D, delta) in enumerate(_basis_deltas(A, k)):
             d_is_der = oracle.is_derivation(A, D, k)[0]
             delta_is_der = oracle.is_derivation(A, delta, k)[0]
             if d_is_der != delta_is_der:
@@ -201,9 +206,9 @@ def verify_delta_derivation_criterion(algebra, k_max):
             if d_is_der and delta.matrix != D.matrix:
                 report.add("delta-fixes-derivations", witness=(k, idx),
                            expected="delta_D = D", actual="different matrix")
-    gens = {s: inner_generators(A, s) for s in maps}
+    gens = {s: inner_generators(A, s) for s in ks}
     for k, s in distinct_twist_pairs(A, k_max):
-        for idx, (D, delta) in enumerate(zip(maps[k], deltas[k])):
+        for idx, (D, delta) in enumerate(_basis_deltas(A, k)):
             d = D.degree
             for gidx, (xs, degs, inner) in enumerate(gens[s]):
                 lhs = color_commutator(D, inner, A.eps).matrix
@@ -229,15 +234,12 @@ def verify_delta_homomorphism(algebra, k_max):
     require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     checks = 0
-    maps = {k: double_derivation_space(A, k).maps()
-            for k in distinct_twists(A, k_max)}
-    deltas = {k: [delta_of(A, D, k) for D in maps[k]] for k in maps}
     for k, s in distinct_twist_pairs(A, k_max):
-        for i, D1 in enumerate(maps[k]):
-            for j, D2 in enumerate(maps[s]):
+        for i, (D1, delta1) in enumerate(_basis_deltas(A, k)):
+            for j, (D2, delta2) in enumerate(_basis_deltas(A, s)):
                 C = color_commutator(D1, D2, A.eps)
                 lhs = delta_of(A, C, k + s).matrix
-                rhs = color_commutator(deltas[k][i], deltas[s][j], A.eps).matrix
+                rhs = color_commutator(delta1, delta2, A.eps).matrix
                 checks += 1
                 if lhs != rhs:
                     report.add("delta-commutator-homomorphism",
@@ -253,30 +255,28 @@ def inner_centralizer_in_double_derivations(algebra, k_max):
     For perfect algebras with nonzero inner space this is expected to be
     zero.
 
-    Inner and DDer spaces depend on k only through alpha^k, so the kernel
-    of each degree is solved once per twist class and reused for the blocks
-    of every k in that class.
+    Inner and DDer spaces depend on k only through alpha^k, so, as in
+    union_space, there is one block per degree and distinct twist power
+    alpha^k with k <= k_max; a repeated power would repeat its blocks.
     """
     A = algebra
     require(A, k_max, "arity", "perfect")
     inner_maps = union_space(A, "inner", k_max).maps()
     zero = Matrix.zeros(A.dim, A.dim)
-    kernels = {}   # twist class -> [(degree, kernel maps)]
-    for j in distinct_twists(A, k_max):
-        kernels[j] = []
-        for block in double_derivation_space(A, j).blocks:
+    blocks = []
+    for k in distinct_twists(A, k_max):
+        for block in double_derivation_space(A, k).blocks:
             basis = block.basis
             kern = nullspace_of_columns(
                 [[c for I in inner_maps
                   for c in color_commutator(B, I, A.eps).matrix.flatten()]
                  for B in basis], len(basis))
-            kernels[j].append((block.degree, [
-                HomMap(block.degree, sum((B.matrix.scale(c)
-                                          for c, B in zip(v, basis)), zero))
-                for v in kern]))
-    return GradedMapSpace(A, "centralizer", [
-        MapBlock(k, d, maps) for k in range(k_max + 1)
-        for d, maps in kernels[twist_class(A, k)] if maps])
+            if kern:
+                blocks.append(MapBlock(k, block.degree, [
+                    HomMap(block.degree, sum((B.matrix.scale(c)
+                                              for c, B in zip(v, basis)), zero))
+                    for v in kern]))
+    return GradedMapSpace(A, "centralizer", blocks)
 
 
 def verify_inner_centralizer_trivial(algebra, k_max):

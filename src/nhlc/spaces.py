@@ -35,7 +35,9 @@ A._space_cache, filled by memo():
   degree of a solved space (GradedMapSpace.span);
 - ("hypothesis", name) and ("hypothesis", "inner", k_max): the verdicts of
   require();
-- ("decomposition",): the bracket decomposition data of delta.
+- ("decomposition",): the bracket decomposition data of delta;
+- ("delta", twist class of k): the basis maps of DDer^k with their images
+  delta_D (delta._basis_deltas).
 """
 
 from itertools import chain
@@ -479,7 +481,6 @@ def verify_double_derivation_closure(algebra, k_max):
     A = algebra
     require(A, k_max, "arity")
     report = ValidationReport()
-    spaces = {k: double_derivation_space(A, k) for k in distinct_twists(A, k_max)}
     certified = {}  # twist class of t -> DDer^t if the oracle passes its basis
 
     def is_dder(D, t):
@@ -495,7 +496,7 @@ def verify_double_derivation_closure(algebra, k_max):
 
     checks = 0
     for k in distinct_twists(A, k_max):
-        for idx, D in enumerate(spaces[k].maps()):
+        for idx, D in enumerate(double_derivation_space(A, k).maps()):
             ok, wit = is_dder(alpha_shift(A, D), k + 1)
             checks += 1
             if not ok:
@@ -505,8 +506,8 @@ def verify_double_derivation_closure(algebra, k_max):
     for k, s in distinct_twist_pairs(A, k_max):
         if k > s:   # [D2, D1] is a scalar multiple of [D1, D2]
             continue
-        maps_k = spaces[k].maps()
-        maps_s = spaces[s].maps()
+        maps_k = double_derivation_space(A, k).maps()
+        maps_s = double_derivation_space(A, s).maps()
         for i, D1 in enumerate(maps_k):
             for j, D2 in enumerate(maps_s):
                 if k == s and j < i:
@@ -529,30 +530,27 @@ def verify_inner_ideal(algebra, k_max):
     A = algebra
     require(A, k_max, "arity", "perfect")
     report = ValidationReport()
-    # the spaces of each twist class; the class of k + 1 may be k_max + 1
-    inns = {j: inner_space(A, j) for j in distinct_twists(A, k_max + 1)}
-    dds = {j: double_derivation_space(A, j) for j in distinct_twists(A, k_max)}
-
-    def inn(k):
-        return inns[twist_class(A, k)]
     for k in distinct_twists(A, k_max):
-        for block in inns[k].blocks:
+        inner_next = inner_space(A, k + 1)
+        for block in inner_space(A, k).blocks:
             for idx, I in enumerate(block.basis):
                 shifted = alpha_shift(A, I)
                 if shifted.matrix.is_zero():
                     continue
-                if not inn(k + 1).contains(shifted):
+                if not inner_next.contains(shifted):
                     report.add("inner-shift", witness=(k, block.degree, idx),
                                expected="contained in inner span at k+1",
                                actual="outside")
     for s, k in distinct_twist_pairs(A, k_max):
-        for i, D in enumerate(dds[s].maps()):
-            for block in inns[k].blocks:
+        inner_k = inner_space(A, k).blocks
+        inner_sum = inner_space(A, k + s)
+        for i, D in enumerate(double_derivation_space(A, s).maps()):
+            for block in inner_k:
                 for j, I in enumerate(block.basis):
                     C = color_commutator(D, I, A.eps)
                     if C.matrix.is_zero():
                         continue
-                    if not inn(k + s).contains(C):
+                    if not inner_sum.contains(C):
                         report.add("inner-commutator",
                                    witness=(s, k, i, block.degree, j),
                                    expected="contained in inner span at k+s",

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 import nhlc.delta as delta_mod
 from helpers import conjugate_algebra, is_canonical, random_basis_change
 from nhlc import oracle
-from nhlc.algebra import HomMap, distinct_twists, validate_algebra
+from nhlc.algebra import (ColorAlgebra, HomMap, distinct_twist_pairs,
+                          distinct_twists, twist_class, validate_algebra)
 from nhlc.delta import (delta_of, inner_centralizer_in_double_derivations,
                         verify_delta_derivation_criterion,
                         verify_delta_homomorphism, verify_delta_residual_laws,
@@ -36,6 +38,12 @@ def skewed_sum(a4):
     assert validate_algebra(out).ok
     assert is_perfect(out) and not center(out)
     return out
+
+
+def _fresh(A):
+    """A copy of A with an empty space cache."""
+    return ColorAlgebra(A.name, A.arity, A.group, A.eps, A.basis, A.alpha,
+                        A.constants)
 
 
 def _decompose(A, x):
@@ -221,11 +229,13 @@ def test_residual_laws_sorted_and_ordered_sweeps_agree(name, request,
     only after a failure, reports what the ordered sweep alone reports
     (skew_premises forced false): nothing on the algebra, and the same
     witnesses in the same order when delta_D is replaced by D / 2, which
-    breaks the identity.  details.checks counts every ordered tuple."""
+    breaks the identity.  details.checks counts every ordered tuple.
+    The basis maps' deltas are memoised per algebra, so each mutant runs
+    on a fresh copy of the algebra, whose space cache starts empty."""
     A = request.getfixturevalue(name)
 
-    def run():
-        report = verify_delta_residual_laws(A, 1)
+    def run(B=A):
+        report = verify_delta_residual_laws(B, 1)
         return ([(v.check, v.witness, v.expected, v.actual)
                  for v in report.violations], report.details)
 
@@ -239,7 +249,7 @@ def test_residual_laws_sorted_and_ordered_sweeps_agree(name, request,
                                 lambda *args: False)
         with monkeypatch.context() as patch:
             patch.setattr(delta_mod, "delta_of", halved)
-            broken = run()
+            broken = run(_fresh(A))
         results.append((run(), broken))
     (good, broken), (good_full, broken_full) = results
     assert good == good_full and not good[0]
@@ -253,6 +263,46 @@ def test_residual_laws_sorted_and_ordered_sweeps_agree(name, request,
 
 
 
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "color_a4"])
+def test_basis_deltas_are_delta_of_once_per_twist_class(name, request):
+    """_basis_deltas(A, k) pairs each basis map of DDer^k with delta_of at
+    k, and the twist powers of one class share one entry of the cache."""
+    A = _fresh(request.getfixturevalue(name))
+    for k in range(4):
+        pairs = delta_mod._basis_deltas(A, k)
+        maps = double_derivation_space(A, k).maps()
+        assert [D for D, _ in pairs] == maps
+        assert [delta for _, delta in pairs] == \
+            [delta_of(A, D, k) for D in maps]
+        assert pairs is delta_mod._basis_deltas(A, twist_class(A, k))
+    assert sorted(key for key in A._space_cache if key[0] == "delta") == \
+        sorted({("delta", twist_class(A, k)) for k in range(4)})
+
+
+def test_basis_map_deltas_computed_once(twisted_a4, monkeypatch):
+    """The residual laws, the derivation criterion and the homomorphism
+    read one delta per basis map of DDer^k and twist class; beyond those,
+    delta_of runs only on the residuals E and the commutators [D1, D2]."""
+    A = _fresh(twisted_a4)
+    k_max = 3
+    calls = []
+    real = delta_mod.delta_of
+
+    def counted(algebra, D, k):
+        calls.append(k)
+        return real(algebra, D, k)
+    monkeypatch.setattr(delta_mod, "delta_of", counted)
+    for verifier in (verify_delta_residual_laws,
+                     verify_delta_derivation_criterion,
+                     verify_delta_homomorphism):
+        assert verifier(A, k_max).ok
+    size = {k: double_derivation_space(A, k).dimension()
+            for k in distinct_twists(A, k_max)}
+    assert len(size) == 2
+    assert len(calls) == 2 * sum(size.values()) + sum(
+        size[k] * size[s] for k, s in distinct_twist_pairs(A, k_max))
 
 
 def test_derivation_criterion(a4, twisted_a4, color_a4, color_simple4):
@@ -287,20 +337,24 @@ def test_inner_centralizer_requires_perfect(abelian3):
         inner_centralizer_in_double_derivations(abelian3, 1)
 
 
-@pytest.mark.parametrize("name, phi", [
+FINITE_ORDER_TWISTS = [
     ("SIGN_A4", [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
     ("QUARTER_TURN_A4",
-     [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])])
+     [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]
+
+
+@pytest.mark.parametrize("name, phi", FINITE_ORDER_TWISTS)
 def test_inner_centralizer_per_twist_power_matches_every_block(name, phi):
     """One kernel per (alpha^k, degree) gives the blocks of the kernel of
-    every DDer^k block against every inner map of Inn^0..Inn^k_max, k by k.
-    The sign twist of A4 has order 2 and the quarter turn order 4, so
-    blocks repeat, and both have a nonzero inner centralizer."""
+    every DDer^k block against every inner map of Inn^0..Inn^k_max, one k
+    per distinct twist power.  The sign twist of A4 has order 2 and the
+    quarter turn order 4, so powers repeat below k_max, and both have a
+    nonzero inner centralizer."""
     A = build_yau_twist(build_simple_nlie(3), Matrix(phi), name=name)
     k_max = 5
     inner = [I for k in range(k_max + 1) for I in inner_space(A, k).maps()]
     expected = []
-    for k in range(k_max + 1):
+    for k in distinct_twists(A, k_max):
         for block in double_derivation_space(A, k).blocks:
             kern = nullspace_of_columns(
                 [[c for I in inner
@@ -314,3 +368,17 @@ def test_inner_centralizer_per_twist_power_matches_every_block(name, phi):
     assert expected
     assert [(b.k, b.degree, [m.matrix for m in b.basis])
             for b in space.blocks] == expected
+
+
+@pytest.mark.parametrize("name, phi", FINITE_ORDER_TWISTS)
+def test_inner_centralizer_at_huge_k_max_is_read_per_twist_class(name, phi):
+    """Past the first repeated power no block is new: the centralizer at
+    k_max = 10^9 equals the one at k_max = 5, computed as fast."""
+    A = build_yau_twist(build_simple_nlie(3), Matrix(phi), name=name)
+    start = time.perf_counter()
+    huge = inner_centralizer_in_double_derivations(A, 10 ** 9)
+    assert time.perf_counter() - start < 1
+    small = inner_centralizer_in_double_derivations(A, 5)
+    assert huge.dimension() > 0
+    assert [(b.k, b.degree, b.basis) for b in huge.blocks] == \
+        [(b.k, b.degree, b.basis) for b in small.blocks]

@@ -656,6 +656,40 @@ def test_huge_twist_power_is_read_at_its_class(tmp_path, request, name,
         _without_k(json.loads(out.getvalue()))
 
 
+def _without_k_max(report):
+    """A report with the echoed largest twist power left out."""
+    report["parameters"].pop("k_max")
+    return report
+
+
+@pytest.mark.parametrize("name, phi, code", [
+    ("A4", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 0),
+    ("SIGN_A4", [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 1)])
+def test_huge_k_max_costs_the_distinct_twists(tmp_path, name, phi, code):
+    """The identity twist of A4 has order 1 and the sign twist order 2; at
+    --k-max 10^8 the inner centralizer once kept its blocks for every k and
+    ran until killed (the sign twist's report at --k-max 10^6 was 164 MB).
+    Now each verifier walks one k per distinct twist power: the exit code
+    and the report at --k-max 3, but for the echoed k_max."""
+    from nhlc.builders import build_yau_twist
+    from nhlc.linalg import Matrix
+    path = tmp_path / "algebra.json"
+    io_json.save(build_yau_twist(build_simple_nlie(3), Matrix(phi), name=name),
+                 path)
+
+    def cmd(k_max):
+        return ["verify", "--all", "--k-max", str(k_max), "--json", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *cmd(10 ** 8)],
+                          capture_output=True, text=True, timeout=10,
+                          env=_src_env())
+    assert proc.returncode == code, proc.stderr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(cmd(3)) == code
+    assert _without_k_max(json.loads(proc.stdout)) == \
+        _without_k_max(json.loads(out.getvalue()))
+
+
 def test_twist_power_of_infinite_order_refused(tmp_path, color_heis3):
     """COLOR_HEIS3 with the twist y -> y + z is valid, and the twist has
     infinite order: its powers never repeat, so --k 10^9 would walk 10^9
@@ -823,11 +857,12 @@ FUZZ_COMMANDS = [
     (["check", "--kind", "dder", "--k", "1000000000", "--map", "map.json"],
      "map"),
     (["delta", "--k", "1000000000", "--map", "map.json"], "map"),
+    (["verify", "--all", "--k-max", "1000000000"], None),
 ]
 
 # small JSON values to put in place of one field; huge integers go to --k
-# above, where a twist of finite order is read at the class of k and one of
-# infinite order is refused past MAX_TWIST_POWERS.  Degree
+# and --k-max above, where a twist of finite order is read at the class of
+# k and one of infinite order is refused past MAX_TWIST_POWERS.  Degree
 # entries may also be +-10^9: huge degrees under a rational bicharacter are
 # refused at load (test_huge_degrees_refused_at_load), and map degrees
 # outside the candidate degrees when the map is read
