@@ -89,10 +89,10 @@ def live_tuples(degrees, eps, m):
     Every row of a dropped tuple is therefore zero: the nonzero rows reach
     RowReducer in the same order, and the echelon, the early stop and the
     kernel are unchanged.  The Jacobi sweep of validate_algebra and the
-    oracle sweep live tuples too, and the residual laws of delta sorted
-    ones, each under a proof of its own and through reduced_sweep, which
-    reports a failure from the full sweep; tests/helpers.py keeps the full
-    ordered sweeps as the independent check.
+    oracle sweep live tuples too, each under a proof of its own and
+    through reduced_sweep, which reports a failure from the full sweep;
+    tests/helpers.py keeps the full ordered sweeps as the independent
+    check.
     """
     repeatable = [eps.value(g, g) != 1 for g in degrees]
     return [t for t in combinations_with_replacement(range(len(degrees)), m)
@@ -121,7 +121,7 @@ def skew_premises(algebra, D, k):
     D is homogeneous of its stated degree and the twist alpha^k is even:
     then every bracket of basis vectors and their images under D and the
     twist has homogeneous arguments and is color-skew (normalize_tuple).
-    The premises of the reduced sweeps of the oracle and of delta."""
+    The premises of the reduced sweeps of the oracle."""
     A = algebra
     return (validate_bicharacter(A.eps).ok and D.respects_blocks(A)
             and HomMap(A.group.zero(), A.alpha_power(k)).respects_blocks(A))

@@ -123,9 +123,11 @@ def _is_flat_list(v):
         x is None or isinstance(x, (bool, int, str)) for x in v)
 
 
-def _space_blocks_json(space):
+def _space_blocks_json(space, k):
+    """The blocks of a space solved at twist power k, labelled k (a solved
+    space labels them with the twist class of k)."""
     return [{"kind": space.kind,
-             "k": b.k,
+             "k": k,
              "degree": list(b.degree.free + b.degree.torsion),
              "dim": len(b.basis),
              "basis": [io_json.matrix_to_grid(m.matrix) for m in b.basis]}
@@ -218,7 +220,7 @@ def _cmd_spaces(args):
              "dder": spaces_mod.double_derivation_space,
              "inner": spaces_mod.inner_space}[kind]
     space = solve(A, args.k)
-    results = {"blocks": _space_blocks_json(space),
+    results = {"blocks": _space_blocks_json(space, args.k),
                "dimension": space.dimension()}
     return _report("spaces", A.name, {"kind": kind, "k": args.k},
                    results, [], [])
@@ -302,7 +304,7 @@ def _cmd_tder(args):
     blocks = []
     for k in distinct_twists(A2, args.k_max):
         space = triple.triple_derivation_space(A2, k)
-        blocks.extend(_space_blocks_json(space))
+        blocks.extend(_space_blocks_json(space, k))
     results = {"algebra2": A2.name, "blocks": blocks}
     return _report("tder", A.name,
                    {"source": source or ("self" if A2 is A else "der"),

@@ -28,13 +28,17 @@ twists of finite order the blocks repeat (algebra.distinct_twists), and the
 twist class of k, the least j with alpha^j = alpha^k (algebra.twist_class),
 keys them.
 Every memo of the algebra's derived data lives in its one dict
-A._space_cache, filled by memo():
+A._space_cache, filled by memo(), each under the data it depends on:
 
-- (kind, twist class of k): the solved blocks of der, dder, inner and tder;
-- ("span", kind, degree, set of twist classes): the canonical span of one
-  degree of a solved space (GradedMapSpace.span);
+- (kind, twist class j of k): the solved space of der, dder, inner or tder,
+  one GradedMapSpace whose blocks are labelled j (_cached_space); each
+  space keeps the canonical spans of its degrees (GradedMapSpace.span);
+- ("inner generators", twist class of k): the nonzero ad maps of
+  inner_generators;
 - ("hypothesis", name) and ("hypothesis", "inner", k_max): the verdicts of
   require();
+- ("map algebra", degrees and matrices of the merged basis): the space
+  cache of every map algebra on that basis (maps_as_color_algebra);
 - ("decomposition",): the bracket decomposition data of delta;
 - ("delta", twist class of k): the basis maps of DDer^k with their images
   delta_D (delta._basis_deltas).
@@ -58,7 +62,8 @@ KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn", "tder": "TDer",
 
 
 class MapBlock:
-    """Homogeneous maps of one degree at twist power k."""
+    """Homogeneous maps of one degree at twist power k; a solved space
+    labels its blocks with the twist class of k."""
 
     def __init__(self, k, degree, basis):
         self.k = k
@@ -80,16 +85,13 @@ def _unflatten(A, row):
 
 
 class GradedMapSpace:
-    """Homogeneous map blocks of one kind.  solved marks blocks that are the
-    solver's own (see _blocks_to_space and union_space): the span of one
-    degree then depends only on the kind and on the twist powers alpha^k of
-    the blocks, so span() keeps it in the algebra's space cache."""
+    """Homogeneous map blocks of one kind."""
 
-    def __init__(self, algebra, kind, blocks, solved=False):
+    def __init__(self, algebra, kind, blocks):
         self.algebra = algebra
         self.kind = kind
         self.blocks = blocks
-        self.solved = solved
+        self._spans = {}   # degree -> span(degree)
 
     def dimension(self):
         return sum(len(b.basis) for b in self.blocks)
@@ -102,16 +104,12 @@ class GradedMapSpace:
 
     def span(self, degree):
         """Canonical (RREF) basis of the span of the maps of one degree, as
-        flattened matrices; for a solved space, one per (kind, degree, set
-        of the blocks' twist classes)."""
-        def build():
-            return span_basis([m.matrix.flatten() for b in self.blocks
-                               if b.degree == degree for m in b.basis])
-        if not self.solved:
-            return build()
-        A = self.algebra
-        return memo(A, ("span", self.kind, degree, frozenset(
-            twist_class(A, b.k) for b in self.blocks)), build)
+        flattened matrices, computed once per space."""
+        if degree not in self._spans:
+            self._spans[degree] = span_basis([
+                m.matrix.flatten() for b in self.blocks
+                if b.degree == degree for m in b.basis])
+        return self._spans[degree]
 
     def merged_basis(self):
         """The span bases of all degrees, in degree order, as maps.  Twist
@@ -164,11 +162,14 @@ def _alpha_commute_rows(A, vars_):
     return [row for row in rows if row]
 
 
-def _cached_blocks(A, kind, k, builder):
-    """The blocks of kind at twist power k, built once per twist class j
-    as builder(j); alpha^j = alpha^k."""
+def _cached_space(A, kind, k, builder):
+    """The solved space of kind at twist power k, one object per twist class
+    j of k (alpha^j = alpha^k): builder(j) gives its blocks as
+    [(degree, [Matrix...])], labelled j."""
     j = twist_class(A, k)
-    return memo(A, (kind, j), lambda: builder(j))
+    return memo(A, (kind, j), lambda: GradedMapSpace(A, kind, [
+        MapBlock(j, d, [HomMap(d, M) for M in mats])
+        for d, mats in builder(j)]))
 
 
 def _solve_blocks(A, k, xtuples, ytuples):
@@ -197,12 +198,6 @@ def _solve_blocks(A, k, xtuples, ytuples):
         if mats:
             out.append((d, mats))
     return out
-
-
-def _blocks_to_space(A, kind, k, blocks):
-    return GradedMapSpace(A, kind, [
-        MapBlock(k, d, [HomMap(d, M) for M in mats]) for d, mats in blocks],
-        solved=True)
 
 
 def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
@@ -277,9 +272,8 @@ def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
 def derivation_space(algebra, k):
     """Basis of the twisted derivations for one twist power, per degree."""
     A = algebra
-    blocks = _cached_blocks(A, "der", k, lambda j: _solve_blocks(
+    return _cached_space(A, "der", k, lambda j: _solve_blocks(
         A, j, [()], live_tuples(A.degrees, A.eps, A.arity)))
-    return _blocks_to_space(A, "der", k, blocks)
 
 
 def double_derivation_space(algebra, k):
@@ -287,10 +281,9 @@ def double_derivation_space(algebra, k):
     A = algebra
     if A.arity < 3:
         raise ArityError("double derivations need arity >= 3")
-    blocks = _cached_blocks(A, "dder", k, lambda j: _solve_blocks(
+    return _cached_space(A, "dder", k, lambda j: _solve_blocks(
         A, j, live_tuples(A.degrees, A.eps, A.arity - 1),
         live_tuples(A.degrees, A.eps, A.arity)))
-    return _blocks_to_space(A, "dder", k, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +331,20 @@ def fixed_point_basis(algebra):
 
 def inner_generators(algebra, k):
     """All nonzero ad maps on tuples from the fixed graded basis, as
-    (arguments, their degrees, map)."""
+    (arguments, their degrees, map), built once per twist class of k."""
     A = algebra
-    fixed = fixed_point_basis(A)
-    gens = []
-    for combo in live_tuples([g for g, _ in fixed], A.eps, A.arity - 1):
-        xs = [fixed[i][1] for i in combo]
-        m = ad_map(A, xs, k)
-        if not m.matrix.is_zero():
-            gens.append((xs, [fixed[i][0] for i in combo], m))
-    return gens
+    j = twist_class(A, k)
+
+    def build():
+        fixed = fixed_point_basis(A)
+        gens = []
+        for combo in live_tuples([g for g, _ in fixed], A.eps, A.arity - 1):
+            xs = [fixed[i][1] for i in combo]
+            m = ad_map(A, xs, j)
+            if not m.matrix.is_zero():
+                gens.append((xs, [fixed[i][0] for i in combo], m))
+        return gens
+    return memo(A, ("inner generators", j), build)
 
 
 def inner_space(algebra, k):
@@ -361,19 +358,18 @@ def inner_space(algebra, k):
             MapBlock(j, m.degree, [m]) for _, _, m in inner_generators(A, j)])
         return [(d, [_unflatten(A, row) for row in gens.span(d)])
                 for d in gens.degrees()]
-    return _blocks_to_space(A, "inner", k, _cached_blocks(A, "inner", k, build))
+    return _cached_space(A, "inner", k, build)
 
 
 def union_space(algebra, kind, k_max):
     """The blocks of the solved "der", "dder" or "inner" spaces at the twist
-    powers 0..k_max, as one solved space.  A repeated alpha^k repeats its
-    blocks, which add nothing to any span, so only distinct_twists are
-    taken."""
+    powers 0..k_max, as one space.  A repeated alpha^k repeats its blocks,
+    which add nothing to any span, so only distinct_twists are taken."""
     solve = {"der": derivation_space, "dder": double_derivation_space,
              "inner": inner_space}[kind]
     return GradedMapSpace(algebra, kind, [
         b for k in distinct_twists(algebra, k_max)
-        for b in solve(algebra, k).blocks], solved=True)
+        for b in solve(algebra, k).blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +560,10 @@ def maps_as_color_algebra(space):
     Basis: space.merged_basis() in order.  Bracket: color commutator in
     those coordinates.  Twist: composition with the ambient twist.  Raises
     TruncationError when a commutator or twist-shift leaves the span, and
-    re-validates the constructed algebra.
+    re-validates the constructed algebra.  The algebra is fixed by its basis
+    and the ambient eps and twist; its name, from the kind, plays no part.
+    So every map algebra on one merged basis of A shares one space cache,
+    kept in A's, and solves its spaces once.
     """
     A = space.algebra
     basis_maps = space.merged_basis()
@@ -596,6 +595,8 @@ def maps_as_color_algebra(space):
     basis = [(f"D{i + 1}", bm.degree) for i, bm in enumerate(basis_maps)]
     out = ColorAlgebra(f"{label}({A.name})", 2, A.group, A.eps,
                        basis, alpha, constants)
+    out._space_cache = memo(A, ("map algebra", tuple(
+        (bm.degree, bm.matrix.data) for bm in basis_maps)), dict)
     rep = validate_algebra(out)
     if not rep.ok:
         raise AlgebraValidationError(

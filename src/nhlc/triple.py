@@ -16,9 +16,8 @@ from .algebra import distinct_twists, live_tuples
 from .errors import ArityError, HypothesisError
 from .linalg import nullspace_of_columns, span_basis, subspace_contains
 from .report import ValidationReport
-from .spaces import (_blocks_to_space, _cached_blocks, _solve_blocks, center,
-                     derivation_space, is_perfect, maps_as_color_algebra,
-                     require, union_space)
+from .spaces import (_cached_space, _solve_blocks, center, derivation_space,
+                     is_perfect, maps_as_color_algebra, require, union_space)
 
 
 def triple_derivation_space(algebra, k):
@@ -48,9 +47,8 @@ def triple_derivation_space(algebra, k):
     A = algebra
     if A.arity != 2:
         raise ArityError("triple derivations are defined for arity 2")
-    blocks = _cached_blocks(A, "tder", k, lambda j: _solve_blocks(
+    return _cached_space(A, "tder", k, lambda j: _solve_blocks(
         A, j, [(x,) for x in range(A.dim)], live_tuples(A.degrees, A.eps, 2)))
-    return _blocks_to_space(A, "tder", k, blocks)
 
 
 def verify_triple_invariance(algebra, k_max):

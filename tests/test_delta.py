@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -222,44 +223,61 @@ def test_residual_laws(a4, twisted_a4, color_a4, color_simple4):
         assert report.ok, (A.name, report.violations[:2])
 
 
+def _ordered_slot_failures(A, E, k, idx):
+    """The slot identity of E at twist power k on every ordered tuple, by
+    dense brackets of basis vectors: (witness, E[t], signed slot term) per
+    tuple t and slot s where the two differ, in order."""
+    ak = A.alpha_power(k)
+    out = []
+    for t in product(range(A.dim), repeat=A.arity):
+        lhs = E.apply(A.bracket([A.basis_vector(i) for i in t]))
+        for slot in range(A.arity):
+            args = [ak.column(i) for i in t]
+            args[slot] = E.apply(A.basis_vector(t[slot]))
+            prefix = A.degree_sum(A.degrees[i] for i in t[:slot])
+            sign = A.eps.value(E.degree, prefix)
+            rhs = [sign * c for c in A.bracket(args)]
+            if lhs != rhs:
+                out.append(((k, idx, slot, t), lhs, rhs))
+    return out
+
+
 @pytest.mark.parametrize("name", ["a4", "twisted_a4", "color_a4"])
-def test_residual_laws_sorted_and_ordered_sweeps_agree(name, request,
-                                                       monkeypatch):
-    """The slot identity, swept on sorted tuples and on the ordered ones
-    only after a failure, reports what the ordered sweep alone reports
-    (skew_premises forced false): nothing on the algebra, and the same
-    witnesses in the same order when delta_D is replaced by D / 2, which
-    breaks the identity.  details.checks counts every ordered tuple.
-    The basis maps' deltas are memoised per algebra, so each mutant runs
-    on a fresh copy of the algebra, whose space cache starts empty."""
+def test_residual_laws_witnesses_are_the_ordered_sweeps(name, request,
+                                                        monkeypatch):
+    """The slot identity reports nothing on the algebra, and, when delta_D
+    is replaced by D / 2, which breaks it, the witnesses of an independent
+    sweep of every ordered tuple, in the same order.  details.checks counts
+    every ordered tuple.  The basis maps' deltas are memoised per algebra,
+    so the mutant runs on a fresh copy of the algebra, whose space cache
+    starts empty."""
     A = request.getfixturevalue(name)
 
-    def run(B=A):
+    def run(B):
         report = verify_delta_residual_laws(B, 1)
-        return ([(v.check, v.witness, v.expected, v.actual)
-                 for v in report.violations], report.details)
+        return ([(v.witness, v.expected, v.actual) for v in report.violations
+                 if v.check == "residual-slot-identity"],
+                report.violations, report.details)
 
     def halved(algebra, D, k):
         return HomMap(D.degree, D.matrix.scale(F(1, 2)))
 
-    results = []
-    for full in (False, True):
-        if full:
-            monkeypatch.setattr(delta_mod, "skew_premises",
-                                lambda *args: False)
-        with monkeypatch.context() as patch:
-            patch.setattr(delta_mod, "delta_of", halved)
-            broken = run(_fresh(A))
-        results.append((run(), broken))
-    (good, broken), (good_full, broken_full) = results
-    assert good == good_full and not good[0]
-    assert broken == broken_full
-    assert any(check == "residual-slot-identity" for check, *_ in broken[0])
+    good = run(A)
+    assert not good[1]
+    with monkeypatch.context() as patch:
+        patch.setattr(delta_mod, "delta_of", halved)
+        broken = run(_fresh(A))
+    expected = [failure for k in distinct_twists(A, 1)
+                for idx, D in enumerate(double_derivation_space(A, k).maps())
+                for failure in _ordered_slot_failures(
+                    A, HomMap(D.degree, D.matrix.scale(F(1, 2))), k, idx)]
+    assert expected and broken[0] == expected
+    assert broken[2] == good[2]
     maps = sum(double_derivation_space(A, k).dimension()
                for k in distinct_twists(A, 1))
-    assert good[1]["checks"] == maps * (A.dim ** A.arity * A.arity + 1)
+    assert good[2]["checks"] == maps * (A.dim ** A.arity * A.arity + 1)
     if name == "a4":
-        assert good[1]["checks"] == 1158
+        assert good[2]["checks"] == 1158
 
 
 

@@ -956,3 +956,17 @@ def test_fuzzed_input_gets_a_report(request, fuzz_dir, case):
     report = json.loads(out.getvalue())
     assert set(report) == REPORT_KEYS
     assert bool(report["violations"]) == (code == 1)
+
+
+def test_spaces_labels_blocks_with_the_asked_k(tmp_path, capsys):
+    """A solved space is one object per twist class, labelled by it, but
+    `spaces` reports the twist power it was asked for: 7 on A4, whose
+    twist is the identity (class 0)."""
+    path = tmp_path / "a4.json"
+    io_json.save(build_simple_nlie(3), path)
+    for k in (0, 7):
+        assert main(["spaces", "--kind", "der", "--k", str(k), "--json",
+                     str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["parameters"]["k"] == k
+        assert [b["k"] for b in doc["results"]["blocks"]] == [k]

@@ -20,7 +20,7 @@ from nhlc.grading import GradingGroup
 from nhlc.linalg import (Matrix, nullspace_of_columns, span_basis,
                          subspace_contains, support)
 from nhlc.spaces import (GradedMapSpace, MapBlock, _allowed_positions,
-                         _alpha_commute_rows, _blocks_to_space, _leibniz_rows,
+                         _alpha_commute_rows, _leibniz_rows,
                          ad_map, alpha_shift, candidate_degrees, center,
                          centralizer, color_commutator, derivation_space,
                          derived_subalgebra, double_derivation_space,
@@ -138,10 +138,10 @@ def _quarter_turn_a4():
 
 def test_contains_cache_tells_spaces_apart(color_heis3):
     """A map of DDer^1 outside DDer^0 (by the independent route) lies in
-    DDer^0 + DDer^1 and not in DDer^0.  The span cache is keyed by the
-    blocks' twist powers, so contains answers right whichever space is
-    asked first, and again from the cache; it is keyed by the kind too, so
-    Der and DDer of COLOR_HEIS3 are told apart at the same twist."""
+    DDer^0 + DDer^1 and not in DDer^0.  Each space keeps its own spans,
+    so contains answers right whichever space is asked first, and again
+    from the kept spans; the solved spaces are cached by kind too, so Der
+    and DDer of COLOR_HEIS3 are told apart at the same twist."""
     probe = _quarter_turn_a4()
     d0 = double_derivation_space(probe, 0).maps()
     D = next(m for m in double_derivation_space(probe, 1).maps()
@@ -150,8 +150,7 @@ def test_contains_cache_tells_spaces_apart(color_heis3):
         A = _quarter_turn_a4()
         part = double_derivation_space(A, 0)
         union = GradedMapSpace(A, "dder", part.blocks +
-                               double_derivation_space(A, 1).blocks,
-                               solved=True)
+                               double_derivation_space(A, 1).blocks)
         order = [union, part] if union_first else [part, union]
         for space in order + order:
             assert space.contains(D) == (space is union), union_first
@@ -159,6 +158,23 @@ def test_contains_cache_tells_spaces_apart(color_heis3):
     der = derivation_space(color_heis3, 0)
     E = next(m for m in dd.maps() if not in_map_span(der.maps(), m))
     assert dd.contains(E) and not der.contains(E)
+
+
+@pytest.mark.parametrize("build", [lambda: build_simple_nlie(3),
+                                   build_twisted_a4, _quarter_turn_a4],
+                         ids=["a4", "twisted_a4", "quarter_turn_a4"])
+def test_solved_space_is_one_object_per_twist_class(build):
+    """der, dder and inner at twist powers k and k' of one class are one
+    cached space, its blocks labelled by the class, and so are the inner
+    generators."""
+    A = build()
+    for k in range(6):
+        j = twist_class(A, k)
+        for solve in (derivation_space, double_derivation_space, inner_space,
+                      inner_generators):
+            assert solve(A, k) is solve(A, j), (solve.__name__, k)
+        for solve in (derivation_space, double_derivation_space, inner_space):
+            assert {b.k for b in solve(A, k).blocks} <= {j}
 
 
 # -- inner maps ---------------------------------------------------------------
@@ -491,7 +507,8 @@ def test_closure_verdicts_are_the_oracles_on_a_wrong_solver(
             if d == zero:
                 blocks[n] = (d, mats + [Matrix.identity(A.dim)]
                              if tamper == "gain" else mats[:-1])
-        return _blocks_to_space(algebra, "dder", k, blocks)
+        return GradedMapSpace(algebra, "dder", [
+            MapBlock(k, d, [HomMap(d, M) for M in mats]) for d, mats in blocks])
 
     monkeypatch.setattr(spaces, "double_derivation_space", wrong_solve)
     fails, checks = _closure_by_oracle(A, 1)

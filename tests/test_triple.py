@@ -10,7 +10,7 @@ from nhlc.errors import ArityError, HypothesisError
 from nhlc.linalg import span_basis, subspace_contains
 from nhlc.spaces import (GradedMapSpace, _solve_blocks, derivation_space,
                          double_derivation_space, inner_space,
-                         maps_as_color_algebra)
+                         maps_as_color_algebra, union_space)
 from nhlc.triple import (triple_derivation_space, verify_triple_invariance,
                          verify_triple_equals_derivations)
 
@@ -160,3 +160,40 @@ def test_zero_map_is_trivially_invariant(a4):
     zero_images = [[F(0)] * A2.dim]
     basis = span_basis(zero_images)
     assert basis == []
+
+
+def test_map_algebras_of_a4_solve_tder_once(monkeypatch):
+    """Inn = Der = DDer on A4, so the three map algebras of `verify` at
+    k_max = 1 have one merged basis and share one space cache: TDer is
+    solved once, and each algebra keeps its own name in the report."""
+    from nhlc import triple
+    from nhlc.builders import build_simple_nlie
+    from nhlc.cli import _run_verify
+    A = build_simple_nlie(3)
+    solves = []
+    real = triple._solve_blocks
+
+    def counted(*args):
+        solves.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(triple, "_solve_blocks", counted)
+    results, violations, _ = _run_verify(A, 1, False)
+    assert not violations and solves == [0]
+    names = {entry["check"]: entry["details"]["algebra"] for entry in results
+             if entry["check"].startswith("triple-")}
+    assert names == {"triple-invariance": f"DDer({A.name})",
+                     "triple-equals-derivations[Inn]": f"Inn({A.name})",
+                     "triple-equals-derivations[Der]": f"Der({A.name})"}
+    assert len([key for key in A._space_cache
+                if key[0] == "map algebra"]) == 1
+
+
+def test_map_algebras_on_different_bases_share_no_cache(color_heis3):
+    """DDer strictly contains Der on COLOR_HEIS3, so the map algebras of
+    Der, DDer and Inn have different merged bases, spaces and caches."""
+    algebras = [maps_as_color_algebra(union_space(color_heis3, kind, 1))
+                for kind in ("der", "dder", "inner")]
+    assert [A2.dim for A2 in algebras] == [8, 16, 3]
+    assert len({id(A2._space_cache) for A2 in algebras}) == 3
+    assert len({id(triple_derivation_space(A2, 0))
+                for A2 in algebras}) == 3
