@@ -93,10 +93,20 @@ def live_tuples(degrees, eps, m):
     through reduced_sweep, which reports a failure from the full sweep;
     tests/helpers.py keeps the full ordered sweeps as the independent
     check.
+
+    The test is on adjacent pairs, so a tuple is live exactly when its
+    prefix is live and its last index is past the one before it, or equal
+    to it and repeatable.  The tuples are built by that extension, one
+    index at a time; extending each live prefix in order by its allowed
+    indices in increasing order keeps the lexicographic order.
     """
+    n = len(degrees)
     repeatable = [eps.value(g, g) != 1 for g in degrees]
-    return [t for t in combinations_with_replacement(range(len(degrees)), m)
-            if all(a != b or repeatable[a] for a, b in zip(t, t[1:]))]
+    tuples = [()]
+    for _ in range(m):
+        tuples = [t + (i,) for t in tuples
+                  for i in range(t[-1] + (not repeatable[t[-1]]) if t else 0, n)]
+    return tuples
 
 
 def reduced_sweep(failures, reduced, full):
@@ -177,6 +187,13 @@ class ColorAlgebra:
         self._basis_vecs = {}
         self._twists = {}        # _twist_walk: step 1 or -1 -> its walk
         self._space_cache = {}   # spaces.memo
+
+    def renamed(self, name):
+        """This algebra under another name, sharing every memo with it."""
+        view = object.__new__(ColorAlgebra)
+        view.__dict__.update(self.__dict__)
+        view.name = name
+        return view
 
     # -- basic helpers ----------------------------------------------------
     def degree_sum(self, degs):

@@ -11,7 +11,7 @@ from itertools import product
 
 from . import oracle
 from .algebra import (HomMap, distinct_twist_pairs, distinct_twists,
-                      slot_brackets, twist_class)
+                      live_tuples, slot_brackets, twist_class)
 from .errors import DomainError
 from .linalg import (F0, Matrix, accumulate, dense, nullspace,
                      nullspace_of_columns, solve_particular, support)
@@ -26,13 +26,16 @@ def _decomposition(algebra):
     nonzero basis-tuple bracket values in lexicographic tuple order and the
     matrix with them as columns, the matrix whose column q is a particular
     solution of matrix x = e_q (None when some basis vector lies outside
-    the derived subalgebra), and a kernel basis of the matrix."""
+    the derived subalgebra), and a kernel basis of the matrix.  Only live
+    tuples are read: a sorted tuple that is not live repeats an index of
+    degree g with eps(g, g) = 1, and bracket_basis gives it zero
+    (normalize_tuple)."""
     A = algebra
 
     def build():
         tuples = []
         cols = []
-        for t in A.all_tuples():
+        for t in live_tuples(A.degrees, A.eps, A.arity):
             v = A.bracket_basis(t)
             if any(v):
                 tuples.append(t)

@@ -63,7 +63,8 @@ def _leibniz(algebra, D, k, live, full, witness):
     """(ok, witness): twist commutation, then the identity on every pair
     (xs, ys) of the tuple sets full = (xtuples, ytuples), swept on the live
     sets first when skew_premises holds; witness(xs, ys) names the first
-    failing pair of the full sets."""
+    failing pair of the full sets.  The full sets may be iterators: only a
+    failing live sweep, or a failed premise, draws from them."""
     A = algebra
     if D.matrix * A.alpha != A.alpha * D.matrix:
         return False, ("twist-commute",)
@@ -73,7 +74,8 @@ def _leibniz(algebra, D, k, live, full, witness):
     inner = {}
 
     def failures(xtuples, ytuples):
-        nested = xtuples != [()]
+        nested = xtuples != [()]   # only der has the x-set [()], a list
+        ytuples = list(ytuples)
         for xs in xtuples:
             xargs = [acols[i] for i in xs]
             xunits = [[(i, F1)] for i in xs]
@@ -107,10 +109,10 @@ def _leibniz(algebra, D, k, live, full, witness):
 
 
 def _sorted_tuples(algebra, m):
-    """(live m-tuples, all sorted m-tuples)."""
+    """(live m-tuples, an iterator over all sorted m-tuples)."""
     A = algebra
     return (live_tuples(A.degrees, A.eps, m),
-            list(combinations_with_replacement(range(A.dim), m)))
+            combinations_with_replacement(range(A.dim), m))
 
 
 def is_derivation(algebra, D, k):
@@ -141,5 +143,5 @@ def is_triple_derivation(algebra, D, k):
         raise ArityError("triple derivations are defined for arity 2")
     singles = [(x,) for x in range(A.dim)]
     return _leibniz(A, D, k, (singles, live_tuples(A.degrees, A.eps, 2)),
-                    (singles, list(product(range(A.dim), repeat=2))),
+                    (singles, product(range(A.dim), repeat=2)),
                     lambda xs, ys: ("triple", xs + ys))

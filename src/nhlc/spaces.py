@@ -37,8 +37,9 @@ A._space_cache, filled by memo(), each under the data it depends on:
   inner_generators;
 - ("hypothesis", name) and ("hypothesis", "inner", k_max): the verdicts of
   require();
-- ("map algebra", degrees and matrices of the merged basis): the space
-  cache of every map algebra on that basis (maps_as_color_algebra);
+- ("map algebra", degrees and matrices of the merged basis): the validated
+  map algebra on that basis, whose views of every kind share its memos
+  (maps_as_color_algebra);
 - ("decomposition",): the bracket decomposition data of delta;
 - ("delta", twist class of k): the basis maps of DDer^k with their images
   delta_D (delta._basis_deltas).
@@ -57,8 +58,7 @@ from .linalg import (F0, F1, Matrix, RowReducer, accumulate, coords_in_basis,
                      span_basis, subspace_contains, support)
 from .report import ValidationReport
 
-KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn", "tder": "TDer",
-               "centralizer": "Cent"}
+KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn"}
 
 
 class MapBlock:
@@ -408,16 +408,21 @@ _HYPOTHESES = {
 }
 
 
+def holds(algebra, k_max, name):
+    """Whether the algebra meets the named hypothesis of _HYPOTHESES; "inner"
+    asks for a nonzero inner map at some twist power in [0, k_max].  The
+    verdict is kept in the space cache."""
+    test = _HYPOTHESES[name][0]
+    key = ("hypothesis", name, k_max) if name == "inner" else ("hypothesis", name)
+    return memo(algebra, key, lambda: test(algebra, k_max))
+
+
 def require(algebra, k_max, *names):
     """Raise HypothesisError for the first named hypothesis, in the given
-    order, that the algebra fails; "inner" asks for a nonzero inner map at
-    some twist power in [0, k_max].  Verdicts are kept in the space cache."""
+    order, that the algebra fails (holds)."""
     for name in names:
-        holds, message = _HYPOTHESES[name]
-        key = (("hypothesis", name, k_max) if name == "inner"
-               else ("hypothesis", name))
-        if not memo(algebra, key, lambda: holds(algebra, k_max)):
-            raise HypothesisError(message)
+        if not holds(algebra, k_max, name):
+            raise HypothesisError(_HYPOTHESES[name][1])
 
 
 def centralizer(algebra, span_vectors):
@@ -560,15 +565,29 @@ def maps_as_color_algebra(space):
     Basis: space.merged_basis() in order.  Bracket: color commutator in
     those coordinates.  Twist: composition with the ambient twist.  Raises
     TruncationError when a commutator or twist-shift leaves the span, and
-    re-validates the constructed algebra.  The algebra is fixed by its basis
-    and the ambient eps and twist; its name, from the kind, plays no part.
-    So every map algebra on one merged basis of A shares one space cache,
-    kept in A's, and solves its spaces once.
+    AlgebraValidationError when the constructed algebra fails validation.
+    The algebra is fixed by its basis and the ambient eps and twist, so it
+    is built and validated once per merged basis and kept in A's space
+    cache; a failed build is not kept.  Each call returns it named after
+    the space's kind (DDer(A), Inn(A) or Der(A)), as a view that shares
+    every memo (ColorAlgebra.renamed), so the map algebras on one basis
+    solve their spaces once.
     """
     A = space.algebra
     basis_maps = space.merged_basis()
     if not basis_maps:
         raise TruncationError("cannot build an algebra on an empty map space")
+    name = f"{KIND_LABELS[space.kind]}({A.name})"
+    key = ("map algebra", tuple((bm.degree, bm.matrix.data)
+                                for bm in basis_maps))
+    algebra = memo(A, key, lambda: _map_algebra(space, basis_maps, name))
+    return algebra.renamed(name)
+
+
+def _map_algebra(space, basis_maps, name):
+    """The validated binary algebra on basis_maps, the merged basis of space
+    (maps_as_color_algebra)."""
+    A = space.algebra
     dim = len(basis_maps)
     alpha_cols = []
     for bm in basis_maps:
@@ -591,12 +610,8 @@ def maps_as_color_algebra(space):
             value = {j: c for j, c in enumerate(co) if c != 0}
             if value:
                 constants[(p, q)] = value
-    label = KIND_LABELS.get(space.kind, space.kind)
     basis = [(f"D{i + 1}", bm.degree) for i, bm in enumerate(basis_maps)]
-    out = ColorAlgebra(f"{label}({A.name})", 2, A.group, A.eps,
-                       basis, alpha, constants)
-    out._space_cache = memo(A, ("map algebra", tuple(
-        (bm.degree, bm.matrix.data) for bm in basis_maps)), dict)
+    out = ColorAlgebra(name, 2, A.group, A.eps, basis, alpha, constants)
     rep = validate_algebra(out)
     if not rep.ok:
         raise AlgebraValidationError(

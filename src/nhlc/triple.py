@@ -16,8 +16,8 @@ from .algebra import distinct_twists, live_tuples
 from .errors import ArityError, HypothesisError
 from .linalg import nullspace_of_columns, span_basis, subspace_contains
 from .report import ValidationReport
-from .spaces import (_cached_space, _solve_blocks, center, derivation_space,
-                     is_perfect, maps_as_color_algebra, require, union_space)
+from .spaces import (_cached_space, _solve_blocks, derivation_space, holds,
+                     maps_as_color_algebra, require, union_space)
 
 
 def triple_derivation_space(algebra, k):
@@ -98,12 +98,14 @@ def verify_triple_equals_derivations(algebra2, k_max):
 
     Containment of derivations in triple derivations must always hold.
     Strict containment is a violation when the algebra is centerless
-    perfect, and an out-of-hypothesis notice otherwise.
+    perfect (the verdicts of spaces.holds, kept with the algebra), and an
+    out-of-hypothesis notice otherwise.
     """
     A2 = algebra2
     if A2.arity != 2:
         raise ArityError("comparison is defined for arity 2")
-    hypothesis_met = is_perfect(A2) and not center(A2)
+    hypothesis_met = (holds(A2, k_max, "perfect")
+                      and holds(A2, k_max, "centerless"))
     report = ValidationReport()
     report.details["algebra"] = A2.name
     report.details["hypothesis_met"] = hypothesis_met

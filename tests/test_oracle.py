@@ -192,3 +192,39 @@ def test_maps_off_the_grading_are_swept_in_full(color_a4, monkeypatch,
     assert oracle.is_derivation(A, D, 0) == (False, ("tuple", (0, 0, 2)))
     monkeypatch.setattr(oracle, "skew_premises", lambda *args: True)
     assert oracle.is_derivation(A, D, 0) == (True, None)
+
+
+def test_full_sets_are_drawn_only_by_a_failing_sweep(a4, cross3,
+                                                      monkeypatch):
+    """The full tuple sets of the oracle are iterators that a passing check
+    never draws from; a failing check draws from them and reports the
+    full sweep's first witness, the one it gives with the reduced sweep
+    switched off (skew_premises false)."""
+    drawn = []
+
+    def recording(real):
+        def make(*args, **kwargs):
+            def tuples():
+                drawn.append(real.__name__)
+                yield from real(*args, **kwargs)
+            return tuples()
+        return make
+    monkeypatch.setattr(oracle, "combinations_with_replacement",
+                        recording(oracle.combinations_with_replacement))
+    monkeypatch.setattr(oracle, "product", recording(oracle.product))
+    cases = [(a4, oracle.is_derivation, derivation_space),
+             (a4, oracle.is_double_derivation, double_derivation_space),
+             (cross3, oracle.is_triple_derivation, triple_derivation_space)]
+    rng = random.Random(7)
+    failing = []
+    for A, check, build in cases:
+        for k in (0, 1):
+            for D in build(A, k).maps():
+                assert check(A, D, k) == (True, None)
+            failing += [(A, check, random_hom_map(A, d, rng), k)
+                        for d in candidate_degrees(A)]
+    assert drawn == []
+    got = [check(A, D, k) for A, check, D, k in failing]
+    assert drawn and all(not ok for ok, _ in got)
+    monkeypatch.setattr(oracle, "skew_premises", lambda *args: False)
+    assert got == [check(A, D, k) for A, check, D, k in failing]

@@ -669,14 +669,39 @@ def test_color_heis3_repeated_odd_triple_is_unconstrained(color_heis3):
 
 def test_map_algebra_truncation_on_unclosed_span(a4):
     """A subset of the derivation space that is not commutator-closed is
-    rejected with a truncation error rather than silently mis-built."""
+    rejected with a truncation error rather than silently mis-built; a
+    failed build is not cached, so a second call raises too."""
     from nhlc.errors import TruncationError
     der = derivation_space(a4, 0)
     block = der.blocks[0]
     partial = GradedMapSpace(a4, "der",
                              [MapBlock(0, block.degree, block.basis[:2])])
-    with pytest.raises(TruncationError):
-        maps_as_color_algebra(partial)
+    for _ in range(2):
+        with pytest.raises(TruncationError):
+            maps_as_color_algebra(partial)
+
+
+def test_map_algebra_failing_validation_raises_on_every_call(twisted_a4):
+    """The twist-shift D -> D alpha of the algebra of Der on TWISTED_A4 is
+    not multiplicative, so the algebra fails validation, on every call:
+    the failure is not cached."""
+    from nhlc.errors import AlgebraValidationError
+    for _ in range(2):
+        with pytest.raises(AlgebraValidationError):
+            maps_as_color_algebra(union_space(twisted_a4, "der", 1))
+
+
+def test_inn_and_der_views_share_memos_and_keep_names(a4):
+    """Inn = Der on A4: the two map algebras are views of one validated
+    algebra, sharing its space cache, bracket memos and twist record, each
+    under the name of its kind."""
+    inn = maps_as_color_algebra(union_space(a4, "inner", 1))
+    der = maps_as_color_algebra(union_space(a4, "der", 1))
+    assert (inn.name, der.name) == (f"Inn({a4.name})", f"Der({a4.name})")
+    for memo_name in ("_space_cache", "_bracket_memo", "_sparse_memo",
+                      "_twists"):
+        assert getattr(inn, memo_name) is getattr(der, memo_name), memo_name
+    assert inn.alpha_power(1) is der.alpha_power(1)
 
 
 # -- change of basis -------------------------------------------------------------
@@ -887,6 +912,30 @@ def test_live_tuples_keep_center_centralizer_and_inner_generators(request,
             if not m.matrix.is_zero():
                 reference.append((xs, [fixed[i][0] for i in combo], m))
         assert inner_generators(A, k) == reference
+
+
+FIXTURES = ["a4", "abelian3", "twisted_a4", "super_heis", "regraded_a4",
+            "cross3", "color_heis3", "rational_heis", "sl2_heis3", "color_a4",
+            "color_simple4"]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_live_tuples_are_the_filtered_sorted_tuples(request, name):
+    """live_tuples, built by extension, is the list of sorted tuples that
+    repeat an index only when its degree g has eps(g, g) != 1, in
+    lexicographic order: for the basis degrees of every fixture and for
+    the degrees of its fixed-point basis (inner_generators), at
+    m = 0..arity + 1."""
+    A = request.getfixturevalue(name)
+
+    def filtered(degrees, m):
+        return [t for t in combinations_with_replacement(range(len(degrees)), m)
+                if all(a != b or A.eps.value(degrees[a], degrees[a]) != 1
+                       for a, b in zip(t, t[1:]))]
+
+    for degrees in (A.degrees, [g for g, _ in fixed_point_basis(A)]):
+        for m in range(A.arity + 2):
+            assert live_tuples(degrees, A.eps, m) == filtered(degrees, m), m
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])

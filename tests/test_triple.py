@@ -164,21 +164,31 @@ def test_zero_map_is_trivially_invariant(a4):
 
 def test_map_algebras_of_a4_solve_tder_once(monkeypatch):
     """Inn = Der = DDer on A4, so the three map algebras of `verify` at
-    k_max = 1 have one merged basis and share one space cache: TDer is
-    solved once, and each algebra keeps its own name in the report."""
-    from nhlc import triple
+    k_max = 1 are views of one algebra on one merged basis: it is validated
+    once, after A4 itself, TDer is solved once, and each view keeps its own
+    name in the report."""
+    from nhlc import io_json, spaces, triple
     from nhlc.builders import build_simple_nlie
     from nhlc.cli import _run_verify
     A = build_simple_nlie(3)
     solves = []
-    real = triple._solve_blocks
+    validated = []
+    real_solve = triple._solve_blocks
+    real_validate = spaces.validate_algebra
 
-    def counted(*args):
+    def counted_solve(*args):
         solves.append(args[1])
-        return real(*args)
-    monkeypatch.setattr(triple, "_solve_blocks", counted)
+        return real_solve(*args)
+
+    def counted_validate(algebra):
+        validated.append(algebra.name)
+        return real_validate(algebra)
+    monkeypatch.setattr(triple, "_solve_blocks", counted_solve)
+    monkeypatch.setattr(io_json, "validate_algebra", counted_validate)
+    monkeypatch.setattr(spaces, "validate_algebra", counted_validate)
     results, violations, _ = _run_verify(A, 1, False)
     assert not violations and solves == [0]
+    assert validated == [A.name, f"DDer({A.name})"]
     names = {entry["check"]: entry["details"]["algebra"] for entry in results
              if entry["check"].startswith("triple-")}
     assert names == {"triple-invariance": f"DDer({A.name})",
