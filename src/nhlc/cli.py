@@ -8,6 +8,13 @@ HypothesisError (the algebra is outside the hypotheses of its law) with the
 error's message as a notice that does not fail the run.  The NHLC_THREADS
 variable is validated (an integer >= 1) and has no other effect: execution
 is sequential.
+
+A command imports the modules it runs: `validate` and `example` load no
+solver (spaces, delta, oracle, triple), so a process that only validates
+does not compile it.  A command imports such a module itself
+(`from . import spaces as spaces_mod`) and looks its functions up on the
+module at call time, never binding them with `from .spaces import x`,
+because perfbench/tracer.py wraps functions by rebinding module attributes.
 """
 
 import argparse
@@ -15,9 +22,7 @@ import json
 import os
 import sys
 
-from . import delta as delta_mod
-from . import io_json, oracle, triple
-from . import spaces as spaces_mod
+from . import io_json
 from .algebra import HomMap, distinct_twists
 from .builders import BUILTIN_BUILDERS, build_simple_nlie
 from .errors import (AlgebraValidationError, ArityError, FormatError,
@@ -152,6 +157,8 @@ def _load_map(A, path):
     """The map of a map file.  Its degree is inferred from the support of
     the matrix when the file gives none, and the support must agree with it.
     A stated degree must be one a nonzero map can have (candidate_degrees)."""
+    from . import spaces as spaces_mod
+
     def parse(doc):
         degree = doc.get("degree")
         return (io_json.parse_matrix(doc["matrix"]),
@@ -214,6 +221,8 @@ def _cmd_validate(args):
 
 
 def _cmd_spaces(args):
+    from . import spaces as spaces_mod
+
     A = io_json.load(args.file)
     kind = args.kind
     solve = {"der": spaces_mod.derivation_space,
@@ -227,6 +236,8 @@ def _cmd_spaces(args):
 
 
 def _cmd_center(args):
+    from . import spaces as spaces_mod
+
     A = io_json.load(args.file)
     basis = spaces_mod.center(A)
     results = {"dimension": len(basis),
@@ -236,6 +247,8 @@ def _cmd_center(args):
 
 
 def _cmd_centralizer(args):
+    from . import spaces as spaces_mod
+
     A = io_json.load(args.file)
     if args.span:
         vectors = _read_input(args.span, "span", lambda doc: [
@@ -250,6 +263,8 @@ def _cmd_centralizer(args):
 
 
 def _cmd_check(args):
+    from . import oracle
+
     A = io_json.load(args.file)
     D = _load_map(A, args.map)
     check = {"der": oracle.is_derivation,
@@ -270,6 +285,8 @@ def _cmd_check(args):
 
 
 def _cmd_delta(args):
+    from . import delta as delta_mod
+
     A = io_json.load(args.file)
     D = _load_map(A, args.map)
     dmap = delta_mod.delta_of(A, D, args.k)
@@ -287,12 +304,16 @@ def _cmd_delta(args):
 
 def _build_map_algebra(A, source, k_max):
     """Binary algebra of a computed map space (inn/der/dder union)."""
+    from . import spaces as spaces_mod
+
     kind = {"inn": "inner", "der": "der", "dder": "dder"}[source]
     return spaces_mod.maps_as_color_algebra(
         spaces_mod.union_space(A, kind, k_max))
 
 
 def _cmd_tder(args):
+    from . import triple
+
     A = io_json.load(args.file)
     source = args.source
     if source == "self" or (source is None and A.arity == 2):
@@ -321,6 +342,10 @@ def _run_verify(A, k_max, triple_only):
 
     The axioms are checked first, once: an algebra that fails them raises
     AlgebraValidationError, as loading it with validation would."""
+    from . import delta as delta_mod
+    from . import spaces as spaces_mod
+    from . import triple
+
     results = []
     violations = []
     notices = []

@@ -823,6 +823,84 @@ def test_cli_import_adds_no_dataclasses():
     assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
+SOLVER = ("nhlc.delta", "nhlc.oracle", "nhlc.spaces", "nhlc.triple")
+
+
+def test_cold_commands_load_no_solver(tmp_path):
+    """import nhlc.cli, validate and example load none of the solver
+    modules, and spaces loads neither delta nor triple: a command imports
+    the modules it runs, so a process that only validates compiles no
+    solver."""
+    code = f"""
+import contextlib, io, json, sys
+from nhlc import cli
+SOLVER = {SOLVER!r}
+seen = [[m for m in SOLVER if m in sys.modules]]
+for argv in (["example", "a4", "-o", "a4.json"],
+             ["validate", "a4.json", "--json"], ["example", "a4"],
+             ["spaces", "a4.json", "--kind", "der", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    seen.append([m for m in SOLVER if m in sys.modules])
+print(json.dumps(seen))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_src_env(), cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported, example_file, validate, example, spaces = json.loads(proc.stdout)
+    assert imported == example_file == validate == example == []
+    assert "nhlc.spaces" in spaces
+    assert not {"nhlc.delta", "nhlc.triple"} & set(spaces), spaces
+
+
+# one run of each subcommand on A4 (written by `example a4`), with the zero
+# map of A4 and a span file of one vector
+SUBCOMMAND_RUNS = {
+    "example": ["example", "a4"],
+    "validate": ["validate", "a4.json", "--json"],
+    "spaces": ["spaces", "a4.json", "--kind", "dder", "--k", "1", "--json"],
+    "center": ["center", "a4.json", "--json"],
+    "centralizer": ["centralizer", "a4.json", "--span", "span.json",
+                    "--json"],
+    "check": ["check", "a4.json", "--kind", "tder", "--map", "zero.json",
+              "--json"],
+    "delta": ["delta", "a4.json", "--map", "zero.json", "--json"],
+    "tder": ["tder", "a4.json", "--k-max", "0", "--json"],
+    "verify": ["verify", "a4.json", "--all", "--k-max", "1"],
+}
+
+
+def test_subcommand_runs_cover_the_parser():
+    from nhlc.cli import build_parser
+    commands = next(a for a in build_parser()._actions
+                    if a.dest == "command")
+    assert set(SUBCOMMAND_RUNS) == set(commands.choices)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+def test_subcommand_in_a_fresh_process(tmp_path, command, monkeypatch):
+    """Each subcommand prints the same report and exits with the same code
+    in a fresh process as through cli.main in this one: in-process tests
+    share one sys.modules, so only a fresh process shows that a command
+    imports every module it runs."""
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["example", "a4", "-o", "a4.json"]) == 0
+    (tmp_path / "zero.json").write_text(json.dumps({"matrix": [["0"] * 4] * 4}))
+    (tmp_path / "span.json").write_text(
+        json.dumps({"vectors": [["1", "0", "0", "0"]]}))
+    argv = SUBCOMMAND_RUNS[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *argv],
+                          capture_output=True, text=True, env=_src_env(),
+                          cwd=tmp_path, timeout=120)
+    assert proc.stderr == ""
+    assert (proc.stdout, proc.returncode) == (out.getvalue(), code)
+    assert out.getvalue()
+
+
 # -- fuzzing ------------------------------------------------------------------
 
 REPORT_KEYS = {"command", "algebra", "parameters", "results", "violations",
