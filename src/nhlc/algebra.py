@@ -259,7 +259,11 @@ class ColorAlgebra:
                 for _, c in combo:
                     if c is not F1:
                         coeff = c if coeff is None else coeff * c
-                accumulate(acc, term, coeff)
+                for r, x in term:   # linalg.accumulate, inline
+                    if coeff is not None:
+                        x = coeff * x
+                    got = acc.get(r)
+                    acc[r] = x if got is None else got + x
         return [(r, c) for r, c in acc.items() if c]
 
     def bracket(self, args):

@@ -135,8 +135,11 @@ class Matrix:
                 for i, a in enumerate(row):
                     if a:
                         accumulate(acc, orows[i], a)
-                data.append(dense(acc.items(), other.cols))
-            return Matrix(data, cols=other.cols)
+                data.append(tuple(dense(acc.items(), other.cols)))
+            # dense rows are canonical: no second pass through __init__
+            out = object.__new__(Matrix)
+            out.data, out.rows, out.cols = tuple(data), self.rows, other.cols
+            return out
         return self.scale(other)
 
     def scale(self, c):

@@ -21,6 +21,15 @@ deliberately share no constraint-assembly code with the nullspace solvers
 in spaces/triple, so the two routes cross-check each other; agreement on
 bases and on random maps is part of the test contract.
 
+Each side is evaluated once per linear map, not once per pair: the bracket
+is linear in its last argument, so for each outer tuple xs the maps
+w -> D[xs, w], w -> [alpha^k xs, w] and the signed sum of the x-slot terms
+are kept as tables of their columns at the basis vectors, filled on first
+use, and the signed y-slot terms of ys are summed into one vector before
+the one lookup (proof in _leibniz).  The residual of every pair is the
+same exact vector as the direct evaluation's, so the verdicts, the
+witnesses and the order of the sweeps are unchanged.
+
 Each check first sweeps live tuples (algebra.live_tuples) in place of the
 sets above, for tder live pairs in place of ordered ones, and sweeps the
 full sets only when a live pair fails, to report the full sweep's first
@@ -64,42 +73,81 @@ def _leibniz(algebra, D, k, live, full, witness):
     (xs, ys) of the tuple sets full = (xtuples, ytuples), swept on the live
     sets first when skew_premises holds; witness(xs, ys) names the first
     failing pair of the full sets.  The full sets may be iterators: only a
-    failing live sweep, or a failed premise, draws from them."""
+    failing live sweep, or a failed premise, draws from them.
+
+    The residual of a pair is read off column tables.  Write
+    M(xs, w) = [xs, w] for the last argument w (M((), w) = w), a = alpha^k,
+    and P_q for the degree of the leaves before slot q.  The residual is
+
+        X_xs([a ys]) + Ad_xs(u(ys, |xs|)) - D M(xs, [ys]),
+
+    with X_xs(w) = sum over the slots q of xs of eps(d, P_q) [.., D x_q, .., w],
+    Ad_xs(w) = M(a xs, w), and u(ys, g) = sum over the slots q of ys of
+    eps(d, g + P_q) [a y_1, .., D y_q, .., a y_n].  It is the sum of the
+    identity's terms regrouped: each y-slot term is eps(d, |xs| + P_q)
+    [a xs, v_q], and the bracket is linear in its last argument.  X_xs,
+    Ad_xs and D M(xs, .) are linear maps, so each is applied as the
+    combination of its columns at the e_r in the support of its argument,
+    computed once per xs and only for the r that occur; u is summed once
+    per (ys, |xs|).  All of this is exact rational arithmetic on the same
+    multilinear sparse_bracket, so each pair's residual is the same vector
+    as that of the 2n brackets it replaces, with or without the premises:
+    the same pairs fail, in the same order, with the same witnesses.
+    """
     A = algebra
     if D.matrix * A.alpha != A.alpha * D.matrix:
         return False, ("twist-commute",)
     d = D.degree
     acols = A.alpha_columns(k)
     dcols = [support(D.matrix.column(i)) for i in range(A.dim)]
-    inner = {}
+    inner = {}   # ys -> ([ys], [a ys], slot terms of ys, {|xs|: u(ys, |xs|)})
+
+    def sign(prefix):
+        s = A.eps.value(d, prefix)
+        return None if s == 1 else s
+
+    def column(xs, table, r):
+        # the column at e_r of D M(xs, .) (table 0), X_xs (1) or Ad_xs (2)
+        unit = [(r, F1)]
+        if table == 2:
+            return A.sparse_bracket([acols[i] for i in xs] + [unit]) if xs else unit
+        if table == 0 and not xs:
+            return dcols[r]
+        acc = {}
+        if table == 0:
+            for i, c in A.sparse_bracket([[(i, F1)] for i in xs] + [unit]):
+                accumulate(acc, dcols[i], c)
+        else:
+            for prefix, term in slot_brackets(A, xs, acols, dcols, [unit]):
+                accumulate(acc, term, sign(prefix))
+        return list(acc.items())
 
     def failures(xtuples, ytuples):
         nested = xtuples != [()]   # only der has the x-set [()], a list
         ytuples = list(ytuples)
         for xs in xtuples:
-            xargs = [acols[i] for i in xs]
-            xunits = [[(i, F1)] for i in xs]
             xdeg = A.degree_sum(A.degrees[i] for i in xs)
+            cols = {}   # (table, r) -> column(xs, table, r)
             for ys in ytuples:
                 if ys not in inner:
                     inner[ys] = (support(A.bracket_basis(ys)),
                                  A.sparse_bracket([acols[i] for i in ys])
-                                 if nested else None,
-                                 slot_brackets(A, ys, acols, dcols, []))
-                value, value_k, yslots = inner[ys]
-                terms = yslots
-                if nested:
-                    value = A.sparse_bracket(xunits + [value])
-                    terms = slot_brackets(A, xs, acols, dcols, [value_k]) + [
-                        (A.group.add(xdeg, p), A.sparse_bracket(xargs + [v]))
-                        for p, v in yslots]
-                # rhs - D(value), accumulated in one dict
+                                 if nested else [],
+                                 slot_brackets(A, ys, acols, dcols, []), {})
+                value, value_k, yslots, usums = inner[ys]
+                if xdeg not in usums:
+                    acc = {}
+                    for p, v in yslots:
+                        accumulate(acc, v, sign(A.group.add(xdeg, p)))
+                    usums[xdeg] = [(r, c) for r, c in acc.items() if c]
                 diff = {}
-                for prefix, term in terms:
-                    sign = A.eps.value(d, prefix)
-                    accumulate(diff, term, None if sign == 1 else sign)
-                for i, c in value:
-                    accumulate(diff, dcols[i], -c)
+                for table, w, coeff in ((1, value_k, 1), (2, usums[xdeg], 1),
+                                        (0, value, -1)):
+                    for r, c in w:
+                        col = cols.get((table, r))
+                        if col is None:
+                            col = cols[table, r] = column(xs, table, r)
+                        accumulate(diff, col, coeff * c)
                 if any(diff.values()):
                     yield witness(xs, ys)
 

@@ -42,12 +42,14 @@ A._space_cache, filled by memo(), each under the data it depends on:
   (maps_as_color_algebra);
 - ("decomposition",): the bracket decomposition data of delta;
 - ("delta", twist class of k): the basis maps of DDer^k with their images
-  delta_D (delta._basis_deltas).
+  delta_D (delta._basis_deltas);
+- ("delta images", twist class of k, degree): delta_R of each row R of the
+  canonical span of DDer^k of that degree, from which delta_of combines
+  delta_D by D's coordinates (delta._span_deltas).
 """
 
 from itertools import chain
 
-from . import oracle
 from .algebra import (ColorAlgebra, HomMap, distinct_twist_pairs,
                       distinct_twists, live_tuples, twist_class,
                       validate_algebra)
@@ -206,7 +208,15 @@ def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
     with its columns in index order and its zeros dropped; zero rows are
     skipped.
     The values [ys], [alpha^k ys] and [ys] with the unknown in each slot are
-    computed once per inner tuple ys."""
+    computed once per inner tuple ys.
+
+    A nested y-slot term is [alpha^k xs, v] for a value v of the inner
+    bracket with the unknown in one slot.  The bracket is linear in its
+    last argument, so it is sum over r of v_r [alpha^k xs, e_r]: it is read
+    off one table per xs of the columns of w -> [alpha^k xs, w], each
+    bracketed once, on first use, in place of one bracket per unknown and
+    slot.  The arithmetic is exact, so every term, and so every row and
+    its order, is the same as the direct bracket's."""
     dim = A.dim
     g = A.group
     acols = A.alpha_columns(k)
@@ -229,11 +239,23 @@ def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
             prefix = g.add(prefix, A.degrees[t])
         return out
 
+    def ad_term(ad, xargs, v):
+        # [alpha^k xs, v] from the columns ad[r] = [alpha^k xs, e_r],
+        # each bracketed on first use
+        acc = {}
+        for r, c in v:
+            col = ad.get(r)
+            if col is None:
+                col = ad[r] = A.sparse_bracket(xargs + [[(r, F1)]])
+            accumulate(acc, col, c)
+        return acc.items()
+
     inner = {}
     for xs in xtuples:
         xargs = [acols[i] for i in xs]
         xunits = [[(i, F1)] for i in xs]
         xdeg = A.degree_sum(A.degrees[i] for i in xs)
+        ad = {}   # the column table of w -> [alpha^k xs, w]
         for ys in ytuples:
             if ys not in inner:
                 inner[ys] = (support(A.bracket_basis(ys)),
@@ -245,7 +267,7 @@ def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
             if nested:
                 value = A.sparse_bracket(xunits + [value])
                 slots = unknown_slots(xs, [value_k]) + [
-                    (p, [(vx, A.sparse_bracket(xargs + [v])) for vx, v in terms])
+                    (p, [(vx, ad_term(ad, xargs, v)) for vx, v in terms])
                     for p, terms in slots]
             # row r is D(value)_r minus the signed slot terms; the
             # coefficients of each unknown vx are gathered as {r: c}
@@ -479,6 +501,9 @@ def verify_double_derivation_closure(algebra, k_max):
     So the verdicts and witnesses are the oracle's on every input, whether
     or not the solver's space is right.
     """
+    # the one user of the oracle here: a process that only solves spaces
+    # does not compile it
+    from . import oracle
     A = algebra
     require(A, k_max, "arity")
     report = ValidationReport()

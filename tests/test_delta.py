@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nhlc.delta as delta_mod
-from helpers import conjugate_algebra, is_canonical, random_basis_change
+from helpers import (conjugate_algebra, in_map_span, is_canonical,
+                     random_basis_change, random_hom_map)
 from nhlc import oracle
 from nhlc.algebra import (ColorAlgebra, HomMap, distinct_twist_pairs,
                           distinct_twists, twist_class, validate_algebra)
@@ -17,7 +18,7 @@ from nhlc.delta import (delta_of, inner_centralizer_in_double_derivations,
                         verify_delta_homomorphism, verify_delta_residual_laws,
                         verify_delta_well_defined)
 from nhlc.builders import build_simple_nlie, build_yau_twist
-from nhlc.errors import HypothesisError
+from nhlc.errors import DomainError, HypothesisError
 from nhlc.linalg import Matrix, nullspace_of_columns, solve_particular
 from nhlc.spaces import (center, color_commutator, derivation_space,
                          double_derivation_space, inner_space, is_perfect)
@@ -134,6 +135,42 @@ def test_delta_rejects_non_double_derivation(a4):
     bad = HomMap(a4.group.zero(), Matrix.identity(4))
     with pytest.raises(ValueError, match="double derivation"):
         delta_of(a4, bad, 0)
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "color_a4",
+                                  "color_simple4"])
+def test_delta_by_coordinates_is_the_formula(name, request):
+    """delta_of, read off the coordinates of D in the span of DDer^k, is
+    the slot formula applied to D itself, _images(A, D, k) * solutions, at
+    k = 0..2: on basis maps, commutators of basis maps and random rational
+    combinations of one degree's basis maps.  A map outside the span still
+    raises DomainError."""
+    A = request.getfixturevalue(name)
+    solutions = delta_mod._decomposition(A)[2]
+    rng = random.Random(5)
+    outside = 0
+    for k in range(3):
+        space = double_derivation_space(A, k)
+        maps = list(space.maps())
+        maps += [color_commutator(D1, D2, A.eps)
+                 for s in range(k + 1)
+                 for D1 in double_derivation_space(A, s).maps()[:3]
+                 for D2 in double_derivation_space(A, k - s).maps()[:3]]
+        for block in space.blocks:
+            for _ in range(2):
+                maps.append(HomMap(block.degree, sum(
+                    (B.matrix.scale(F(rng.randint(-3, 3), rng.randint(1, 3)))
+                     for B in block.basis), Matrix.zeros(A.dim, A.dim))))
+        for D in maps:
+            assert delta_of(A, D, k).matrix == \
+                delta_mod._images(A, D, k) * solutions, (k, D)
+        for d in space.degrees():
+            raw = random_hom_map(A, d, rng)
+            if not in_map_span(space.maps(), raw):
+                outside += 1
+                with pytest.raises(DomainError, match="double derivation"):
+                    delta_of(A, raw, k)
+    assert outside > 0
 
 
 def test_well_defined_on_instances(a4, twisted_a4, color_a4, color_simple4):

@@ -828,9 +828,9 @@ SOLVER = ("nhlc.delta", "nhlc.oracle", "nhlc.spaces", "nhlc.triple")
 
 def test_cold_commands_load_no_solver(tmp_path):
     """import nhlc.cli, validate and example load none of the solver
-    modules, and spaces loads neither delta nor triple: a command imports
-    the modules it runs, so a process that only validates compiles no
-    solver."""
+    modules, and spaces loads neither delta, oracle nor triple: a command
+    imports the modules it runs, so a process that only validates compiles
+    no solver, and one that only solves spaces no oracle."""
     code = f"""
 import contextlib, io, json, sys
 from nhlc import cli
@@ -850,7 +850,8 @@ print(json.dumps(seen))
     imported, example_file, validate, example, spaces = json.loads(proc.stdout)
     assert imported == example_file == validate == example == []
     assert "nhlc.spaces" in spaces
-    assert not {"nhlc.delta", "nhlc.triple"} & set(spaces), spaces
+    assert not {"nhlc.delta", "nhlc.oracle", "nhlc.triple"} & set(spaces), \
+        spaces
 
 
 # one run of each subcommand on A4 (written by `example a4`), with the zero

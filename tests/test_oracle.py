@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from helpers import (in_map_span, naive_space_dimension, project_onto_maps,
-                     random_hom_map)
+from helpers import (RESIDUALS, in_map_span, naive_space_dimension,
+                     project_onto_maps, random_hom_map)
 from nhlc import oracle
 from nhlc.algebra import HomMap, validate_algebra
 from nhlc.errors import ArityError
 from nhlc.grading import validate_bicharacter
 from nhlc.linalg import Matrix
 from nhlc.spaces import (candidate_degrees, derivation_space,
-                         double_derivation_space)
+                         double_derivation_space, maps_as_color_algebra,
+                         union_space)
 from nhlc.triple import triple_derivation_space
 
 F = Fraction
@@ -228,3 +230,75 @@ def test_full_sets_are_drawn_only_by_a_failing_sweep(a4, cross3,
     assert drawn and all(not ok for ok, _ in got)
     monkeypatch.setattr(oracle, "skew_premises", lambda *args: False)
     assert got == [check(A, D, k) for A, check, D, k in failing]
+
+
+# -- the oracle against the naive route, map by map ---------------------------
+
+_CHECKS = {"der": (oracle.is_derivation, derivation_space),
+           "dder": (oracle.is_double_derivation, double_derivation_space),
+           "tder": (oracle.is_triple_derivation, triple_derivation_space)}
+
+
+def _naive_blocks(A, kind):
+    """The witness of each dim-long block of RESIDUALS[kind] after the
+    twist-commutation block, in the naive route's order."""
+    dim, n = A.dim, A.arity
+    if kind == "der":
+        return [("tuple", t) for t in combinations_with_replacement(
+            range(dim), n)]
+    if kind == "dder":
+        ys = list(combinations_with_replacement(range(dim), n))
+        return [("tuple-pair", xs, y) for xs in
+                combinations_with_replacement(range(dim), n - 1) for y in ys]
+    return [("triple", t) for t in product(range(dim), repeat=3)]
+
+
+def _naive_verdict(A, kind, D, k):
+    """(ok, witness) read off the naive residual: ok when it is all zero,
+    else the first nonzero block, the twist-commutation block first."""
+    res = RESIDUALS[kind](A, D, k, D.degree)
+    if any(res[:A.dim ** 2]):
+        return False, ("twist-commute",)
+    for b, witness in enumerate(_naive_blocks(A, kind)):
+        start = A.dim ** 2 + b * A.dim
+        if any(res[start:start + A.dim]):
+            return False, witness
+    return True, None
+
+
+@pytest.fixture(scope="module")
+def a4_dder_algebra(a4):
+    """The binary algebra of the double derivations of A4 (k = 0, 1)."""
+    return maps_as_color_algebra(union_space(a4, "dder", 1))
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "color_heis3",
+                                  "super_heis", "color_a4", "rational_heis",
+                                  "a4_dder_algebra"])
+def test_oracle_agrees_with_naive_route_pointwise(name, request):
+    """Each checker's (ok, witness) is the naive route's at k = 0, 1: ok
+    exactly when helpers.RESIDUALS[kind] is all zero, and a failing map's
+    witness names the residual's first nonzero block.  The maps are the
+    solver's basis maps, random homogeneous maps, random maps that ignore
+    the grading and projections of random maps onto the solved span."""
+    A = request.getfixturevalue(name)
+    kinds = ["der", "dder"] if A.arity >= 3 else ["der", "tder"]
+    if name == "a4_dder_algebra":
+        kinds = ["tder"]
+    rng = random.Random(21)
+    verdicts = []
+    for kind in kinds:
+        check, build = _CHECKS[kind]
+        for k in (0, 1):
+            span = build(A, k).maps()
+            maps = list(span)
+            for d in candidate_degrees(A):
+                raw = random_hom_map(A, d, rng)
+                maps += [raw, _ungraded_map(A, d, rng), project_onto_maps(
+                    [m for m in span if m.degree == d], raw)]
+            for D in maps:
+                got = check(A, D, k)
+                assert got == _naive_verdict(A, kind, D, k), (kind, k, D)
+                verdicts.append(got)
+    assert any(ok for ok, _ in verdicts)
+    assert any(w and w[0] != "twist-commute" for _, w in verdicts)
