@@ -9,7 +9,6 @@ by applying the formula to a kernel basis of the decomposition matrix.
 
 from itertools import product
 
-from . import oracle
 from .algebra import (HomMap, distinct_twist_pairs, distinct_twists,
                       live_tuples, slot_brackets, twist_class)
 from .errors import DomainError
@@ -19,7 +18,8 @@ from .linalg import (F0, Matrix, accumulate, coords_in_basis, dense,
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, MapBlock, _unflatten, ad_map,
                      color_commutator, double_derivation_space,
-                     inner_generators, memo, require, union_space)
+                     inner_generators, memo, oracle_verdict, require,
+                     union_space)
 
 
 def _decomposition(algebra):
@@ -209,17 +209,16 @@ def verify_delta_residual_laws(algebra, k_max):
 def verify_delta_derivation_criterion(algebra, k_max):
     """delta preserves and detects derivations: delta_D is a derivation iff
     D is, with delta_D = D exactly on derivations; and commutators with
-    inner generators expand by the slot formula with delta_D in slot one."""
+    inner generators expand by the slot formula with delta_D in slot one.
+    D and delta_D each get the oracle's verdict (spaces.oracle_verdict)."""
     A = algebra
     require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
     n = A.arity
     for k in distinct_twists(A, k_max):
         for idx, (D, delta) in enumerate(_basis_deltas(A, k)):
-            d_is_der = oracle.is_derivation(A, D, k)[0]
-            # delta_D = D is the same map at the same k: the same verdict
-            delta_is_der = (d_is_der if delta.matrix == D.matrix
-                            else oracle.is_derivation(A, delta, k)[0])
+            d_is_der = oracle_verdict(A, "der", D, k)[0]
+            delta_is_der = oracle_verdict(A, "der", delta, k)[0]
             if d_is_der != delta_is_der:
                 report.add("delta-derivation-equivalence", witness=(k, idx),
                            expected="both or neither derivations",
@@ -259,10 +258,7 @@ def verify_delta_homomorphism(algebra, k_max):
             for j, (D2, delta2) in enumerate(_basis_deltas(A, s)):
                 C = color_commutator(D1, D2, A.eps)
                 lhs = delta_of(A, C, k + s).matrix
-                # [delta_1, delta_2] is C itself when delta_i = D_i
-                rhs = (C if delta1.matrix == D1.matrix
-                       and delta2.matrix == D2.matrix
-                       else color_commutator(delta1, delta2, A.eps)).matrix
+                rhs = color_commutator(delta1, delta2, A.eps).matrix
                 checks += 1
                 if lhs != rhs:
                     report.add("delta-commutator-homomorphism",
@@ -278,8 +274,8 @@ def inner_centralizer_in_double_derivations(algebra, k_max):
     For perfect algebras with nonzero inner space this is expected to be
     zero.
 
-    Inner and DDer spaces depend on k only through alpha^k, so, as in
-    union_space, there is one block per degree and distinct twist power
+    Inner and DDer spaces depend on k only through alpha^k, so the blocks
+    are those of union_space, one per degree and distinct twist power
     alpha^k with k <= k_max; a repeated power would repeat its blocks.
     """
     A = algebra
@@ -287,18 +283,17 @@ def inner_centralizer_in_double_derivations(algebra, k_max):
     inner_maps = union_space(A, "inner", k_max).maps()
     zero = Matrix.zeros(A.dim, A.dim)
     blocks = []
-    for k in distinct_twists(A, k_max):
-        for block in double_derivation_space(A, k).blocks:
-            basis = block.basis
-            kern = nullspace_of_columns(
-                [[c for I in inner_maps
-                  for c in color_commutator(B, I, A.eps).matrix.flatten()]
-                 for B in basis], len(basis))
-            if kern:
-                blocks.append(MapBlock(k, block.degree, [
-                    HomMap(block.degree, sum((B.matrix.scale(c)
-                                              for c, B in zip(v, basis)), zero))
-                    for v in kern]))
+    for block in union_space(A, "dder", k_max).blocks:
+        basis = block.basis
+        kern = nullspace_of_columns(
+            [[c for I in inner_maps
+              for c in color_commutator(B, I, A.eps).matrix.flatten()]
+             for B in basis], len(basis))
+        if kern:
+            blocks.append(MapBlock(block.k, block.degree, [
+                HomMap(block.degree, sum((B.matrix.scale(c)
+                                          for c, B in zip(v, basis)), zero))
+                for v in kern]))
     return GradedMapSpace(A, "centralizer", blocks)
 
 

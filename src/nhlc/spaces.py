@@ -37,6 +37,8 @@ A._space_cache, filled by memo(), each under the data it depends on:
   inner_generators;
 - ("hypothesis", name) and ("hypothesis", "inner", k_max): the verdicts of
   require();
+- ("certified", kind, twist class of t): the solved der or dder space at t
+  if the oracle passes every basis map of it, else None (oracle_verdict);
 - ("map algebra", degrees and matrices of the merged basis): the validated
   map algebra on that basis, whose views of every kind share its memos
   (maps_as_color_algebra);
@@ -478,52 +480,59 @@ def alpha_shift(algebra, D):
     return HomMap(D.degree, D.matrix * algebra.alpha)
 
 
+def oracle_verdict(algebra, kind, D, t):
+    """The oracle's (ok, witness) for D at twist power t, kind "der"
+    (oracle.is_derivation) or "dder" (oracle.is_double_derivation),
+    answered by membership where that is a proof:
+
+    - the oracle's identity for degree d at alpha^t (twist commutation and
+      the Leibniz rule of the kind on every tuple pair) is linear in the
+      map, so when the oracle passes every basis map of the solved space
+      of the kind at t, every map in their span of degree d passes it too;
+    - the basis is therefore certified by the oracle once per twist class
+      of t, kept in the space cache under ("certified", kind, class), and a
+      map in the span of a certified basis (GradedMapSpace.contains)
+      passes with (True, None);
+    - a map outside that span, and every map checked against a basis that
+      did not fully certify, goes to the oracle, whose (ok, witness) is
+      returned.
+
+    So the verdict is the oracle's on every input, whether or not the
+    solver's space is right.
+    """
+    # imported here only, so a process that only solves spaces does not
+    # compile the oracle; it and the solvers are looked up at call time
+    from . import oracle
+    A = algebra
+    check, solve = {
+        "der": (oracle.is_derivation, derivation_space),
+        "dder": (oracle.is_double_derivation, double_derivation_space)}[kind]
+
+    def certify():
+        space = solve(A, t)
+        return space if all(check(A, B, t)[0] for B in space.maps()) else None
+    certified = memo(A, ("certified", kind, twist_class(A, t)), certify)
+    if certified is not None and certified.contains(D):
+        return True, None
+    return check(A, D, t)
+
+
 def verify_double_derivation_closure(algebra, k_max):
     """Closure of the double-derivation spaces under the induced twist
     D -> D o alpha and the color commutator.
 
     Each shift D o alpha of a basis map of DDer^k must lie in DDer^(k+1),
     and each commutator of basis maps of DDer^k and DDer^s in DDer^(k+s).
-    A check of a map of degree d against twist power t asks for the
-    oracle's verdict, but is answered by membership where that is a proof:
-
-    - the oracle's identity for degree d at alpha^t (twist commutation and
-      the nested Leibniz rule on every tuple pair) is linear in the map, so
-      when the oracle passes every basis map of the solved DDer^t, every
-      map in their span of degree d passes it too;
-    - the basis of DDer^t is therefore certified by the oracle once per
-      distinct alpha^t, and a map in the span of a certified basis
-      (GradedMapSpace.contains) passes;
-    - a map outside that span, and every map checked against a basis that
-      did not fully certify, goes to the oracle, whose (ok, witness) is
-      reported.
-
-    So the verdicts and witnesses are the oracle's on every input, whether
-    or not the solver's space is right.
+    Every verdict and witness is the oracle's, answered by membership in a
+    certified span where that is a proof (oracle_verdict).
     """
-    # the one user of the oracle here: a process that only solves spaces
-    # does not compile it
-    from . import oracle
     A = algebra
     require(A, k_max, "arity")
     report = ValidationReport()
-    certified = {}  # twist class of t -> DDer^t if the oracle passes its basis
-
-    def is_dder(D, t):
-        key = twist_class(A, t)
-        if key not in certified:
-            space = double_derivation_space(A, t)
-            certified[key] = space if all(
-                oracle.is_double_derivation(A, B, t)[0]
-                for B in space.maps()) else None
-        if certified[key] is not None and certified[key].contains(D):
-            return True, None
-        return oracle.is_double_derivation(A, D, t)
-
     checks = 0
     for k in distinct_twists(A, k_max):
         for idx, D in enumerate(double_derivation_space(A, k).maps()):
-            ok, wit = is_dder(alpha_shift(A, D), k + 1)
+            ok, wit = oracle_verdict(A, "dder", alpha_shift(A, D), k + 1)
             checks += 1
             if not ok:
                 report.add("closure-shift", witness=(k, idx, wit),
@@ -539,7 +548,7 @@ def verify_double_derivation_closure(algebra, k_max):
                 if k == s and j < i:
                     continue
                 C = color_commutator(D1, D2, A.eps)
-                ok, wit = is_dder(C, k + s)
+                ok, wit = oracle_verdict(A, "dder", C, k + s)
                 checks += 1
                 if not ok:
                     report.add("closure-commutator", witness=(k, s, i, j, wit),
@@ -560,10 +569,7 @@ def verify_inner_ideal(algebra, k_max):
         inner_next = inner_space(A, k + 1)
         for block in inner_space(A, k).blocks:
             for idx, I in enumerate(block.basis):
-                shifted = alpha_shift(A, I)
-                if shifted.matrix.is_zero():
-                    continue
-                if not inner_next.contains(shifted):
+                if not inner_next.contains(alpha_shift(A, I)):
                     report.add("inner-shift", witness=(k, block.degree, idx),
                                expected="contained in inner span at k+1",
                                actual="outside")
@@ -573,10 +579,7 @@ def verify_inner_ideal(algebra, k_max):
         for i, D in enumerate(double_derivation_space(A, s).maps()):
             for block in inner_k:
                 for j, I in enumerate(block.basis):
-                    C = color_commutator(D, I, A.eps)
-                    if C.matrix.is_zero():
-                        continue
-                    if not inner_sum.contains(C):
+                    if not inner_sum.contains(color_commutator(D, I, A.eps)):
                         report.add("inner-commutator",
                                    witness=(s, k, i, block.degree, j),
                                    expected="contained in inner span at k+s",

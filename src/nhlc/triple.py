@@ -72,19 +72,18 @@ def verify_triple_invariance(algebra, k_max):
     for k in distinct_twists(A2, k_max):
         tder = triple_derivation_space(A2, k)
         for block in tder.blocks:
-            for idx, T in enumerate(block.basis):
-                for v in inn_basis:
-                    image = T.apply(list(v))
-                    if any(image) and not subspace_contains(inn_basis, image):
-                        report.add("triple-invariance",
-                                   witness=(k, block.degree, idx),
-                                   expected="image inside inner subspace",
-                                   actual="outside")
-                        break
+            images = [[T.apply(list(v)) for v in inn_basis]
+                      for T in block.basis]
+            for idx, imgs in enumerate(images):
+                if not all(subspace_contains(inn_basis, im) for im in imgs):
+                    report.add("triple-invariance",
+                               witness=(k, block.degree, idx),
+                               expected="image inside inner subspace",
+                               actual="outside")
             # maps in the triple span vanishing on the inner subspace
             kern = nullspace_of_columns(
-                [[c for v in inn_basis for c in T.apply(list(v))]
-                 for T in block.basis], len(block.basis))
+                [[c for im in imgs for c in im] for imgs in images],
+                len(block.basis))
             if kern:
                 report.add("triple-vanishing-on-inner",
                            witness=(k, block.degree),

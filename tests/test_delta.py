@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nhlc.delta as delta_mod
+import nhlc.spaces as spaces_mod
 from helpers import (conjugate_algebra, in_map_span, is_canonical,
-                     random_basis_change, random_hom_map)
+                     random_basis_change, random_hom_map, reference_bracket)
 from nhlc import oracle
 from nhlc.algebra import (ColorAlgebra, HomMap, distinct_twist_pairs,
                           distinct_twists, twist_class, validate_algebra)
@@ -20,8 +21,9 @@ from nhlc.delta import (delta_of, inner_centralizer_in_double_derivations,
 from nhlc.builders import build_simple_nlie, build_yau_twist
 from nhlc.errors import DomainError, HypothesisError
 from nhlc.linalg import Matrix, nullspace_of_columns, solve_particular
-from nhlc.spaces import (center, color_commutator, derivation_space,
-                         double_derivation_space, inner_space, is_perfect)
+from nhlc.spaces import (GradedMapSpace, MapBlock, center, color_commutator,
+                         derivation_space, double_derivation_space,
+                         inner_generators, inner_space, is_perfect)
 
 F = Fraction
 
@@ -380,6 +382,105 @@ def test_delta_homomorphism_even_self_pairs(a4):
     C = color_commutator(D, D, a4.eps)
     assert C.matrix.is_zero()
     assert delta_of(a4, C, 0).matrix.is_zero()
+
+
+def _tamper(solve, bad_k, gain):
+    """solve with its space at the twist alpha^bad_k replaced: it gains a
+    block holding the identity map (gain), or its first block loses its
+    last basis map."""
+    def wrong(algebra, k):
+        space = solve(algebra, k)
+        if algebra.alpha_power(k) != algebra.alpha_power(bad_k):
+            return space
+        blocks = list(space.blocks)
+        if gain:
+            zero = algebra.group.zero()
+            blocks.append(MapBlock(blocks[0].k, zero, [
+                HomMap(zero, Matrix.identity(algebra.dim))]))
+        else:
+            b = blocks[0]
+            blocks[0] = MapBlock(b.k, b.degree, b.basis[:-1])
+        return GradedMapSpace(algebra, space.kind, blocks)
+    return wrong
+
+
+@pytest.mark.parametrize("name", ["a4", "twisted_a4", "color_a4"])
+@pytest.mark.parametrize("tamper", ["gain", "lose"])
+@pytest.mark.parametrize("bad_k", [0, 1])
+def test_criterion_verdicts_are_the_oracles_on_a_wrong_solver(
+        name, request, monkeypatch, tamper, bad_k):
+    """Der at the twist alpha^bad_k is replaced by a wrong space: "gain"
+    adds the identity map, which is no derivation of these algebras, and
+    "lose" drops a basis map.  On "gain" DDer gains the identity too, so
+    the criterion judges it and its delta, maps a wrong Der contains.  The
+    report must be the one the criterion gives when every map goes
+    straight to the oracle."""
+    base = request.getfixturevalue(name)
+    identity = HomMap(base.group.zero(), Matrix.identity(base.dim))
+    assert not oracle.is_derivation(base, identity, bad_k)[0]
+    monkeypatch.setattr(spaces_mod, "derivation_space", _tamper(
+        spaces_mod.derivation_space, bad_k, tamper == "gain"))
+    if tamper == "gain":
+        wrong_dder = _tamper(
+            spaces_mod.double_derivation_space, bad_k, True)
+        monkeypatch.setattr(spaces_mod, "double_derivation_space", wrong_dder)
+        monkeypatch.setattr(delta_mod, "double_derivation_space", wrong_dder)
+    report = verify_delta_derivation_criterion(_fresh(base), 1)
+    monkeypatch.setattr(delta_mod, "oracle_verdict",
+                        lambda A, kind, D, t: oracle.is_derivation(A, D, t))
+    direct = verify_delta_derivation_criterion(_fresh(base), 1)
+    assert report.violations == direct.violations
+
+
+@pytest.mark.parametrize("mutant", ["double", "plus_identity"])
+def test_delta_laws_catch_a_wrong_delta(a4, monkeypatch, mutant):
+    """_basis_deltas gives (D, 2D) or (D, D + I), with I the identity, no
+    derivation of A4.  Every basis map D is a derivation, and delta_D = D
+    satisfies each law, so the violations are read off the mutation:
+
+    - the criterion: 2D is a derivation other than D, and D + I is no
+      derivation; in the inner-generator expansion, delta_D enters slot one
+      only, so its right side gains ad(D x_1, x_2), resp. ad(x_1, x_2);
+    - the homomorphism: [2 D_1, 2 D_2] = 4 [D_1, D_2], which differs from
+      delta_[D_1, D_2] = [D_1, D_2] exactly where that is nonzero, while
+      [D_1 + I, D_2 + I] = [D_1, D_2] passes."""
+    A = _fresh(a4)
+    identity = Matrix.identity(A.dim)
+    assert not oracle.is_derivation(A, HomMap(A.group.zero(), identity), 0)[0]
+    real = delta_mod._basis_deltas
+    double = mutant == "double"
+
+    def wrong(algebra, k):
+        return [(D, HomMap(D.degree, D.matrix.scale(2) if double
+                           else D.matrix + identity))
+                for D, _ in real(algebra, k)]
+    monkeypatch.setattr(delta_mod, "_basis_deltas", wrong)
+    maps = double_derivation_space(A, 0).maps()
+    gens = inner_generators(A, 0)
+
+    def ad_is_zero(x1, x2):
+        return not any(any(reference_bracket(A, [x1, x2, A.basis_vector(q)]))
+                       for q in range(A.dim))
+
+    expected = []
+    for idx in range(len(maps)):
+        if not double:
+            expected.append(("delta-derivation-equivalence", (0, idx)))
+        expected.append(("delta-fixes-derivations", (0, idx)))
+    expected += [("delta-inner-commutator", (0, 0, idx, gidx))
+                 for idx, D in enumerate(maps)
+                 for gidx, (xs, _, _) in enumerate(gens)
+                 if not double or not ad_is_zero(D.apply(xs[0]), xs[1])]
+    report = verify_delta_derivation_criterion(A, 0)
+    assert [(v.check, v.witness) for v in report.violations] == expected
+    assert {v.actual for v in report.violations
+            if v.check == "delta-derivation-equivalence"} <= {(True, False)}
+    expected = [("delta-commutator-homomorphism", (0, 0, i, j))
+                for i, D1 in enumerate(maps) for j, D2 in enumerate(maps)
+                if double and not color_commutator(D1, D2, A.eps).matrix.is_zero()]
+    report = verify_delta_homomorphism(A, 0)
+    assert [(v.check, v.witness) for v in report.violations] == expected
+    assert report.details["checks"] == len(maps) ** 2
 
 
 def test_inner_centralizer_trivial_on_a4(a4):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -290,6 +291,47 @@ def test_verify_exit_codes(tmp_path):
     proc = _run_cli(["verify", "--all", "--k-max", "1", str(path)])
     assert proc.returncode == 0
     assert "PASS axioms" in proc.stdout
+
+
+@pytest.mark.parametrize("name, code", [("color_heis3", 0), ("sign_a4", 1)])
+def test_verify_text_lines_match_the_json_report(tmp_path, request, capsys,
+                                                 name, code):
+    """The text form of verify has one line per check: PASS, SKIP with the
+    reason, or FAIL with the violation count, then the total.  COLOR_HEIS3
+    is not perfect, so checks are skipped; the sign twist of A4 fails the
+    inner centralizer and triple invariance."""
+    from nhlc.builders import build_yau_twist
+    from nhlc.linalg import Matrix
+    if name == "sign_a4":
+        A = build_yau_twist(build_simple_nlie(3), Matrix(
+            [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            name="SIGN_A4")
+    else:
+        A = request.getfixturevalue(name)
+    path = tmp_path / "algebra.json"
+    io_json.save(A, path)
+    assert main(["verify", "--all", "--k-max", "1", "--json", str(path)]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["verify", "--all", "--k-max", "1", str(path)]) == code
+    head, lines, tail = [], [], []
+    for line in capsys.readouterr().out.splitlines():
+        (lines if line.startswith("  ") else tail if lines else head).append(line)
+    assert head == ["command: verify", f"algebra: {A.name}", "k_max: 1"]
+    assert tail == [f"violations: {len(doc['violations']) or 'none'}"]
+    status = {"PASS": "passed", "SKIP": "skipped", "FAIL": "violated"}
+    assert len(lines) == len(doc["results"]["checks"])
+    for line, entry in zip(lines, doc["results"]["checks"]):
+        m = re.fullmatch(r"  (PASS|SKIP|FAIL) ([^ :]+)"
+                         r"(?:: (.+)| \((\d+) violations\))?", line)
+        assert m, line
+        word, check, reason, count = m.groups()
+        assert (status[word], check) == (entry["status"], entry["check"])
+        assert reason == entry.get("reason")
+        assert count == (str(len(entry["violations"]))
+                         if word == "FAIL" else None)
+    words = [line.split()[0] for line in lines]
+    assert ("SKIP" in words) == (name == "color_heis3")
+    assert words.count("FAIL") == (2 if name == "sign_a4" else 0)
 
 
 def test_verify_rejects_invalid_file(tmp_path):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from helpers import (conjugate_algebra, direct_sum, in_map_span,
                      naive_space_dimension, plain_power, random_basis_change,
-                     subspace_eq)
+                     random_hom_map, subspace_eq)
 from nhlc import oracle, spaces
 from nhlc.algebra import (MAX_TWIST_POWERS, HomMap, distinct_twist_pairs,
                           distinct_twists, twist_class, validate_algebra)
@@ -516,6 +516,77 @@ def test_closure_verdicts_are_the_oracles_on_a_wrong_solver(
     assert [(v.check, v.witness) for v in report.violations] == fails
     assert report.details["checks"] == checks
     assert bool(fails) == (tamper == "gain")
+
+
+def _gain_block(solve, M):
+    """solve with each space gaining a block holding the degree-zero map M."""
+    def wrong(algebra, k):
+        space = solve(algebra, k)
+        zero = algebra.group.zero()
+        return GradedMapSpace(algebra, space.kind, space.blocks + [
+            MapBlock(space.blocks[0].k, zero, [HomMap(zero, M)])])
+    return wrong
+
+
+def _random_a4_map():
+    """A random map of A4, no double derivation of it."""
+    a4 = build_simple_nlie(3)
+    N = random_hom_map(a4, a4.group.zero(), random.Random(3))
+    assert not oracle.is_double_derivation(a4, N, 0)[0]
+    return N.matrix
+
+
+def test_closure_commutator_violations_are_the_oracles(monkeypatch):
+    """DDer of A4 gains a random map N: its shift and its commutators with
+    the basis maps are no double derivations, and the closure reports each
+    with the oracle's witness."""
+    A = build_simple_nlie(3)
+    monkeypatch.setattr(spaces, "double_derivation_space", _gain_block(
+        spaces.double_derivation_space, _random_a4_map()))
+    fails, checks = _closure_by_oracle(A, 0)
+    report = verify_double_derivation_closure(A, 0)
+    assert [(v.check, v.witness) for v in report.violations] == fails
+    assert report.details["checks"] == checks
+    assert {check for check, _ in fails} == {"closure-shift",
+                                             "closure-commutator"}
+
+
+@pytest.mark.parametrize("tamper", ["inner-shift", "inner-commutator"])
+def test_inner_ideal_reports_maps_outside_the_inner_span(monkeypatch, tamper):
+    """inner-shift: Inn^1 of A4 loses its last basis map, whose shift (the
+    twist is the identity) lies in Inn^0 but not in the rest.
+    inner-commutator: DDer of A4 gains a random map, whose commutators
+    with inner maps leave the inner span.  The witnesses are those of
+    membership by the independent route (helpers.in_map_span)."""
+    A = build_simple_nlie(3)
+    zero = A.group.zero()
+    if tamper == "inner-shift":
+        solve = spaces.inner_space
+
+        def wrong(algebra, k):
+            space = solve(algebra, k)
+            if k == 0:
+                return space
+            (block,) = space.blocks
+            return GradedMapSpace(algebra, "inner", [
+                MapBlock(block.k, block.degree, block.basis[:-1])])
+        monkeypatch.setattr(spaces, "inner_space", wrong)
+        expected = [(tamper, (0, zero, idx))
+                    for idx, I in enumerate(spaces.inner_space(A, 0).maps())
+                    if not in_map_span(spaces.inner_space(A, 1).maps(),
+                                       alpha_shift(A, I))]
+        assert expected == [(tamper, (0, zero, 5))]
+    else:
+        monkeypatch.setattr(spaces, "double_derivation_space", _gain_block(
+            spaces.double_derivation_space, _random_a4_map()))
+        inner = spaces.inner_space(A, 0).maps()
+        dder = spaces.double_derivation_space(A, 0).maps()
+        expected = [(tamper, (0, 0, i, zero, j))
+                    for i, D in enumerate(dder) for j, I in enumerate(inner)
+                    if not in_map_span(inner, color_commutator(D, I, A.eps))]
+        assert expected and {w[2] for _, w in expected} == {6}
+    report = verify_inner_ideal(A, 0)
+    assert [(v.check, v.witness) for v in report.violations] == expected
 
 
 def test_inner_ideal_instance(a4):

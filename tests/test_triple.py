@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 from itertools import product
 
-from helpers import naive_space_dimension
+from helpers import naive_space_dimension, subspace_eq
 from nhlc import oracle
 from nhlc.algebra import distinct_twists
 from nhlc.builders import build_abelian
@@ -150,6 +150,36 @@ def test_invariance_requires_hypotheses(abelian3, twisted_a4):
         verify_triple_invariance(abelian3, 1)
     with pytest.raises(HypothesisError, match="inner"):
         verify_triple_invariance(twisted_a4, 1)
+
+
+def test_invariance_reports_images_outside_the_inner_span(monkeypatch):
+    """Inn of A4 loses its last basis map, so the inner subspace of the
+    DDer map algebra (so(4), dimension 6) shrinks to dimension 5, which no
+    ideal of so(3) + so(3) has.  A triple derivation whose image of that
+    subspace leaves it is reported once, by its index; the membership of
+    the expected witnesses is by rank (helpers.subspace_eq)."""
+    from nhlc import spaces
+    from nhlc.builders import build_simple_nlie
+    from nhlc.spaces import MapBlock
+    A = build_simple_nlie(3)
+    solve = spaces.inner_space
+
+    def wrong(algebra, k):
+        (block,) = solve(algebra, k).blocks
+        return GradedMapSpace(algebra, "inner", [
+            MapBlock(block.k, block.degree, block.basis[:-1])])
+    monkeypatch.setattr(spaces, "inner_space", wrong)
+    dd = union_space(A, "dder", 0)
+    inn = [dd.coordinates(I) for I in union_space(A, "inner", 0).maps()]
+    A2 = maps_as_color_algebra(dd)
+    expected = [("triple-invariance", (0, block.degree, idx))
+                for block in triple_derivation_space(A2, 0).blocks
+                for idx, T in enumerate(block.basis)
+                if not subspace_eq(inn, inn + [T.apply(v) for v in inn])]
+    assert expected
+    report = verify_triple_invariance(A, 0)
+    assert report.details["inner_dim"] == 5
+    assert [(v.check, v.witness) for v in report.violations] == expected
 
 
 def test_zero_map_is_trivially_invariant(a4):
