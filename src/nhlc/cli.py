@@ -9,6 +9,11 @@ error's message as a notice that does not fail the run.  The NHLC_THREADS
 variable is validated (an integer >= 1) and has no other effect: execution
 is sequential.
 
+Violations and verifier reports are serialized by nhlc.report alone, and
+algebra files are written by io_json.save alone.  A reader that closes
+stdout early, as `| head -n 1` can, ends the run with exit 1 and no
+traceback.
+
 A command imports the modules it runs: `validate` and `example` load no
 solver (spaces, delta, oracle, triple), so a process that only validates
 does not compile it.  A command imports such a module itself
@@ -28,6 +33,7 @@ from .builders import BUILTIN_BUILDERS, build_simple_nlie
 from .errors import (AlgebraValidationError, ArityError, FormatError,
                      HypothesisError, InvertibilityError, NhlcError,
                      TruncationError)
+from .report import ValidationReport, Violation
 
 
 def _threads():
@@ -133,7 +139,7 @@ def _space_blocks_json(space, k):
     space labels them with the twist class of k)."""
     return [{"kind": space.kind,
              "k": k,
-             "degree": list(b.degree.free + b.degree.torsion),
+             "degree": list(b.degree.exponents()),
              "dim": len(b.basis),
              "basis": [io_json.matrix_to_grid(m.matrix) for m in b.basis]}
             for b in space.blocks]
@@ -190,17 +196,14 @@ def _cmd_example(args):
         A = build_simple_nlie(args.n)
     else:
         A = BUILTIN_BUILDERS[name]()
-    text = io_json.dumps(A)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        io_json.save(A, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io_json.dumps(A))
 
 
 def _cmd_validate(args):
-    violations = []
-    notices = []
+    report = ValidationReport()
     results = {"valid": False}
     algebra_name = None
     try:
@@ -210,14 +213,12 @@ def _cmd_validate(args):
             report = io_json.check_axioms(A)
         except AlgebraValidationError as exc:
             report = exc.report
-        violations = [v.to_json() for v in report.violations]
-        notices = list(report.notices)
         results = {"valid": report.ok, "dimension": A.dim, "arity": A.arity}
     except NhlcError as exc:
-        violations = [{"check": "load", "witness": None,
-                       "expected": "loadable algebra file", "actual": str(exc)}]
+        report.add("load", expected="loadable algebra file", actual=str(exc))
+    doc = report.to_json()
     return _report("validate", algebra_name, {"file": args.file},
-                   results, violations, notices)
+                   results, doc["violations"], doc["notices"])
 
 
 def _cmd_spaces(args):
@@ -271,12 +272,10 @@ def _cmd_check(args):
              "dder": oracle.is_double_derivation,
              "tder": oracle.is_triple_derivation}[args.kind]
     ok, wit = check(A, D, args.k)
-    violations = []
-    if not ok:
-        violations.append({"check": f"oracle-{args.kind}",
-                           "witness": repr(wit),
-                           "expected": "identity holds pointwise",
-                           "actual": "counterexample found"})
+    violations = [] if ok else [
+        Violation(f"oracle-{args.kind}", witness=repr(wit),
+                  expected="identity holds pointwise",
+                  actual="counterexample found").to_json()]
     results = {"kind": args.kind, "k": args.k, "ok": ok,
                "witness": repr(wit) if wit else None}
     return _report("check", A.name, {"kind": args.kind, "k": args.k,
@@ -291,15 +290,15 @@ def _cmd_delta(args):
     D = _load_map(A, args.map)
     dmap = delta_mod.delta_of(A, D, args.k)
     wd = delta_mod.verify_delta_well_defined(A, D, args.k)
-    violations = [v.to_json() for v in wd.violations]
+    doc = wd.to_json()
     results = {
         "delta_matrix": io_json.matrix_to_grid(dmap.matrix),
-        "degree": list(dmap.degree.free + dmap.degree.torsion),
+        "degree": list(dmap.degree.exponents()),
         "well_defined": wd.ok,
         "equal_to_input": dmap.matrix == D.matrix,
     }
     return _report("delta", A.name, {"k": args.k, "map": args.map},
-                   results, violations, list(wd.notices))
+                   results, doc["violations"], doc["notices"])
 
 
 def _build_map_algebra(A, source, k_max):
@@ -362,15 +361,9 @@ def _run_verify(A, k_max, triple_only):
             notices.append(f"{name}: skipped ({exc})")
             return
         entry["status"] = "passed" if report.ok else "violated"
-        entry["violations"] = [v.to_json() for v in report.violations]
-        entry["notices"] = list(report.notices)
-        if report.details:
-            entry["details"] = json.loads(json.dumps(
-                report.details, default=str, sort_keys=True))
-        for v in report.violations:
-            doc = v.to_json()
-            doc["check"] = f"{name}:{doc['check']}"
-            violations.append(doc)
+        entry.update(report.to_json())
+        violations.extend(dict(v, check=f"{name}:{v['check']}")
+                          for v in entry["violations"])
         notices.extend(f"{name}: {n}" for n in report.notices)
 
     axioms = io_json.check_axioms(A)
@@ -499,24 +492,35 @@ def build_parser():
     return p
 
 
-def main(argv=None):
-    """Run one subcommand; print its report (or the error report of an
-    NhlcError) and return 1 exactly when the report has violations."""
-    args = build_parser().parse_args(argv)
+def _run(args):
+    """The report of the subcommand, or the error report of an NhlcError."""
     try:
         _threads()
-        doc = args.fn(args)
+        return args.fn(args)
     except NhlcError as exc:
-        violations = ([v.to_json() for v in exc.report.violations]
+        violations = (exc.report.to_json()["violations"]
                       if isinstance(exc, AlgebraValidationError) else
-                      [{"check": "error", "witness": None,
-                        "expected": None, "actual": str(exc)}])
-        doc = _report(args.command, None, {}, {"error": str(exc)},
-                      violations, [])
-    if doc is None:
-        return 0
-    _emit(doc, getattr(args, "json", False))
-    return 1 if doc["violations"] else 0
+                      [Violation("error", actual=str(exc)).to_json()])
+        return _report(args.command, None, {}, {"error": str(exc)},
+                       violations, [])
+
+
+def main(argv=None):
+    """Run one subcommand; print its report (or the error report of an
+    NhlcError) and return 1 exactly when the report has violations or the
+    reader of stdout closed it before all was written."""
+    args = build_parser().parse_args(argv)
+    try:
+        doc = _run(args)
+        if doc is not None:
+            _emit(doc, getattr(args, "json", False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left unwritten goes to os.devnull, so that the flush at
+        # exit does not fail again (the SIGPIPE note of the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 1 if doc and doc["violations"] else 0
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ class GroupElement:
         return self.free + self.torsion
 
     def __repr__(self):
-        return f"({','.join(map(str, self.free + self.torsion))})"
+        return f"({','.join(map(str, self.exponents()))})"
 
 
 class GradingGroup:

@@ -80,7 +80,7 @@ def algebra_to_dict(A):
         "arity": A.arity,
         "group": {"free_rank": A.group.free_rank, "torsion": list(A.group.torsion)},
         "bicharacter": [[format_rational(x) for x in row] for row in A.eps.table],
-        "basis": [{"name": nm, "degree": list(deg.free + deg.torsion)}
+        "basis": [{"name": nm, "degree": list(deg.exponents())}
                   for nm, deg in A.basis],
         "alpha": [[format_rational(x) for x in row] for row in A.alpha.data],
         "brackets": brackets,
@@ -148,8 +148,13 @@ def dumps(A):
 
 
 def save(A, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(A))
+    """Write the file of A to path; a path that cannot be written is a
+    FormatError, as a path that cannot be read is for load."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(A))
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 def loads(text, validate=True):

@@ -71,6 +71,14 @@ class ValidationReport:
         self.details.update(other.details)
         return self
 
+    def to_json(self):
+        """The violations and notices, and the details when there are any."""
+        doc = {"violations": [v.to_json() for v in self.violations],
+               "notices": list(self.notices)}
+        if self.details:
+            doc["details"] = _jsonable(self.details)
+        return doc
+
 
 def _jsonable(obj, rationals=False):
     """Recursively convert report payloads to JSON-safe values.  A Fraction

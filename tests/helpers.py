@@ -325,9 +325,9 @@ def naive_space_dimension(A, kind, k):
 
 
 def direct_sum(A, B, name):
-    """Componentwise direct sum of two trivially graded algebras."""
+    """Componentwise direct sum of two algebras on one grading, twisted by
+    the block twist alpha_A + alpha_B."""
     assert A.arity == B.arity
-    dim = A.dim + B.dim
     constants = {}
     for t, v in A.constants.items():
         constants[t] = dict(v)
@@ -336,8 +336,9 @@ def direct_sum(A, B, name):
                                                   for j, c in v.items()}
     basis = [(f"a_{nm}", deg) for nm, deg in A.basis] + \
             [(f"b_{nm}", deg) for nm, deg in B.basis]
-    return ColorAlgebra(name, A.arity, A.group, A.eps, basis,
-                        Matrix.identity(dim), constants)
+    alpha = Matrix([list(row) + [F0] * B.dim for row in A.alpha.data]
+                   + [[F0] * A.dim + list(row) for row in B.alpha.data])
+    return ColorAlgebra(name, A.arity, A.group, A.eps, basis, alpha, constants)
 
 
 def color_simple_nlie(n):

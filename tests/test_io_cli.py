@@ -378,6 +378,52 @@ def test_missing_file_is_failure():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_example_to_an_unwritable_path_gets_a_report(tmp_path, where):
+    """example -o into a directory that does not exist, or onto a
+    directory, writes through io_json.save: exit 1 and an error report that
+    names the path, not a FileNotFoundError or IsADirectoryError."""
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "a4.json"
+    proc = subprocess.run([sys.executable, "-m", "nhlc.cli", "example", "a4",
+                           "-o", str(out)], capture_output=True, text=True,
+                          env=_src_env(), timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert f"cannot write {out}" in proc.stdout
+    with pytest.raises(FormatError, match="cannot write"):
+        io_json.save(build_simple_nlie(3), out)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    ["verify", "a4.json", "--all", "--k-max", "1", "--json"],
+    ["verify", "a4.json", "--all", "--k-max", "1"],
+    ["example", "a4"]], ids=["verify-json", "verify-text", "example"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, args,
+                                                   unbuffered):
+    """A reader that closes stdout early, as `| head -n 1` does, makes the
+    report's writes fail with EPIPE.  The read end of the pipe is closed
+    before the run, so every write fails, whether it happens at each line
+    (PYTHONUNBUFFERED) or at the flush: exit 1 and no BrokenPipeError, not
+    a traceback (exit 1) or "Exception ignored" at exit (exit 120)."""
+    io_json.save(build_simple_nlie(3), tmp_path / "a4.json")
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, cwd=tmp_path, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "BrokenPipeError" not in proc.stderr, proc.stderr
+
+
 def test_main_callable_directly(tmp_path, capsys):
     path = tmp_path / "a4.json"
     io_json.save(build_simple_nlie(3), path)

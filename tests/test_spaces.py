@@ -36,6 +36,12 @@ def _flat(space):
     return [m.matrix.flatten() for m in space.maps()]
 
 
+def _conjugated(A):
+    """A in the dense rational basis {P e_i} of a seeded P."""
+    return conjugate_algebra(A, random_basis_change(A, random.Random(4)),
+                             A.name + "_P")
+
+
 # -- candidate degrees --------------------------------------------------------
 
 def test_candidate_degrees_trivial(a4):
@@ -118,9 +124,11 @@ def test_derivation_basis_passes_oracle_and_spans_match(a4):
 def test_der_contained_in_dder(a4, abelian3, twisted_a4, regraded_a4,
                                color_heis3):
     """A twisted derivation of a multiplicative algebra is a double
-    derivation of the same twist power: expand D([xs, [ys]]) twice."""
+    derivation of the same twist power: expand D([xs, [ys]]) twice.  The
+    conjugated inputs hold it in a dense rational basis."""
     for A in (a4, abelian3, twisted_a4, regraded_a4, color_heis3,
-              build_simple_nlie(4)):
+              build_simple_nlie(4), _conjugated(a4), _conjugated(twisted_a4),
+              _conjugated(color_heis3)):
         for k in (0, 1):
             dd = double_derivation_space(A, k)
             for D in derivation_space(A, k).maps():
@@ -227,8 +235,10 @@ def test_inner_equals_derivations_on_a4(a4):
     assert subspace_eq(_flat(inner_space(a4, 0)), _flat(derivation_space(a4, 0)))
 
 
-def test_inner_maps_are_shifted_derivations(a4, super_heis):
-    for A in (a4, super_heis):
+def test_inner_maps_are_shifted_derivations(a4, super_heis, color_heis3):
+    """Inn^k lies in Der^(k+1), in the stock and in a dense rational basis."""
+    for A in (a4, super_heis, _conjugated(a4), _conjugated(color_heis3),
+              _conjugated(super_heis)):
         for k in (0, 1):
             for I in inner_space(A, k).maps():
                 assert oracle.is_derivation(A, I, k + 1)[0]
@@ -783,7 +793,7 @@ def test_invariants_under_change_of_basis(name, request):
     entries; the dimensions of every solved space per (k, degree), of the
     center and of the derived subalgebra, and perfectness agree."""
     A = request.getfixturevalue(name)
-    B = conjugate_algebra(A, random_basis_change(A, random.Random(4)), A.name + "_P")
+    B = _conjugated(A)
     assert validate_algebra(B).ok
     assert B.constants != A.constants
 
@@ -822,8 +832,7 @@ def test_verify_verdicts_under_change_of_basis(name, request):
     from nhlc.cli import _run_verify
     A = (TWISTS_OF_A4[name]() if name in TWISTS_OF_A4
          else request.getfixturevalue(name))
-    B = conjugate_algebra(A, random_basis_change(A, random.Random(4)),
-                          A.name + "_P")
+    B = _conjugated(A)
 
     def verdicts(X):
         return [(e["check"], e["status"], len(e.get("violations", [])))
@@ -861,6 +870,41 @@ def test_derivations_of_a_sum_of_two_copies(n, dim):
     assert derivation_space(A, 0).dimension() == dim
     S = direct_sum(A, A, f"{A.name}_PLUS_{A.name}")
     assert derivation_space(S, 0).dimension() == 2 * dim
+
+
+@pytest.mark.parametrize("right, dims", [("sign_a4", (7, 8, 8)),
+                                         ("twisted_a4", (6, 12, 12))],
+                         ids=["sign_a4", "twisted_a4"])
+def test_spaces_of_a_twisted_sum_are_block_sums(right, dims, request, a4):
+    """A4 + B with the block twist id + beta validates, and at k = 0, 1 its
+    Inn^k, Der^k and DDer^k are those of A4 and of B side by side: the
+    dimensions add up, and each summand's basis maps, embedded as a block
+    of the sum, lie in the sum's space.  Both summands are perfect and
+    centerless, so no map runs from one summand into the other."""
+    B = (TWISTS_OF_A4[right]() if right in TWISTS_OF_A4
+         else request.getfixturevalue(right))
+    S = direct_sum(a4, B, f"A4_PLUS_{B.name}")
+    assert validate_algebra(S).ok
+
+    def embedded(D, offset):
+        data = [[F(0)] * S.dim for _ in range(S.dim)]
+        for j in range(D.matrix.rows):
+            for i in range(D.matrix.cols):
+                data[offset + j][offset + i] = D.matrix[j][i]
+        return HomMap(D.degree, Matrix(data))
+
+    for k in (0, 1):
+        got = []
+        for solve in (inner_space, derivation_space, double_derivation_space):
+            space = solve(S, k)
+            assert space.dimension() == (solve(a4, k).dimension()
+                                         + solve(B, k).dimension())
+            for X, offset in ((a4, 0), (B, a4.dim)):
+                for D in solve(X, k).maps():
+                    assert space.contains(embedded(D, offset)), (
+                        solve.__name__, k, X.name)
+            got.append(space.dimension())
+        assert tuple(got) == dims
 
 
 # -- live tuple sets: the solver drops only tuples with zero rows -------------
@@ -933,8 +977,7 @@ def test_reducer_rows_are_sparse(name, request):
     change, for Der and DDer at every candidate degree and distinct twist
     power among k = 0, 1."""
     A = request.getfixturevalue(name)
-    B = conjugate_algebra(A, random_basis_change(A, random.Random(4)),
-                          A.name + "_P")
+    B = _conjugated(A)
     for X in (A, B):
         n = X.arity
         live = [live_tuples(X.degrees, X.eps, m) for m in (n - 1, n)]
