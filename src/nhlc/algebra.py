@@ -39,8 +39,8 @@ def normalize_tuple(indices, degrees, eps):
     inversion; for a > b it is the same identity read backwards, since
     eps(|a|, |b|) eps(|b|, |a|) = 1; for a = b of degree g both sides vanish
     when eps(g, g) = 1 and agree when eps(g, g) = -1.  Homogeneous u and v
-    expand into basis vectors of one degree each.  The reduced sweeps
-    (reduced_sweep) rest on this.
+    expand into basis vectors of one degree each.  The live sweeps of
+    validate_algebra and of the oracle rest on this.
     """
     idx = list(indices)
     sign = F1
@@ -89,8 +89,7 @@ def live_tuples(degrees, eps, m):
     Every row of a dropped tuple is therefore zero: the nonzero rows reach
     RowReducer in the same order, and the echelon, the early stop and the
     kernel are unchanged.  The Jacobi sweep of validate_algebra and the
-    oracle sweep live tuples too, each under a proof of its own and
-    through reduced_sweep, which reports a failure from the full sweep;
+    oracle sweep live tuples too, each under a proof of its own;
     tests/helpers.py keeps the full ordered sweeps as the independent
     check.
 
@@ -109,29 +108,12 @@ def live_tuples(degrees, eps, m):
     return tuples
 
 
-def reduced_sweep(failures, reduced, full):
-    """The failures of the full sweep, found without it when there are none.
-
-    failures(*tuple_sets) yields a witness for every failing item of a
-    check over the given tuple sets, in their order.  reduced holds smaller
-    tuple sets on which a pass proves that the full sweep passes (the
-    caller's proof), or is None when the caller cannot prove that for this
-    input.  The reduced sweep runs first and stops at its first failure;
-    only then does the full sweep run.  So a passing input never pays for
-    the full sweep, and a failing one gets exactly its witnesses, in the
-    same order and the same number.  Returns an iterator over them.
-    """
-    if reduced is not None and next(failures(*reduced), None) is None:
-        return iter(())
-    return failures(*full)
-
-
 def skew_premises(algebra, D, k):
     """True when eps is a valid bicharacter (validate_bicharacter), the map
     D is homogeneous of its stated degree and the twist alpha^k is even:
     then every bracket of basis vectors and their images under D and the
     twist has homogeneous arguments and is color-skew (normalize_tuple).
-    The premises of the reduced sweeps of the oracle."""
+    The premises under which the oracle sweeps live tuples alone."""
     A = algebra
     return (validate_bicharacter(A.eps).ok and D.respects_blocks(A)
             and HomMap(A.group.zero(), A.alpha_power(k)).respects_blocks(A))
@@ -420,8 +402,10 @@ def validate_algebra(algebra):
     twisted n-ary Jacobi identity over all basis argument tuples.
 
     The Jacobi identity is swept on live (n-1)-tuples xs and live n-tuples
-    ys (live_tuples), and on all ordered pairs only when a live pair fails;
-    the ordered sweep's failures are the ones reported (reduced_sweep).
+    ys (live_tuples), and on all ordered pairs only when a live pair fails
+    or the bicharacter is invalid.  The report lists every failing ordered
+    pair, in order: a passing algebra never pays for the ordered sweep,
+    and a failing one reruns it in full to report them all.
     Proof that a live pass is a full pass.  The sweep runs only once the
     grading and evenness checks pass, and is reduced only for a valid
     bicharacter, so every bracket below has homogeneous arguments and is
@@ -505,10 +489,10 @@ def validate_algebra(algebra):
                 if lhs != rhs:
                     yield (xs, ys), rhs, lhs
 
-    reduced = (None if live is None
-               else (live_tuples(A.degrees, A.eps, n - 1), live))
-    full = (product(range(dim), repeat=n - 1), product(range(dim), repeat=n))
-    for witness, expected, actual in reduced_sweep(jacobi_failures, reduced,
-                                                   full):
+    if live is not None and next(jacobi_failures(
+            live_tuples(A.degrees, A.eps, n - 1), live), None) is None:
+        return report
+    for witness, expected, actual in jacobi_failures(
+            product(range(dim), repeat=n - 1), product(range(dim), repeat=n)):
         report.add("jacobi", witness=witness, expected=expected, actual=actual)
     return report

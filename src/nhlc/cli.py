@@ -10,9 +10,9 @@ variable is validated (an integer >= 1) and has no other effect: execution
 is sequential.
 
 Violations and verifier reports are serialized by nhlc.report alone, and
-algebra files are written by io_json.save alone.  A reader that closes
-stdout early, as `| head -n 1` can, ends the run with exit 1 and no
-traceback.
+algebra files are written by io_json.save alone.  A stdout that cannot
+take the output (closed early by its reader, as `| head -n 1` can, closed
+outright, or on a full device) ends the run with exit 1 and no traceback.
 
 A command imports the modules it runs: `validate` and `example` load no
 solver (spaces, delta, oracle, triple), so a process that only validates
@@ -507,17 +507,22 @@ def _run(args):
 
 def main(argv=None):
     """Run one subcommand; print its report (or the error report of an
-    NhlcError) and return 1 exactly when the report has violations or the
-    reader of stdout closed it before all was written."""
+    NhlcError) and return 1 exactly when the report has violations or
+    stdout could not take all that was written to it."""
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:
+        # fd 1 is closed; on this read-only stand-in a write fails with
+        # io.UnsupportedOperation, an OSError, and a flush does nothing
+        sys.stdout = open(os.devnull, encoding="utf-8")
     try:
         doc = _run(args)
         if doc is not None:
             _emit(doc, getattr(args, "json", False))
         sys.stdout.flush()
-    except BrokenPipeError:
-        # what is left unwritten goes to os.devnull, so that the flush at
-        # exit does not fail again (the SIGPIPE note of the Python docs)
+    except OSError:
+        # a closed pipe or fd, or a full device.  What is left unwritten
+        # goes to os.devnull, so that the flush at exit does not fail again
+        # (the SIGPIPE note of the Python docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 1 if doc and doc["violations"] else 0

@@ -30,12 +30,12 @@ the one lookup (proof in _leibniz).  The residual of every pair is the
 same exact vector as the direct evaluation's, so the verdicts, the
 witnesses and the order of the sweeps are unchanged.
 
-Each check first sweeps live tuples (algebra.live_tuples) in place of the
-sets above, for tder live pairs in place of ordered ones, and sweeps the
-full sets only when a live pair fails, to report the full sweep's first
-witness (algebra.reduced_sweep).  The proof below is the oracle's own: it
-holds for every linear D, solved or not, and does not rest on the
-solver's proof in live_tuples.
+Each check sweeps once.  It sweeps live tuples (algebra.live_tuples) in
+place of the sets above, for tder live pairs in place of ordered ones,
+and the full sets only when a premise below fails; its verdict and its
+witness are those of the full sweep.  The proof below is the oracle's
+own: it holds for every linear D, solved or not, and does not rest on
+the solver's proof in live_tuples.
 
 Proof that a live pass is a full pass.  The reduction is used only when
 eps is a valid bicharacter, D is homogeneous of its stated degree d and
@@ -59,21 +59,30 @@ So R is color-skew in xs and in ys: on every ordered pair it is a nonzero
 multiple of R on the sorted pair, and it vanishes when xs or ys repeats an
 index of degree g with eps(g, g) = 1, since swapping the two copies gives
 R = -R.  When a premise fails, the full sets are swept.
+
+Proof that the live sweep's first failure is the full sweep's.  Both
+sweep xs-major, each set in its own order, and R vanishes unless xs and ys
+are live.  For der and dder the live sets are subsequences of the sorted
+ones, in the same order, so the first failing pair is the same.  For tder,
+R(x, z, y) = -eps(|z|, |y|) R(x, y, z): the least failing ordered pair
+(y, z) for x has y <= z, else (z, y) fails before it, so it is live and
+the first failing live pair, the live pairs being in product order too.
 """
 
 from itertools import combinations_with_replacement, product
 
-from .algebra import live_tuples, reduced_sweep, skew_premises, slot_brackets
+from .algebra import live_tuples, skew_premises, slot_brackets
 from .errors import ArityError
 from .linalg import F1, accumulate, support
 
 
 def _leibniz(algebra, D, k, live, full, witness):
     """(ok, witness): twist commutation, then the identity on every pair
-    (xs, ys) of the tuple sets full = (xtuples, ytuples), swept on the live
-    sets first when skew_premises holds; witness(xs, ys) names the first
-    failing pair of the full sets.  The full sets may be iterators: only a
-    failing live sweep, or a failed premise, draws from them.
+    (xs, ys) of the tuple sets full = (xtuples, ytuples), swept once: on
+    the live sets in their place when skew_premises holds.  witness(xs, ys)
+    names the first failing pair of that sweep, which is the first of the
+    full sets (proof in the module docstring).  The full sets may be
+    iterators: only a failed premise draws from them.
 
     The residual of a pair is read off column tables.  Write
     M(xs, w) = [xs, w] for the last argument w (M((), w) = w), a = alpha^k,
@@ -151,8 +160,7 @@ def _leibniz(algebra, D, k, live, full, witness):
                 if any(diff.values()):
                     yield witness(xs, ys)
 
-    reduced = live if skew_premises(A, D, k) else None
-    first = next(reduced_sweep(failures, reduced, full), None)
+    first = next(failures(*(live if skew_premises(A, D, k) else full)), None)
     return first is None, first
 
 

@@ -424,6 +424,48 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, args,
     assert "BrokenPipeError" not in proc.stderr, proc.stderr
 
 
+# (arguments, exit code) of commands run with a stdout that takes nothing
+_UNWRITABLE_STDOUT_CASES = [
+    pytest.param(["example", "a4"], 1, id="example"),
+    pytest.param(["validate", "a4.json", "--json"], 1, id="validate"),
+    pytest.param(["verify", "--all", "--k-max", "0", "a4.json"], 1,
+                 id="verify"),
+    pytest.param(["example", "a4", "-o", "out.json"], 0, id="example-o")]
+
+
+def _run_unwritable(tmp_path, args, **kwargs):
+    io_json.save(build_simple_nlie(3), tmp_path / "a4.json")
+    return subprocess.run([sys.executable, "-m", "nhlc.cli", *args],
+                          stderr=subprocess.PIPE, text=True, env=_src_env(),
+                          cwd=tmp_path, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("args, code", _UNWRITABLE_STDOUT_CASES)
+def test_closed_fd_1_exits_without_a_traceback(tmp_path, args, code):
+    """With fd 1 closed Python sets sys.stdout to None: a command that
+    prints exits 1, and `example -o PATH`, which prints nothing, writes
+    PATH and exits 0; neither ends in a traceback."""
+    proc = _run_unwritable(tmp_path, args, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if code == 0:
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == \
+            io_json.dumps(build_simple_nlie(3))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this platform")
+@pytest.mark.parametrize("args, code", _UNWRITABLE_STDOUT_CASES)
+def test_full_device_exits_without_a_traceback(tmp_path, args, code):
+    """On /dev/full every write that reaches the device fails with ENOSPC:
+    a command that prints exits 1, `example -o PATH` exits 0; neither ends
+    in a traceback."""
+    with open("/dev/full", "w") as full:
+        proc = _run_unwritable(tmp_path, args, stdout=full)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_main_callable_directly(tmp_path, capsys):
     path = tmp_path / "a4.json"
     io_json.save(build_simple_nlie(3), path)

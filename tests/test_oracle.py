@@ -137,7 +137,7 @@ def test_rational_bicharacter_routes_agree(rational_heis):
     assert outside > 0
 
 
-# -- the reduced sweep: live tuples first, the full sweep for a failure -------
+# -- the live sweep: the full sets only when a premise fails ------------------
 
 def _ungraded_map(A, degree, rng):
     """A random map of the stated degree with small rational entries in
@@ -149,13 +149,14 @@ def _ungraded_map(A, degree, rng):
 
 @pytest.mark.parametrize("name", ["super_heis", "color_heis3", "color_a4",
                                   "regraded_a4", "rational_heis",
-                                  "twisted_a4"])
+                                  "twisted_a4", "color_simple4", "a4"])
 def test_reduced_and_full_oracle_sweeps_agree(name, request, monkeypatch):
-    """Every checker gives the same (ok, witness) with the reduced sweep as
+    """Every checker gives the same (ok, witness) with the live sweep as
     with the full one (skew_premises forced false) at k = 0, 1: on the
     solver's basis maps, on projections of random maps onto their span
     (both pass), on random homogeneous maps and on random maps that ignore
-    the grading (which fail)."""
+    the grading (which fail).  A failing map's witness is the live sweep's
+    first failure, so this guards the ordering proof of the oracle."""
     A = request.getfixturevalue(name)
     rng = random.Random(13)
     kinds = [(oracle.is_derivation, derivation_space)]
@@ -196,12 +197,12 @@ def test_maps_off_the_grading_are_swept_in_full(color_a4, monkeypatch,
     assert oracle.is_derivation(A, D, 0) == (True, None)
 
 
-def test_full_sets_are_drawn_only_by_a_failing_sweep(a4, cross3,
-                                                      monkeypatch):
-    """The full tuple sets of the oracle are iterators that a passing check
-    never draws from; a failing check draws from them and reports the
-    full sweep's first witness, the one it gives with the reduced sweep
-    switched off (skew_premises false)."""
+def test_full_sets_are_drawn_only_when_a_premise_fails(a4, cross3,
+                                                        monkeypatch):
+    """The full tuple sets of the oracle are iterators that no check draws
+    from while skew_premises holds, whether it passes or fails: each check
+    sweeps once.  A failing check's witness is the one it gives with the
+    live sweep switched off (skew_premises false), which does draw them."""
     drawn = []
 
     def recording(real):
@@ -225,11 +226,12 @@ def test_full_sets_are_drawn_only_by_a_failing_sweep(a4, cross3,
                 assert check(A, D, k) == (True, None)
             failing += [(A, check, random_hom_map(A, d, rng), k)
                         for d in candidate_degrees(A)]
-    assert drawn == []
     got = [check(A, D, k) for A, check, D, k in failing]
-    assert drawn and all(not ok for ok, _ in got)
+    assert all(not ok for ok, _ in got)
+    assert drawn == []
     monkeypatch.setattr(oracle, "skew_premises", lambda *args: False)
     assert got == [check(A, D, k) for A, check, D, k in failing]
+    assert drawn
 
 
 # -- the oracle against the naive route, map by map ---------------------------

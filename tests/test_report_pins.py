@@ -154,6 +154,10 @@ PINS = {
         "93a49185cf83bd7d17aa53de435d7c3860803b355fdb10c72e9e183361d811c7",
     "sl2_heis3: check --kind tder --k 0 --map sl2_heis3_identity_map.json":
         "280e0507555d5f85e4bb3e497f44de97fd88971806bcea015e93adb2bf99bf57",
+    "color_simple4: check --kind der --k 0 --map color_simple4_identity_map.json --json":
+        "066414dd2c7f6e081ca5ab65403b00bc65cf817d54ea18361459c15e3a27366d",
+    "color_simple4: check --kind dder --k 0 --map color_simple4_identity_map.json --json":
+        "ab4220ede6ae9a5d93af94ef68974ca5900d12c62f583855163b5980ac613c1b",
 }
 
 # commands whose exit code is not 0
@@ -171,6 +175,8 @@ EXIT_CODES = {
     "twisted_a4: check --kind dder --k 1 --map twisted_a4_identity_map.json --json": 1,
     "sl2_heis3: check --kind tder --k 0 --map sl2_heis3_identity_map.json --json": 1,
     "sl2_heis3: check --kind tder --k 0 --map sl2_heis3_identity_map.json": 1,
+    "color_simple4: check --kind der --k 0 --map color_simple4_identity_map.json --json": 1,
+    "color_simple4: check --kind dder --k 0 --map color_simple4_identity_map.json --json": 1,
 }
 
 
@@ -185,12 +191,13 @@ def _a4_mutant(a4):
 
 @pytest.fixture(scope="module")
 def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
-                  sl2_heis3):
+                  sl2_heis3, color_simple4):
     root = tmp_path_factory.mktemp("pins")
     paths = {}
     for name, A in (("a4", a4), ("twisted_a4", twisted_a4),
                     ("super_heis", super_heis), ("color_heis3", color_heis3),
-                    ("sl2_heis3", sl2_heis3), ("a4_mutant", _a4_mutant(a4))):
+                    ("sl2_heis3", sl2_heis3), ("color_simple4", color_simple4),
+                    ("a4_mutant", _a4_mutant(a4))):
         path = root / f"{name}.json"
         io_json.save(A, path)
         paths[name] = str(path)
@@ -200,7 +207,8 @@ def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
             "super_heis_tder0_map.json":
                 triple_derivation_space(super_heis, 0).maps()[0]}
     for name, A in (("a4", a4), ("twisted_a4", twisted_a4),
-                    ("super_heis", super_heis), ("sl2_heis3", sl2_heis3)):
+                    ("super_heis", super_heis), ("sl2_heis3", sl2_heis3),
+                    ("color_simple4", color_simple4)):
         maps[f"{name}_identity_map.json"] = HomMap(A.group.zero(),
                                                    Matrix.identity(A.dim))
     for file_name, D in maps.items():
