@@ -7,12 +7,11 @@ stored tuples by sign-normalizing adjacent swaps.  Brackets are evaluated
 on sparse arguments against a memo of sparse basis-bracket values.
 """
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 from .errors import ArityError, DomainError, InvertibilityError, ShapeError
 from .grading import integer, validate_bicharacter
 from .linalg import F0, F1, Matrix, accumulate, dense, rational, support
-from .report import ValidationReport
 
 # The most distinct powers of the twist that are formed: one of infinite
 # order, such as diag(2, 1), repeats none, and alpha^k may need k bits.
@@ -397,20 +396,22 @@ class HomMap:
 def validate_algebra(algebra):
     """Check every defining axiom; failures become report entries.
 
-    Covers grading compatibility of the stored constants, the repeated-index
-    sign rule, evenness and multiplicativity of the twist, and the full
-    twisted n-ary Jacobi identity over all basis argument tuples.
+    The bicharacter comes first (validate_bicharacter): when it is invalid
+    no Koszul sign below is defined, and its report is returned alone.
+    Then come grading compatibility of the stored constants, the
+    repeated-index sign rule and evenness of the twist, whose failures are
+    likewise returned alone, and last multiplicativity of the twist and the
+    full twisted n-ary Jacobi identity over all basis argument tuples.
 
-    The Jacobi identity is swept on live (n-1)-tuples xs and live n-tuples
-    ys (live_tuples), and on all ordered pairs only when a live pair fails
-    or the bicharacter is invalid.  The report lists every failing ordered
-    pair, in order: a passing algebra never pays for the ordered sweep,
-    and a failing one reruns it in full to report them all.
-    Proof that a live pass is a full pass.  The sweep runs only once the
-    grading and evenness checks pass, and is reduced only for a valid
-    bicharacter, so every bracket below has homogeneous arguments and is
-    color-skew (normalize_tuple).  With a = alpha, X = |xs| and Y_i the
-    degree of y_1, .., y_(i-1), the identity asks that
+    The Jacobi identity is swept once, on live (n-1)-tuples xs and live
+    n-tuples ys (live_tuples).  The report lists every failing ordered
+    pair, in lexicographic order: each failing live pair is expanded into
+    its distinct orderings, so a passing algebra never pays for them.
+    Proof that the live pairs and their orderings are the ordered sweep.
+    Every bracket below has homogeneous arguments and is color-skew
+    (normalize_tuple), since the bicharacter, grading and evenness checks
+    have passed.  With a = alpha, X = |xs| and Y_i the degree of
+    y_1, .., y_(i-1), the identity asks that
 
         J(xs; ys) = [a xs, [ys]] - sum_i eps(X, Y_i) [a y_1, .., [xs, y_i], .., a y_n]
 
@@ -427,20 +428,29 @@ def validate_algebra(algebra):
       by bimultiplicativity and eps(X, h) eps(h, X) = 1, and likewise for
       the other one.
 
-    So J on any ordered pair is a nonzero multiple of J on the sorted pair,
-    and J vanishes when xs or ys repeats an index of degree g with
-    eps(g, g) = 1, since swapping the two copies gives J = -J.
+    So J vanishes when xs or ys repeats an index of degree g with
+    eps(g, g) = 1, since swapping the two copies gives J = -J; and on an
+    ordering (xp, yp) of a live pair (xs, ys) it is s_x s_y J(xs; ys),
+    with the signs normalize_tuple gives xp and yp.  The reported sides
+    scale alike: lhs = [a xs, [ys]] is a bracket of homogeneous arguments,
+    a being even, so it is color-skew in xs and in ys with the same signs,
+    and rhs = lhs - J.  So the failing ordered
+    pairs are the orderings of the failing live pairs, with these values,
+    and sorting them by witness gives the lexicographic order of the
+    ordered sweep, which runs xs-major.
 
     Multiplicativity of the twist, alpha [t] = [alpha e_t1, .., alpha e_tn],
-    is checked on the live n-tuples, a subsequence of the sorted ones, under
-    the same condition.  A dead t repeats an index i of degree g with
-    eps(g, g) = 1 in adjacent slots.  Its left side is alpha(0) = 0; on its
-    right side alpha e_i, homogeneous since evenness is checked first, fills
-    both slots, and color-skewness makes the bracket vanish.  So a dead
-    tuple never fails, and the failures are the sorted sweep's, in order.
+    is checked on the live n-tuples, a subsequence of the sorted ones.  A
+    dead t repeats an index i of degree g with eps(g, g) = 1 in adjacent
+    slots.  Its left side is alpha(0) = 0; on its right side alpha e_i,
+    homogeneous since evenness is checked first, fills both slots, and
+    color-skewness makes the bracket vanish.  So a dead tuple never fails,
+    and the failures are the sorted sweep's, in order.
     """
     A = algebra
-    report = ValidationReport()
+    report = validate_bicharacter(A.eps)
+    if not report.ok:
+        return report
 
     for t in A.stored_tuples():
         total = A.degree_sum(A.degrees[i] for i in t)
@@ -464,35 +474,39 @@ def validate_algebra(algebra):
     n = A.arity
     dim = A.dim
     acols = A.alpha_columns(1)
-    live = (live_tuples(A.degrees, A.eps, n)
-            if validate_bicharacter(A.eps).ok else None)
-    for t in A.all_tuples() if live is None else live:
+    live = live_tuples(A.degrees, A.eps, n)
+    for t in live:
         lhs = A.alpha.apply(A.bracket_basis(t))
         rhs = dense(A.sparse_bracket([acols[i] for i in t]), dim)
         if lhs != rhs:
             report.add("twist-multiplicative", witness=t, expected=lhs, actual=rhs)
 
-    def jacobi_failures(xtuples, ytuples):
-        ydata = [(ys, support(A.bracket_basis(ys))) for ys in ytuples]
-        for xs in xtuples:
-            xdeg = A.degree_sum(A.degrees[i] for i in xs)
-            xac = [acols[i] for i in xs]
-            # [xs, y] for every basis vector y, the inner value of each slot
-            inners = [support(A.bracket_basis(xs + (y,))) for y in range(dim)]
-            for ys, inner in ydata:
-                lhs = dense(A.sparse_bracket(xac + [inner]), dim)
-                rhs = {}
-                for prefix, term in slot_brackets(A, ys, acols, inners, []):
-                    sign = A.eps.value(xdeg, prefix)
-                    accumulate(rhs, term, None if sign == 1 else sign)
-                rhs = dense(rhs.items(), dim)
-                if lhs != rhs:
-                    yield (xs, ys), rhs, lhs
+    def orbit(ts):
+        """Each distinct ordering of ts with its sign from normalize_tuple."""
+        return [(tp, normalize_tuple(tp, A.degrees, A.eps)[1])
+                for tp in set(permutations(ts))]
 
-    if live is not None and next(jacobi_failures(
-            live_tuples(A.degrees, A.eps, n - 1), live), None) is None:
-        return report
-    for witness, expected, actual in jacobi_failures(
-            product(range(dim), repeat=n - 1), product(range(dim), repeat=n)):
-        report.add("jacobi", witness=witness, expected=expected, actual=actual)
+    failures = []
+    ydata = [(ys, support(A.bracket_basis(ys))) for ys in live]
+    for xs in live_tuples(A.degrees, A.eps, n - 1):
+        xdeg = A.degree_sum(A.degrees[i] for i in xs)
+        xac = [acols[i] for i in xs]
+        # [xs, y] for every basis vector y, the inner value of each slot
+        inners = [support(A.bracket_basis(xs + (y,))) for y in range(dim)]
+        for ys, inner in ydata:
+            lhs = dense(A.sparse_bracket(xac + [inner]), dim)
+            rhs = {}
+            for prefix, term in slot_brackets(A, ys, acols, inners, []):
+                sign = A.eps.value(xdeg, prefix)
+                accumulate(rhs, term, None if sign == 1 else sign)
+            rhs = dense(rhs.items(), dim)
+            if lhs != rhs:
+                yorbit = orbit(ys)
+                failures += [((xp, yp), sx * sy, rhs, lhs)
+                             for xp, sx in orbit(xs) for yp, sy in yorbit]
+    failures.sort(key=lambda f: f[0])
+    for witness, s, expected, actual in failures:
+        report.add("jacobi", witness=witness,
+                   expected=[rational(s * c) for c in expected],
+                   actual=[rational(s * c) for c in actual])
     return report

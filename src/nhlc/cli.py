@@ -28,7 +28,7 @@ import os
 import sys
 
 from . import io_json
-from .algebra import HomMap, distinct_twists
+from .algebra import HomMap, distinct_twists, validate_algebra
 from .builders import BUILTIN_BUILDERS, build_simple_nlie
 from .errors import (AlgebraValidationError, ArityError, FormatError,
                      HypothesisError, InvertibilityError, NhlcError,
@@ -209,10 +209,7 @@ def _cmd_validate(args):
     try:
         A = io_json.load(args.file, validate=False)
         algebra_name = A.name
-        try:
-            report = io_json.check_axioms(A)
-        except AlgebraValidationError as exc:
-            report = exc.report
+        report = validate_algebra(A)
         results = {"valid": report.ok, "dimension": A.dim, "arity": A.arity}
     except NhlcError as exc:
         report.add("load", expected="loadable algebra file", actual=str(exc))

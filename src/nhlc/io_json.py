@@ -12,7 +12,7 @@ import sys
 
 from .algebra import ColorAlgebra, validate_algebra
 from .errors import AlgebraValidationError, FormatError
-from .grading import Bicharacter, GradingGroup, integer, validate_bicharacter
+from .grading import Bicharacter, GradingGroup, integer
 from .linalg import Matrix, rational
 
 # The most bits eps_bit_bound may give for a file to be loaded.  A product
@@ -133,11 +133,9 @@ def dict_to_algebra(doc, validate=True):
 
 
 def check_axioms(A):
-    """The axiom report of A: its bicharacter, then, if that passes, its
-    identities; raises AlgebraValidationError when A fails it."""
-    report = validate_bicharacter(A.eps)
-    if report.ok:
-        report.merge(validate_algebra(A))
+    """The axiom report of A (validate_algebra: an invalid bicharacter is
+    reported alone); raises AlgebraValidationError when A fails it."""
+    report = validate_algebra(A)
     if not report.ok:
         raise AlgebraValidationError(f"algebra {A.name!r} fails validation", report)
     return report

@@ -10,6 +10,7 @@ reference_bracket is the textbook multilinear expansion of a bracket, the
 other side of the tests of its kernel.
 """
 
+import os
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -449,3 +450,29 @@ def in_map_span(basis_maps, target):
     rows = span_basis([m.matrix.flatten() for m in basis_maps
                        if m.degree == target.degree])
     return subspace_contains(rows, target.matrix.flatten())
+
+
+# -- inputs and environment shared by test modules ------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def src_env(**extra):
+    """The environment of a child process: os.environ with this checkout's
+    src first on PYTHONPATH, so that the child runs the nhlc under test
+    whether or not the suite was started with PYTHONPATH, plus extra."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""),
+                **extra)
+
+
+# eps(odd, odd) = 2 is no bicharacter of Z/2; at arity 6 any sweep of the
+# Jacobi identity over ordered tuple pairs visits 4^5 x 4^6 of them
+BAD_EPS_DOC = {
+    "name": "bad-eps", "arity": 6, "group": {"free_rank": 0, "torsion": [2]},
+    "bicharacter": [["2"]],
+    "basis": [{"name": n, "degree": [d]} for n, d in
+              [("a", 0), ("b", 1), ("c", 0), ("d", 1)]],
+    "alpha": [[str(int(i == j)) for j in range(4)] for i in range(4)],
+    "brackets": []}

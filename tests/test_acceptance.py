@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from helpers import (a4_injection_mutants, in_map_span, naive_space_dimension,
-                     project_onto_maps, random_hom_map, subspace_eq)
+                     project_onto_maps, random_hom_map, src_env, subspace_eq)
 from nhlc import oracle
 from nhlc.algebra import HomMap, validate_algebra
 from nhlc.builders import build_abelian
@@ -195,20 +195,20 @@ def test_criterion_10_triple_equals_derivations(a4, super_heis):
 def test_criterion_11_determinism(tmp_path):
     """Byte-identical machine reports across consecutive runs and across
     NHLC_THREADS settings, for every builtin example."""
-    import os
     names = ["abelian", "a4", "simple-n", "twisted-a4", "super-heis"]
     for name in names:
         path = tmp_path / f"{name}.json"
         emit = subprocess.run([sys.executable, "-m", "nhlc.cli", "example",
-                               name, "-o", str(path)], capture_output=True)
+                               name, "-o", str(path)], capture_output=True,
+                              env=src_env(), timeout=120)
         assert emit.returncode == 0
         outputs = []
         for threads in ("1", "7"):
-            env = dict(os.environ, NHLC_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "nhlc.cli", "verify", "--all",
                  "--k-max", "1", "--json", str(path)],
-                capture_output=True, text=True, env=env)
+                capture_output=True, text=True,
+                env=src_env(NHLC_THREADS=threads), timeout=120)
             assert proc.returncode == 0, (name, proc.stdout[-500:])
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], name

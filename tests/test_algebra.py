@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,14 +9,16 @@ from hypothesis import strategies as st
 
 from itertools import combinations_with_replacement
 
-from helpers import (a4_injection_mutants, conjugate_algebra, is_canonical,
-                     random_basis_change, reference_bracket,
+from helpers import (BAD_EPS_DOC, a4_injection_mutants, conjugate_algebra,
+                     is_canonical, random_basis_change, reference_bracket,
                      reference_jacobi_failures)
+from nhlc import io_json
 from nhlc.algebra import (ColorAlgebra, HomMap, live_tuples, normalize_tuple,
                           validate_algebra)
 from nhlc.builders import build_abelian, build_simple_nlie, build_yau_twist
-from nhlc.errors import ShapeError
-from nhlc.grading import Bicharacter, GradingGroup, trivial_bicharacter
+from nhlc.errors import AlgebraValidationError, ShapeError
+from nhlc.grading import (Bicharacter, GradingGroup, trivial_bicharacter,
+                          validate_bicharacter)
 from nhlc.linalg import F1, Matrix, dense, support
 
 F = Fraction
@@ -319,10 +323,10 @@ def _jacobi_witnesses(A):
 
 
 def test_jacobi_witnesses_of_the_acceptance_mutants(a4):
-    """validate_algebra sweeps live pairs and, on a failure, the ordered
-    ones: its jacobi witnesses equal the full ordered reference's, in order
-    and number, on every acceptance mutant (the first is the pinned
-    a4_mutant, with 72)."""
+    """validate_algebra sweeps live pairs once and expands each failing one
+    into its orderings: its jacobi witnesses and values equal the full
+    ordered reference's, in order and number, on every acceptance mutant
+    (the first is the pinned a4_mutant, with 72)."""
     counts = []
     for mutation, mutant in a4_injection_mutants(a4):
         want = reference_jacobi_failures(mutant)
@@ -349,8 +353,7 @@ def test_jacobi_sweep_of_valid_algebras_matches_the_reference(name, seed,
 
 
 def _invalid_sign_heis3(color_heis3):
-    """COLOR_HEIS3 with eps(odd, odd) = 2: not a bicharacter of Z/2, so
-    validate_algebra sweeps the ordered pairs at once."""
+    """COLOR_HEIS3 with eps(odd, odd) = 2: not a bicharacter of Z/2."""
     A = color_heis3
     return ColorAlgebra("HEIS3_BAD_EPS", 3, A.group,
                         Bicharacter(A.group, [[F(2)]]), list(A.basis),
@@ -358,19 +361,15 @@ def _invalid_sign_heis3(color_heis3):
 
 
 @pytest.mark.parametrize("name", ["a4", "twisted_a4", "regraded_a4",
-                                  "super_heis", "color_heis3", "cross3",
-                                  "invalid_eps"])
+                                  "super_heis", "color_heis3", "cross3"])
 def test_jacobi_witnesses_of_random_graded_mutants(name, request):
     """A rational added to the value of a random live tuple at a random
     target of the right degree, six times: the jacobi witnesses equal the
-    reference's on every mutant, and some mutants fail, so the fallback
-    runs.  (COLOR_A4 and RATIONAL_HEIS are left out: each of their live
-    tuples has one target of the right degree, and rescaling it keeps the
-    identity.)"""
-    if name == "invalid_eps":
-        A = _invalid_sign_heis3(request.getfixturevalue("color_heis3"))
-    else:
-        A = request.getfixturevalue(name)
+    reference's on every mutant, and some mutants fail, so orbits are
+    expanded.  (COLOR_A4 and RATIONAL_HEIS are left out: each of their
+    live tuples has one target of the right degree, and rescaling it keeps
+    the identity.)"""
+    A = request.getfixturevalue(name)
     rng = random.Random(5)
     tuples = live_tuples(A.degrees, A.eps, A.arity)
     failing = 0
@@ -388,6 +387,68 @@ def test_jacobi_witnesses_of_random_graded_mutants(name, request):
         assert _jacobi_witnesses(mutant) == want, (t, j)
         failing += bool(want)
     assert failing
+
+
+def _no_bracket(*args):
+    raise AssertionError("a bracket was evaluated")
+
+
+@pytest.mark.parametrize("name", ["heis3", "arity6"])
+def test_invalid_bicharacter_is_reported_alone(name, color_heis3, monkeypatch):
+    """An invalid bicharacter is reported alone: validate_algebra returns
+    exactly validate_bicharacter's violations and evaluates no bracket, so
+    that no sweep runs.  The arity-6 algebra of BAD_EPS_DOC once took an
+    ordered sweep of 4^5 x 4^6 pairs."""
+    if name == "heis3":
+        A = _invalid_sign_heis3(color_heis3)
+    else:
+        A = io_json.loads(json.dumps(BAD_EPS_DOC), validate=False)
+    monkeypatch.setattr(ColorAlgebra, "sparse_bracket", _no_bracket)
+    monkeypatch.setattr(ColorAlgebra, "bracket_basis", _no_bracket)
+    start = time.perf_counter()
+    report = validate_algebra(A)
+    assert time.perf_counter() - start < 5
+    want = validate_bicharacter(A.eps).violations
+    assert want and report.violations == want
+
+
+def _axiom_case(case, a4, color_heis3):
+    """An algebra that passes its axioms, or fails exactly one kind."""
+    if case == "valid":
+        return a4
+    if case == "jacobi":
+        return a4_injection_mutants(a4)[0][1]
+    if case == "twist":
+        alpha = Matrix([[2 * x if c == 0 else x for c, x in enumerate(row)]
+                        for row in a4.alpha.data])
+        return ColorAlgebra("A4_twist", 3, a4.group, a4.eps, list(a4.basis),
+                            alpha, a4.constants)
+    if case == "grading":
+        A = color_heis3
+        constants = {t: dict(v) for t, v in A.constants.items()}
+        constants[(0, 0, 2)][0] = F(1)   # [x1, x1, y], even, gains odd x1
+        return ColorAlgebra("HEIS3_BAD_GRADING", 3, A.group, A.eps,
+                            list(A.basis), A.alpha, constants)
+    return _invalid_sign_heis3(color_heis3)
+
+
+@pytest.mark.parametrize("case", ["valid", "jacobi", "twist", "grading",
+                                  "bicharacter"])
+def test_check_axioms_raises_exactly_when_validate_algebra_fails(
+        case, a4, color_heis3):
+    """io_json.check_axioms is validate_algebra plus the raise: it raises
+    AlgebraValidationError exactly when the report has violations, and
+    the error carries the same violations."""
+    A = _axiom_case(case, a4, color_heis3)
+    report = validate_algebra(A)
+    assert report.ok == (case == "valid")
+    assert {v.check.split("-")[0] for v in report.violations} <= {case}
+    if report.ok:
+        assert io_json.check_axioms(A).violations == []
+    else:
+        with pytest.raises(AlgebraValidationError) as err:
+            io_json.check_axioms(A)
+        assert err.value.report.violations == report.violations
 
 
 # -- twist multiplicativity against the all-sorted reference ------------------

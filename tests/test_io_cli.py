@@ -12,31 +12,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import BAD_EPS_DOC, src_env
 from nhlc import io_json
 from nhlc.builders import build_simple_nlie, build_super_heis
 from nhlc.cli import main
 from nhlc.errors import AlgebraValidationError, DomainError, FormatError
 from nhlc.grading import Bicharacter, GradingGroup
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
-
-
-def _src_env():
-    """The environment with this checkout's src first on PYTHONPATH."""
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-
 
 def _run_cli(args, stdin_text=None, env_extra=None):
-    import os
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *args],
+    return subprocess.run([sys.executable, "-m", "nhlc.cli", *args],
                           input=stdin_text, capture_output=True, text=True,
-                          env=env)
-    return proc
+                          env=src_env(**(env_extra or {})), timeout=120)
 
 
 # -- file format ---------------------------------------------------------------
@@ -386,7 +373,7 @@ def test_example_to_an_unwritable_path_gets_a_report(tmp_path, where):
     out = tmp_path if where == "directory" else tmp_path / "missing" / "a4.json"
     proc = subprocess.run([sys.executable, "-m", "nhlc.cli", "example", "a4",
                            "-o", str(out)], capture_output=True, text=True,
-                          env=_src_env(), timeout=60)
+                          env=src_env(), timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr, proc.stderr
     assert f"cannot write {out}" in proc.stdout
@@ -408,7 +395,7 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path, args,
     (PYTHONUNBUFFERED) or at the flush: exit 1 and no BrokenPipeError, not
     a traceback (exit 1) or "Exception ignored" at exit (exit 120)."""
     io_json.save(build_simple_nlie(3), tmp_path / "a4.json")
-    env = _src_env()
+    env = src_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -436,7 +423,7 @@ _UNWRITABLE_STDOUT_CASES = [
 def _run_unwritable(tmp_path, args, **kwargs):
     io_json.save(build_simple_nlie(3), tmp_path / "a4.json")
     return subprocess.run([sys.executable, "-m", "nhlc.cli", *args],
-                          stderr=subprocess.PIPE, text=True, env=_src_env(),
+                          stderr=subprocess.PIPE, text=True, env=src_env(),
                           cwd=tmp_path, timeout=60, **kwargs)
 
 
@@ -489,16 +476,16 @@ def test_report_schema_stable(tmp_path):
 def test_traced_verify_prints_the_untraced_report(tmp_path):
     """perfbench/tracer.py wraps nhlc functions by name and raises when one
     it names is gone; traced, a command prints the same bytes as untraced."""
-    import os
     path = tmp_path / "a4.json"
     io_json.save(build_simple_nlie(3), path)
     args = ["verify", str(path), "--all", "--k-max", "0", "--json"]
     tracer = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench", "tracer.py")
     traced = subprocess.run([sys.executable, tracer, str(tmp_path / "trace.json"),
-                             "cli", *args], capture_output=True)
+                             "cli", *args], capture_output=True, env=src_env(),
+                            timeout=120)
     plain = subprocess.run([sys.executable, "-m", "nhlc.cli", *args],
-                           capture_output=True)
+                           capture_output=True, env=src_env(), timeout=120)
     assert traced.returncode == 0, traced.stderr.decode()
     assert plain.returncode == 0
     assert traced.stdout == plain.stdout
@@ -678,7 +665,7 @@ def test_huge_degrees_refused_at_load(tmp_path):
     path.write_text(json.dumps(_two_degree_doc(10 ** 6)))
     proc = subprocess.run(
         [sys.executable, "-m", "nhlc.cli", "validate", "--json", str(path)],
-        capture_output=True, text=True, timeout=20, env=_src_env())
+        capture_output=True, text=True, timeout=20, env=src_env())
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     [violation] = json.loads(proc.stdout)["violations"]
     assert violation["check"] == "load"
@@ -714,19 +701,10 @@ def test_zero_bicharacter_entry_refused_at_load(tmp_path, args):
     path.write_text(json.dumps(ZERO_ENTRY_DOC))
     proc = subprocess.run(
         [sys.executable, "-m", "nhlc.cli", *args, "--json", str(path)],
-        capture_output=True, text=True, timeout=20, env=_src_env())
+        capture_output=True, text=True, timeout=20, env=src_env())
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     [violation] = json.loads(proc.stdout)["violations"]
     assert "bicharacter entry (0, 1) is 0" in violation["actual"]
-
-
-BAD_EPS_DOC = {
-    "name": "bad-eps", "arity": 6, "group": {"free_rank": 0, "torsion": [2]},
-    "bicharacter": [["2"]],
-    "basis": [{"name": n, "degree": [d]} for n, d in
-              [("a", 0), ("b", 1), ("c", 0), ("d", 1)]],
-    "alpha": [[str(int(i == j)) for j in range(4)] for i in range(4)],
-    "brackets": []}
 
 
 @pytest.mark.parametrize("args", [
@@ -741,7 +719,7 @@ def test_invalid_bicharacter_refused_without_the_sweep(tmp_path, args):
     path.write_text(json.dumps(BAD_EPS_DOC))
     proc = subprocess.run(
         [sys.executable, "-m", "nhlc.cli", *args, "--json", str(path)],
-        capture_output=True, text=True, timeout=10, env=_src_env())
+        capture_output=True, text=True, timeout=10, env=src_env())
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     violations = json.loads(proc.stdout)["violations"]
     assert violations and all(v["check"].startswith("bicharacter-")
@@ -777,7 +755,7 @@ def test_huge_twist_power_is_read_at_its_class(tmp_path, request, name,
         return [*args, "--k", str(k), "--map", str(mp), "--json", str(path)]
     proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *cmd(K_HUGE)],
                           capture_output=True, text=True, timeout=10,
-                          env=_src_env())
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -811,7 +789,7 @@ def test_huge_k_max_costs_the_distinct_twists(tmp_path, name, phi, code):
         return ["verify", "--all", "--k-max", str(k_max), "--json", str(path)]
     proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *cmd(10 ** 8)],
                           capture_output=True, text=True, timeout=10,
-                          env=_src_env())
+                          env=src_env())
     assert proc.returncode == code, proc.stderr
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -841,7 +819,7 @@ def test_twist_power_of_infinite_order_refused(tmp_path, color_heis3):
                 "--json", str(path)]
     proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *cmd(K_HUGE)],
                           capture_output=True, text=True, timeout=10,
-                          env=_src_env())
+                          env=src_env())
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     [violation] = json.loads(proc.stdout)["violations"]
     assert violation["actual"] == (
@@ -871,7 +849,7 @@ def test_map_degree_outside_the_candidates_refused(tmp_path, rational_heis,
     cmd = [*args, "--k", "0", "--map", str(mp), "--json", str(path)]
     proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *cmd],
                           capture_output=True, text=True, timeout=10,
-                          env=_src_env())
+                          env=src_env())
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     [violation] = json.loads(proc.stdout)["violations"]
     assert "is not a difference of two basis degrees" in violation["actual"]
@@ -945,7 +923,7 @@ def test_cli_import_adds_no_dataclasses():
 
     def loaded(statement):
         proc = subprocess.run([sys.executable, "-c", code.format(statement)],
-                              capture_output=True, text=True, env=_src_env(),
+                              capture_output=True, text=True, env=src_env(),
                               timeout=60, check=True)
         return set(proc.stdout.split())
     added = loaded("import nhlc.cli; ") - loaded("")
@@ -975,7 +953,7 @@ for argv in (["example", "a4", "-o", "a4.json"],
 print(json.dumps(seen))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=_src_env(), cwd=tmp_path, timeout=60)
+                          text=True, env=src_env(), cwd=tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
     imported, example_file, validate, example, spaces = json.loads(proc.stdout)
     assert imported == example_file == validate == example == []
@@ -1025,7 +1003,7 @@ def test_subcommand_in_a_fresh_process(tmp_path, command, monkeypatch):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     proc = subprocess.run([sys.executable, "-m", "nhlc.cli", *argv],
-                          capture_output=True, text=True, env=_src_env(),
+                          capture_output=True, text=True, env=src_env(),
                           cwd=tmp_path, timeout=120)
     assert proc.stderr == ""
     assert (proc.stdout, proc.returncode) == (out.getvalue(), code)

@@ -4,9 +4,9 @@ Each command runs in process and the sha256 of its stdout is compared with
 a hash recorded at the parent of the change that added the pin, before any
 source file of that change was edited; so is its exit code.  A mismatch
 means a report changed by at least one byte, which a refactor must not do.
-Commands run in the directory of the fixture files, so the map and span
-files they name are relative paths and the reports that echo them are
-stable.
+Commands run in the directory of the fixture files, so the algebra, map
+and span files they name are relative paths and the reports that echo them
+are stable.
 """
 
 import hashlib
@@ -17,6 +17,7 @@ import pytest
 
 from nhlc import io_json
 from nhlc.algebra import ColorAlgebra, HomMap
+from nhlc.builders import build_simple_nlie
 from nhlc.cli import main
 from nhlc.linalg import Matrix
 from nhlc.spaces import double_derivation_space
@@ -158,6 +159,10 @@ PINS = {
         "066414dd2c7f6e081ca5ab65403b00bc65cf817d54ea18361459c15e3a27366d",
     "color_simple4: check --kind dder --k 0 --map color_simple4_identity_map.json --json":
         "ab4220ede6ae9a5d93af94ef68974ca5900d12c62f583855163b5980ac613c1b",
+    "simple4_mutant: validate --json":
+        "550491bea4b90538e5932165ab19a568bef6db3afea77ddac2175dc3aff5a96c",
+    "color_simple4_mutant: validate --json":
+        "e39d3348960899636c82df2eacf5e4a8fa89308ee12ac6feb0a2aae9fb5e0afe",
 }
 
 # commands whose exit code is not 0
@@ -177,6 +182,8 @@ EXIT_CODES = {
     "sl2_heis3: check --kind tder --k 0 --map sl2_heis3_identity_map.json": 1,
     "color_simple4: check --kind der --k 0 --map color_simple4_identity_map.json --json": 1,
     "color_simple4: check --kind dder --k 0 --map color_simple4_identity_map.json --json": 1,
+    "simple4_mutant: validate --json": 1,
+    "color_simple4_mutant: validate --json": 1,
 }
 
 
@@ -189,6 +196,17 @@ def _a4_mutant(a4):
                         a4.alpha, constants)
 
 
+def _off_target_mutant(A):
+    """A 4-Lie algebra with 1/3 added to the e4 coefficient of
+    [e1, e2, e3, e4], whose value is e5: it breaks the Jacobi identity on
+    1,296 ordered pairs, with Fraction values and, on COLOR_SIMPLE4, colour
+    signs.  e4 has degree 0, so the grading still holds."""
+    constants = {t: dict(v) for t, v in A.constants.items()}
+    constants[(0, 1, 2, 3)][3] = Fraction(1, 3)
+    return ColorAlgebra(A.name + "_mutant", 4, A.group, A.eps, list(A.basis),
+                        A.alpha, constants)
+
+
 @pytest.fixture(scope="module")
 def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
                   sl2_heis3, color_simple4):
@@ -197,10 +215,11 @@ def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
     for name, A in (("a4", a4), ("twisted_a4", twisted_a4),
                     ("super_heis", super_heis), ("color_heis3", color_heis3),
                     ("sl2_heis3", sl2_heis3), ("color_simple4", color_simple4),
-                    ("a4_mutant", _a4_mutant(a4))):
-        path = root / f"{name}.json"
-        io_json.save(A, path)
-        paths[name] = str(path)
+                    ("a4_mutant", _a4_mutant(a4)),
+                    ("simple4_mutant", _off_target_mutant(build_simple_nlie(4))),
+                    ("color_simple4_mutant", _off_target_mutant(color_simple4))):
+        io_json.save(A, root / f"{name}.json")
+        paths[name] = f"{name}.json"
     maps = {"a4_dder0_map.json": double_derivation_space(a4, 0).maps()[0],
             "twisted_a4_dder0_map.json":
                 double_derivation_space(twisted_a4, 0).maps()[0],
