@@ -13,8 +13,8 @@ from .algebra import (HomMap, distinct_twist_pairs, distinct_twists,
                       live_tuples, slot_brackets, twist_class)
 from .errors import DomainError
 from .linalg import (F0, Matrix, accumulate, coords_in_basis, dense,
-                     nullspace, nullspace_of_columns, solve_particular,
-                     support)
+                     linear_combination, nullspace, nullspace_of_columns,
+                     solve_particular, support)
 from .report import ValidationReport
 from .spaces import (GradedMapSpace, MapBlock, _unflatten, ad_map,
                      color_commutator, double_derivation_space,
@@ -100,6 +100,8 @@ def delta_of(algebra, D, k):
     _images(A, D, k) is linear in D's matrix; D = sum c_i R_i exactly, as
     the membership test finds no residue, and the product with solutions
     is linear too.  All of it is exact, so the matrix is the formula's.
+    The sum is one accumulation per row over the kept sparse rows of the
+    delta_(R_i) with c_i nonzero (linalg.linear_combination).
     """
     A = algebra
     require(A, k, "arity", "perfect", "centerless")
@@ -107,11 +109,8 @@ def delta_of(algebra, D, k):
     coords = coords_in_basis(span, D.matrix.flatten())
     if coords is None:
         raise DomainError("input map is not a double derivation")
-    out = Matrix.zeros(A.dim, A.dim)
-    for c, delta in zip(coords, _span_deltas(A, k, D.degree, span)):
-        if c:
-            out = out + delta.scale(c)
-    return HomMap(D.degree, out)
+    return HomMap(D.degree, linear_combination(
+        coords, _span_deltas(A, k, D.degree, span), A.dim, A.dim))
 
 
 def _basis_deltas(algebra, k):
@@ -231,15 +230,15 @@ def verify_delta_derivation_criterion(algebra, k_max):
             d = D.degree
             for gidx, (xs, degs, inner) in enumerate(inner_generators(A, s)):
                 lhs = color_commutator(D, inner, A.eps).matrix
-                first = ad_map(A, [delta.apply(xs[0])] + xs[1:], k + s)
-                rhs = first.matrix
+                signs = [1]
+                terms = [ad_map(A, [delta.apply(xs[0])] + xs[1:], k + s).matrix]
                 prefix = A.group.zero()
                 for j in range(1, n - 1):
                     prefix = A.group.add(prefix, degs[j - 1])
-                    sign = A.eps.value(d, prefix)
+                    signs.append(A.eps.value(d, prefix))
                     args = xs[:j] + [D.apply(xs[j])] + xs[j + 1:]
-                    rhs = rhs + ad_map(A, args, k + s).matrix.scale(sign)
-                if lhs != rhs:
+                    terms.append(ad_map(A, args, k + s).matrix)
+                if lhs != linear_combination(signs, terms, A.dim, A.dim):
                     report.add("delta-inner-commutator",
                                witness=(k, s, idx, gidx),
                                expected="slot expansion", actual="mismatch")
@@ -281,7 +280,6 @@ def inner_centralizer_in_double_derivations(algebra, k_max):
     A = algebra
     require(A, k_max, "arity", "perfect")
     inner_maps = union_space(A, "inner", k_max).maps()
-    zero = Matrix.zeros(A.dim, A.dim)
     blocks = []
     for block in union_space(A, "dder", k_max).blocks:
         basis = block.basis
@@ -290,9 +288,10 @@ def inner_centralizer_in_double_derivations(algebra, k_max):
               for c in color_commutator(B, I, A.eps).matrix.flatten()]
              for B in basis], len(basis))
         if kern:
+            mats = [B.matrix for B in basis]
             blocks.append(MapBlock(block.k, block.degree, [
-                HomMap(block.degree, sum((B.matrix.scale(c)
-                                          for c, B in zip(v, basis)), zero))
+                HomMap(block.degree,
+                       linear_combination(v, mats, A.dim, A.dim))
                 for v in kern]))
     return GradedMapSpace(A, "centralizer", blocks)
 

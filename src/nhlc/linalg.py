@@ -19,8 +19,17 @@ substitution are made dense, each entry an exact quotient.  A row space
 has exactly one reduced row echelon form, so every result is independent
 of the order in which rows arrive and bit-identical across runs.
 
-A sparse vector is the list [(i, x), ...] of its nonzero entries (support);
-matrix products and matrix-vector products visit only nonzero entries.
+A sparse vector is the list [(i, x), ...] of its nonzero entries (support).
+Sparse rows are kept per matrix and per span: a Matrix keeps the support of
+each row once it is first asked for (Matrix.sparse_rows), and a canonical
+basis keeps them from the moment span_basis builds it (Basis.sparse).
+Neither is changed after it is built, so the kept rows cannot go stale.
+Products, sums of products (product_sum) and linear combinations
+(linear_combination) accumulate over the kept rows of their factors, and
+membership tests and coordinates (subspace_contains, coords_in_basis) over
+those of the basis, so each visits only nonzero entries and makes its
+result dense and canonical once; a matrix-vector product visits the
+nonzero entries of the vector.
 """
 
 from fractions import Fraction
@@ -78,7 +87,7 @@ class Matrix:
     """Dense immutable rational matrix; its entries are canonical
     (rational)."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_sparse")
 
     def __init__(self, data, cols=None):
         data = tuple(tuple([x if type(x) is int else rational(x) for x in row])
@@ -92,6 +101,7 @@ class Matrix:
         self.data = data
         self.rows = len(data)
         self.cols = cols
+        self._sparse = None
 
     @classmethod
     def identity(cls, n):
@@ -106,6 +116,12 @@ class Matrix:
         """The rows x len(columns) matrix with the given columns."""
         return cls([[col[r] for col in columns] for r in range(rows)],
                    cols=len(columns))
+
+    def sparse_rows(self):
+        """The support of each row, computed on first use and kept."""
+        if self._sparse is None:
+            self._sparse = [support(row) for row in self.data]
+        return self._sparse
 
     def __getitem__(self, idx):
         return self.data[idx]
@@ -126,20 +142,7 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ShapeError("inner dimensions do not match")
-            orows = [support(row) for row in other.data]
-            data = []
-            for row in self.data:
-                acc = {}
-                for i, a in enumerate(row):
-                    if a:
-                        accumulate(acc, orows[i], a)
-                data.append(tuple(dense(acc.items(), other.cols)))
-            # dense rows are canonical: no second pass through __init__
-            out = object.__new__(Matrix)
-            out.data, out.rows, out.cols = tuple(data), self.rows, other.cols
-            return out
+            return product_sum([(F1, self, other)], self.rows, other.cols)
         return self.scale(other)
 
     def scale(self, c):
@@ -187,6 +190,45 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[[str(x) for x in row] for row in self.data]})"
+
+
+def _from_accumulators(accs, cols):
+    """The Matrix whose row r holds the entries of the dict accs[r], made
+    dense and canonical; the rows are canonical, so it is built without a
+    second pass through __init__, and its sparse rows are left to
+    sparse_rows."""
+    out = object.__new__(Matrix)
+    out.data = tuple(tuple(dense(acc.items(), cols)) for acc in accs)
+    out.rows, out.cols, out._sparse = len(accs), cols, None
+    return out
+
+
+def product_sum(terms, rows, cols):
+    """The rows x cols matrix sum of c L R over the terms (c, L, R), in one
+    accumulation per row over the sparse rows of every L and R."""
+    accs = [{} for _ in range(rows)]
+    for c, L, R in terms:
+        if L.rows != rows or L.cols != R.rows or R.cols != cols:
+            raise ShapeError("inner dimensions do not match")
+        rrows = R.sparse_rows()
+        for acc, lrow in zip(accs, L.sparse_rows()):
+            for i, a in lrow:
+                accumulate(acc, rrows[i], a if c == 1 else c * a)
+    return _from_accumulators(accs, cols)
+
+
+def linear_combination(coeffs, mats, rows, cols):
+    """The rows x cols matrix sum of c M over the pairs of coeffs and mats,
+    in one accumulation per row over the sparse rows of every M with c
+    nonzero."""
+    accs = [{} for _ in range(rows)]
+    for c, M in zip(coeffs, mats):
+        if c:
+            if M.rows != rows or M.cols != cols:
+                raise ShapeError("matrix shapes differ")
+            for acc, row in zip(accs, M.sparse_rows()):
+                accumulate(acc, row, c)
+    return _from_accumulators(accs, cols)
 
 
 def _as_int_row(sparse):
@@ -349,19 +391,30 @@ def solve_particular(M, b):
 # subspace arithmetic on lists of spanning vectors
 # ---------------------------------------------------------------------------
 
+class Basis(list):
+    """A canonical (RREF-row) basis as span_basis gives it: the list of its
+    dense rows, with the support of each in .sparse, computed once with
+    the basis.  Like a Matrix it is not changed after it is built."""
+
+    __slots__ = ("sparse",)
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.sparse = [support(row) for row in rows]
+
+
 def span_basis(vectors):
     """Canonical (RREF-row) basis of the span of the given vectors."""
-    return rref(vectors)[0]
+    return Basis(rref(vectors)[0])
 
 
 def _split(basis, v):
-    """(coefficients, residue) of v against a canonical RREF basis: the
+    """(coefficients, residue) of v against a canonical Basis: the
     coefficient of each basis row is the value of v at that row's pivot,
-    and it is subtracted over the support of the row."""
+    and it is subtracted over the row's kept support."""
     coeffs = []
     residue = [x if type(x) is int else rational(x) for x in v]
-    for row in basis:
-        row = support(row)
+    for row in basis.sparse:
         c = residue[row[0][0]]
         if type(c) is not int:
             c = rational(c)

@@ -58,8 +58,8 @@ from .algebra import (ColorAlgebra, HomMap, distinct_twist_pairs,
 from .errors import (AlgebraValidationError, ArityError, DomainError,
                      HypothesisError, ShapeError, TruncationError)
 from .linalg import (F0, F1, Matrix, RowReducer, accumulate, coords_in_basis,
-                     nullspace_of_columns, nullspace_of_rows, rational,
-                     span_basis, subspace_contains, support)
+                     nullspace_of_columns, nullspace_of_rows, product_sum,
+                     rational, span_basis, subspace_contains, support)
 from .report import ValidationReport
 
 KIND_LABELS = {"der": "Der", "dder": "DDer", "inner": "Inn"}
@@ -108,7 +108,8 @@ class GradedMapSpace:
 
     def span(self, degree):
         """Canonical (RREF) basis of the span of the maps of one degree, as
-        flattened matrices, computed once per space."""
+        flattened matrices, computed once per space with the sparse rows
+        that membership tests read (linalg.Basis)."""
         if degree not in self._spans:
             self._spans[degree] = span_basis([
                 m.matrix.flatten() for b in self.blocks
@@ -468,10 +469,12 @@ def centralizer(algebra, span_vectors):
 # ---------------------------------------------------------------------------
 
 def color_commutator(D1, D2, eps):
-    """[D, D'] = D D' - eps(d, d') D' D, of degree d + d'."""
-    sign = eps.value(D1.degree, D2.degree)
-    back = D2.matrix * D1.matrix
-    mat = D1.matrix * D2.matrix - (back if sign == 1 else back.scale(sign))
+    """[D, D'] = D D' - eps(d, d') D' D, of degree d + d', summed in one
+    accumulation per row over the kept sparse rows of both matrices
+    (linalg.product_sum) and made dense and canonical once."""
+    M1, M2 = D1.matrix, D2.matrix
+    mat = product_sum([(F1, M1, M2), (-eps.value(D1.degree, D2.degree), M2, M1)],
+                      M1.rows, M2.cols)
     return HomMap(eps.group.add(D1.degree, D2.degree), mat)
 
 

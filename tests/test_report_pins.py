@@ -12,9 +12,11 @@ are stable.
 import hashlib
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from helpers import conjugate_algebra, random_basis_change
 from nhlc import io_json
 from nhlc.algebra import ColorAlgebra, HomMap
 from nhlc.builders import build_simple_nlie
@@ -163,6 +165,12 @@ PINS = {
         "550491bea4b90538e5932165ab19a568bef6db3afea77ddac2175dc3aff5a96c",
     "color_simple4_mutant: validate --json":
         "e39d3348960899636c82df2eacf5e4a8fa89308ee12ac6feb0a2aae9fb5e0afe",
+    # Fraction entries in every commutator, shift and coordinate
+    "a4_conj: verify --all --k-max 0 --json":
+        "4b1492a14fcb8124aef629d801c132fa067fb108a8d3ecd03dbd52d3f518d514",
+    # colour signs in the commutators of the map algebra
+    "color_simple4: verify --all --k-max 1 --json":
+        "2f491c2d18591feaa14a93974315873c506162549c319cf8efbe7224dcfa2669",
 }
 
 # commands whose exit code is not 0
@@ -216,6 +224,8 @@ def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
                     ("super_heis", super_heis), ("color_heis3", color_heis3),
                     ("sl2_heis3", sl2_heis3), ("color_simple4", color_simple4),
                     ("a4_mutant", _a4_mutant(a4)),
+                    ("a4_conj", conjugate_algebra(
+                        a4, random_basis_change(a4, Random(4)), "A4_conj")),
                     ("simple4_mutant", _off_target_mutant(build_simple_nlie(4))),
                     ("color_simple4_mutant", _off_target_mutant(color_simple4))):
         io_json.save(A, root / f"{name}.json")
