@@ -29,14 +29,24 @@ def build_abelian(dim, group=None, degrees=None, eps=None, alpha=None,
     return out
 
 
+# The largest arity of build_simple_nlie.  Its brackets hold n^2 indices:
+# at n = 1000 the algebra file is 24 MB and takes seconds to write, and
+# at n = 10^5 it is not written before it exhausts memory.  The solver
+# reaches arities below 10.
+MAX_SIMPLE_ARITY = 256
+
+
 def build_simple_nlie(n):
-    """The (n+1)-dimensional simple n-Lie algebra with identity twist.
+    """The (n+1)-dimensional simple n-Lie algebra with identity twist,
+    for 2 <= n <= MAX_SIMPLE_ARITY.
 
     Dropping basis element i from (e_1, ..., e_{n+1}) brackets to
     (-1)^(n+1+i) e_i; those signs satisfy the n-ary Jacobi identity.
     """
     if n < 2:
         raise ArityError("arity must be at least 2")
+    if n > MAX_SIMPLE_ARITY:
+        raise ArityError(f"arity must be at most {MAX_SIMPLE_ARITY}")
     dim = n + 1
     group = GradingGroup()
     constants = {}

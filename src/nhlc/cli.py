@@ -10,9 +10,11 @@ variable is validated (an integer >= 1) and has no other effect: execution
 is sequential.
 
 Violations and verifier reports are serialized by nhlc.report alone, and
-algebra files are written by io_json.save alone.  A stdout that cannot
-take the output (closed early by its reader, as `| head -n 1` can, closed
-outright, or on a full device) ends the run with exit 1 and no traceback.
+algebra files are written by io_json.save alone.  A report keeps its
+violations as Violation objects, and --json writes it as it is encoded.
+A stdout that cannot take the output (closed early by its reader, as
+`| head -n 1` can, closed outright, or on a full device) ends the run with
+exit 1 and no traceback.
 
 A command imports the modules it runs: `validate` and `example` load no
 solver (spaces, delta, oracle, triple), so a process that only validates
@@ -26,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import io_json
 from .algebra import HomMap, distinct_twists, validate_algebra
@@ -33,7 +36,7 @@ from .builders import BUILTIN_BUILDERS, build_simple_nlie
 from .errors import (AlgebraValidationError, ArityError, FormatError,
                      HypothesisError, InvertibilityError, NhlcError,
                      TruncationError)
-from .report import ValidationReport, Violation
+from .report import ValidationReport, Violation, json_default
 
 
 def _threads():
@@ -63,7 +66,14 @@ def _report(command, algebra, parameters, results, violations, notices):
 def _emit(doc, as_json):
     out = sys.stdout
     if as_json:
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        # the bytes of json.dumps(doc, indent=2, sort_keys=True), written in
+        # batches of chunks: one write per chunk is one system call on an
+        # unbuffered stdout
+        chunks = json.JSONEncoder(indent=2, sort_keys=True,
+                                  default=json_default).iterencode(doc)
+        while batch := "".join(islice(chunks, 4096)):
+            out.write(batch)
+        out.write("\n")
         return
     if doc["command"] == "verify" and "checks" in doc["results"]:
         _emit_verify_text(doc, out)
@@ -82,7 +92,7 @@ def _emit(doc, as_json):
     if violations:
         out.write(f"violations ({len(violations)}):\n")
         for v in violations:
-            out.write(f"  - {json.dumps(v, sort_keys=True)}\n")
+            out.write(f"  - {json.dumps(v.to_json(), sort_keys=True)}\n")
     else:
         out.write("violations: none\n")
 
@@ -213,9 +223,8 @@ def _cmd_validate(args):
         results = {"valid": report.ok, "dimension": A.dim, "arity": A.arity}
     except NhlcError as exc:
         report.add("load", expected="loadable algebra file", actual=str(exc))
-    doc = report.to_json()
     return _report("validate", algebra_name, {"file": args.file},
-                   results, doc["violations"], doc["notices"])
+                   results, report.violations, report.notices)
 
 
 def _cmd_spaces(args):
@@ -272,7 +281,7 @@ def _cmd_check(args):
     violations = [] if ok else [
         Violation(f"oracle-{args.kind}", witness=repr(wit),
                   expected="identity holds pointwise",
-                  actual="counterexample found").to_json()]
+                  actual="counterexample found")]
     results = {"kind": args.kind, "k": args.k, "ok": ok,
                "witness": repr(wit) if wit else None}
     return _report("check", A.name, {"kind": args.kind, "k": args.k,
@@ -287,7 +296,6 @@ def _cmd_delta(args):
     D = _load_map(A, args.map)
     dmap = delta_mod.delta_of(A, D, args.k)
     wd = delta_mod.verify_delta_well_defined(A, D, args.k)
-    doc = wd.to_json()
     results = {
         "delta_matrix": io_json.matrix_to_grid(dmap.matrix),
         "degree": list(dmap.degree.exponents()),
@@ -295,7 +303,7 @@ def _cmd_delta(args):
         "equal_to_input": dmap.matrix == D.matrix,
     }
     return _report("delta", A.name, {"k": args.k, "map": args.map},
-                   results, doc["violations"], doc["notices"])
+                   results, wd.violations, wd.notices)
 
 
 def _build_map_algebra(A, source, k_max):
@@ -358,9 +366,13 @@ def _run_verify(A, k_max, triple_only):
             notices.append(f"{name}: skipped ({exc})")
             return
         entry["status"] = "passed" if report.ok else "violated"
-        entry.update(report.to_json())
-        violations.extend(dict(v, check=f"{name}:{v['check']}")
-                          for v in entry["violations"])
+        entry["violations"] = report.violations
+        entry["notices"] = report.notices
+        if report.details:
+            entry["details"] = report.details
+        violations.extend(Violation(f"{name}:{v.check}", v.witness,
+                                    v.expected, v.actual)
+                          for v in report.violations)
         notices.extend(f"{name}: {n}" for n in report.notices)
 
     axioms = io_json.check_axioms(A)
@@ -495,9 +507,9 @@ def _run(args):
         _threads()
         return args.fn(args)
     except NhlcError as exc:
-        violations = (exc.report.to_json()["violations"]
+        violations = (exc.report.violations
                       if isinstance(exc, AlgebraValidationError) else
-                      [Violation("error", actual=str(exc)).to_json()])
+                      [Violation("error", actual=str(exc))])
         return _report(args.command, None, {}, {"error": str(exc)},
                        violations, [])
 

@@ -48,7 +48,8 @@ class Violation:
 
 class ValidationReport:
     """A list of violations plus informational notices; empty list == valid.
-    details holds named results of the check, such as counts and tables."""
+    details holds named results of the check, such as counts and tables,
+    under string keys."""
 
     def __init__(self):
         self.violations = []
@@ -71,13 +72,13 @@ class ValidationReport:
         self.details.update(other.details)
         return self
 
-    def to_json(self):
-        """The violations and notices, and the details when there are any."""
-        doc = {"violations": [v.to_json() for v in self.violations],
-               "notices": list(self.notices)}
-        if self.details:
-            doc["details"] = _jsonable(self.details)
-        return doc
+
+def json_default(obj):
+    """The `default` of a JSON encoder of reports: a Violation encodes as
+    its to_json() dict, anything else as _jsonable gives it."""
+    if isinstance(obj, Violation):
+        return obj.to_json()
+    return _jsonable(obj)
 
 
 def _jsonable(obj, rationals=False):

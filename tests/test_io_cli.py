@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from helpers import BAD_EPS_DOC, src_env
 from nhlc import io_json
-from nhlc.builders import build_simple_nlie, build_super_heis
+from nhlc.builders import MAX_SIMPLE_ARITY, build_simple_nlie, build_super_heis
 from nhlc.cli import main
-from nhlc.errors import AlgebraValidationError, DomainError, FormatError
+from nhlc.errors import (AlgebraValidationError, ArityError, DomainError,
+                         FormatError)
 from nhlc.grading import Bicharacter, GradingGroup
 
 
@@ -194,6 +195,21 @@ def test_example_all_names(tmp_path):
         proc = _run_cli(["example", name, "-o", str(out)])
         assert proc.returncode == 0
         assert io_json.load(str(out)).dim >= 1
+
+
+def test_example_simple_n_refuses_arities_past_the_bound(capsys):
+    """The simple n-Lie algebra has n^2 bracket indices: example simple-n
+    --n 100000 once ran until killed.  Past MAX_SIMPLE_ARITY it exits 1
+    with an error report at once; the bound itself is built."""
+    assert build_simple_nlie(MAX_SIMPLE_ARITY).arity == MAX_SIMPLE_ARITY
+    with pytest.raises(ArityError, match="at most"):
+        build_simple_nlie(MAX_SIMPLE_ARITY + 1)
+    start = time.perf_counter()
+    assert main(["example", "simple-n", "--n", "100000"]) == 1
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out
+    assert f"error: arity must be at most {MAX_SIMPLE_ARITY}\n" in out
+    assert "violations (1):" in out
 
 
 def test_spaces_reports_dimension(tmp_path):
@@ -1157,3 +1173,43 @@ def test_spaces_labels_blocks_with_the_asked_k(tmp_path, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc["parameters"]["k"] == k
         assert [b["k"] for b in doc["results"]["blocks"]] == [k]
+
+
+# Runs `nhlc validate --json FILE` with stdout and stderr into files and
+# prints its exit code and peak RSS in KB.  Linux carries a process's peak
+# RSS across exec, and a child forked from the test process starts at the
+# test process's own, so the CLI is started by this fresh interpreter.
+PEAK_RSS_DRIVER = """
+import os, subprocess, sys
+out_path, err_path, algebra_path = sys.argv[1:]
+with open(out_path, "wb") as out, open(err_path, "wb") as err:
+    proc = subprocess.Popen([sys.executable, "-m", "nhlc.cli", "validate",
+                             "--json", algebra_path], stdout=out, stderr=err)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KB, and kept across exec, on Linux")
+def test_failing_report_is_written_as_it_is_encoded(tmp_path):
+    """Simple 5-Lie with 1 added to the e1 coefficient of [e1, .., e5]
+    fails the Jacobi identity on 34,560 ordered pairs, 14.9 MB of JSON.
+    Its report is held once, as Violations, and encoded as it is written:
+    the CLI peaks at about 32 MB RSS.  Dict copies of the violations and
+    the whole json.dumps string made it 171 MB."""
+    doc = json.loads(io_json.dumps(build_simple_nlie(5)))
+    [entry] = [e for e in doc["brackets"] if e["args"] == [0, 1, 2, 3, 4]]
+    entry["value"]["0"] = "1"
+    path = tmp_path / "simple5-mutant.json"
+    path.write_text(json.dumps(doc))
+    out, err = tmp_path / "out.json", tmp_path / "err.txt"
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_DRIVER, str(out),
+                           str(err), str(path)], capture_output=True,
+                          text=True, env=src_env(), timeout=120, check=True)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 1 and err.read_text() == ""
+    with open(out, encoding="utf-8") as fh:
+        assert sum(line.strip() == '"check": "jacobi",' for line in fh) == 34560
+    assert peak_kb < 64 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

@@ -171,6 +171,17 @@ PINS = {
     # colour signs in the commutators of the map algebra
     "color_simple4: verify --all --k-max 1 --json":
         "2f491c2d18591feaa14a93974315873c506162549c319cf8efbe7224dcfa2669",
+    # one json.dumps line per violation in text mode
+    "simple4_mutant: validate":
+        "455e0d879a7b8cb810439590dfecceffda97f1ac40c1c91564559fec4397f89d",
+    # the error report of an NhlcError (ArityError: dder needs arity >= 3)
+    "super_heis: spaces --kind dder --k 0 --json":
+        "f7930a4838840ae273832e9ca8f1da8ca994265f9a5711e0dae03d8884c93052",
+    "super_heis: spaces --kind dder --k 0":
+        "57ac540c2fbd2e2fa230f65d8c496f4a412b772ebf11566a44e7b23bd1e7abd0",
+    # the load violation of a file that is no algebra
+    "not_an_object: validate --json":
+        "14337a6c33feb7c7be2de0e70c148b12b650f71f451c0258be22a774671cb53a",
 }
 
 # commands whose exit code is not 0
@@ -192,6 +203,10 @@ EXIT_CODES = {
     "color_simple4: check --kind dder --k 0 --map color_simple4_identity_map.json --json": 1,
     "simple4_mutant: validate --json": 1,
     "color_simple4_mutant: validate --json": 1,
+    "simple4_mutant: validate": 1,
+    "super_heis: spaces --kind dder --k 0 --json": 1,
+    "super_heis: spaces --kind dder --k 0": 1,
+    "not_an_object: validate --json": 1,
 }
 
 
@@ -245,6 +260,8 @@ def algebra_files(tmp_path_factory, a4, twisted_a4, super_heis, color_heis3,
             json.dumps({"matrix": io_json.matrix_to_grid(D.matrix)}))
     (root / "a4_span.json").write_text(
         json.dumps({"vectors": [["1", "1/2", "0", "-1"]]}))
+    (root / "not_an_object.json").write_text("[]")
+    paths["not_an_object"] = "not_an_object.json"
     return root, paths
 
 
