@@ -345,11 +345,12 @@ def distinct_twist_pairs(algebra, k_max):
     return [(k, s) for k in ks for s in ks if k + s <= k_max]
 
 
-def slot_brackets(algebra, ts, acols, dcols, tail):
+def slot_brackets(algebra, ts, degrees, acols, dcols, tail):
     """For every slot q of ts: [acols[t_1], .., dcols[t_q], .., acols[t_m], *tail],
-    paired with the degree |t_1| + .. + |t_(q-1)| of the leaves before it.
-    Columns, tail and values are sparse vectors.  The one slot expansion of
-    the Jacobi sweep, the oracle and delta_D; the solver keeps its own."""
+    paired with the degree degrees[t_1] + .. + degrees[t_(q-1)] of the
+    entries before it.  Columns, tail and values are sparse vectors.  The
+    one slot expansion outside the solver, which keeps its own; slot_sum
+    signs and sums it."""
     A = algebra
     out = []
     prefix = A.group.zero()
@@ -357,8 +358,21 @@ def slot_brackets(algebra, ts, acols, dcols, tail):
         args = [acols[i] for i in ts] + tail
         args[q] = dcols[t]
         out.append((prefix, A.sparse_bracket(args)))
-        prefix = A.group.add(prefix, A.degrees[t])
+        prefix = A.group.add(prefix, degrees[t])
     return out
+
+
+def slot_sum(algebra, d, ts, degrees, acols, dcols, tail):
+    """The signed slot formula: the sum over the slots of slot_brackets of
+    eps(d, prefix) times the slot's bracket, as a dict {i: x} that may keep
+    cancelled entries as zeros.  The Jacobi sweep (d = |xs|), the oracle's
+    x-slot table, the tuple images of delta_D and the derivation criterion
+    take their signed slot sums from here."""
+    acc = {}
+    for prefix, term in slot_brackets(algebra, ts, degrees, acols, dcols, tail):
+        sign = algebra.eps.value(d, prefix)
+        accumulate(acc, term, None if sign == 1 else sign)
+    return acc
 
 
 class HomMap:
@@ -495,11 +509,8 @@ def validate_algebra(algebra):
         inners = [support(A.bracket_basis(xs + (y,))) for y in range(dim)]
         for ys, inner in ydata:
             lhs = dense(A.sparse_bracket(xac + [inner]), dim)
-            rhs = {}
-            for prefix, term in slot_brackets(A, ys, acols, inners, []):
-                sign = A.eps.value(xdeg, prefix)
-                accumulate(rhs, term, None if sign == 1 else sign)
-            rhs = dense(rhs.items(), dim)
+            rhs = dense(slot_sum(A, xdeg, ys, A.degrees, acols, inners,
+                                 []).items(), dim)
             if lhs != rhs:
                 yorbit = orbit(ys)
                 failures += [((xp, yp), sx * sy, rhs, lhs)

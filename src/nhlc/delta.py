@@ -10,16 +10,15 @@ by applying the formula to a kernel basis of the decomposition matrix.
 from itertools import product
 
 from .algebra import (HomMap, distinct_twist_pairs, distinct_twists,
-                      live_tuples, slot_brackets, twist_class)
+                      live_tuples, slot_brackets, slot_sum, twist_class)
 from .errors import DomainError
-from .linalg import (F0, Matrix, accumulate, coords_in_basis, dense,
-                     linear_combination, nullspace, nullspace_of_columns,
-                     solve_particular, support)
+from .linalg import (F0, Matrix, coords_in_basis, dense, linear_combination,
+                     nullspace, nullspace_of_columns, solve_particular,
+                     support)
 from .report import ValidationReport
-from .spaces import (GradedMapSpace, MapBlock, _unflatten, ad_map,
-                     color_commutator, double_derivation_space,
-                     inner_generators, memo, oracle_verdict, require,
-                     union_space)
+from .spaces import (GradedMapSpace, MapBlock, _unflatten, color_commutator,
+                     double_derivation_space, inner_generators, memo,
+                     oracle_verdict, require, union_space)
 
 
 def _decomposition(algebra):
@@ -50,25 +49,16 @@ def _decomposition(algebra):
     return memo(A, ("decomposition",), build)
 
 
-def _tuple_delta_image(algebra, t, D, acols, dcols):
-    """One decomposition tuple's contribution: the sum of its slot terms,
-    each times its Koszul prefix sign; acols and dcols are the sparse
-    columns of alpha^k and of D."""
-    A = algebra
-    acc = {}
-    for prefix, term in slot_brackets(A, t, acols, dcols, []):
-        accumulate(acc, term, A.eps.value(D.degree, prefix))
-    return dense(acc.items(), A.dim)
-
-
 def _images(algebra, D, k):
-    """The matrix whose columns are the decomposition tuples' images."""
-    tuples = _decomposition(algebra)[0]
-    acols = algebra.alpha_columns(k)
-    dcols = [support(D.matrix.column(i)) for i in range(algebra.dim)]
-    images = [_tuple_delta_image(algebra, t, D, acols, dcols)
-              for t in tuples]
-    return Matrix.from_columns(images, algebra.dim)
+    """The matrix whose columns are the decomposition tuples' images: the
+    signed slot formula (slot_sum) of each tuple t, with D in one slot and
+    alpha^k in the others."""
+    A = algebra
+    acols = A.alpha_columns(k)
+    dcols = [support(D.matrix.column(i)) for i in range(A.dim)]
+    return Matrix.from_columns(
+        [dense(slot_sum(A, D.degree, t, A.degrees, acols, dcols, []).items(),
+               A.dim) for t in _decomposition(A)[0]], A.dim)
 
 
 def _span_deltas(algebra, k, degree, span):
@@ -152,13 +142,13 @@ def verify_delta_well_defined_all(algebra, k_max):
 
 def _slot_failures(algebra, E, k, idx, tuples):
     """Per tuple t and slot s, in order, where E[t] differs from the signed
-    slot term of s (_tuple_delta_image): (witness, E[t], slot term)."""
+    slot term of s (slot_brackets): (witness, E[t], slot term)."""
     A = algebra
     acols = A.alpha_columns(k)
     dcols = [support(E.matrix.column(i)) for i in range(A.dim)]
     for t in tuples:
         lhs = E.apply(A.bracket_basis(t))
-        slots = slot_brackets(A, t, acols, dcols, [])
+        slots = slot_brackets(A, t, A.degrees, acols, dcols, [])
         for slot, (prefix, term) in enumerate(slots):
             sign = A.eps.value(E.degree, prefix)
             rhs = dense([(r, sign * c) for r, c in term], A.dim)
@@ -178,8 +168,8 @@ def verify_delta_residual_laws(algebra, k_max):
     fails one of the two laws, so a passing input never pays for the
     sweep: if the slot identity holds, each decomposition tuple t has n
     signed slot terms equal to E[t], so their sum, the tuple's image in
-    delta_E (_tuple_delta_image), is n E[t]; every x of the perfect algebra
-    is a combination of the [t], so delta_E = n E, and with delta_E = -n E
+    delta_E (_images), is n E[t]; every x of the perfect algebra is a
+    combination of the [t], so delta_E = n E, and with delta_E = -n E
     that forces E = 0.
     """
     A = algebra
@@ -209,11 +199,31 @@ def verify_delta_derivation_criterion(algebra, k_max):
     """delta preserves and detects derivations: delta_D is a derivation iff
     D is, with delta_D = D exactly on derivations; and commutators with
     inner generators expand by the slot formula with delta_D in slot one.
-    D and delta_D each get the oracle's verdict (spaces.oracle_verdict)."""
+    D and delta_D each get the oracle's verdict (spaces.oracle_verdict).
+
+    The expansion of [D, ad(x_1, .., x_(n-1))] at twist power k + s is read
+    one column at a time: its column at e_q is the signed slot sum
+    (algebra.slot_sum) over the generator's slots, with delta_D x_1 in slot
+    one, D x_j in slot j, the generator's x's in the other slots and the
+    sparse column alpha^(k+s) e_q last, each slot signed by the degrees of
+    the x's before it.  Column by column, that is the signed sum of the ad
+    maps of the slot formula.
+
+    spaces.ad_map refuses an argument that is not homogeneous or not fixed
+    by the twist.  No such argument reaches the sum on a valid input:
+
+    - the x_j are vectors of the fixed graded basis;
+    - D commutes with alpha, by the twist-commutation rows of its solve;
+    - delta_D commutes with alpha on a perfect, centerless, multiplicative
+      algebra: alpha commutes with D and alpha^k, so by multiplicativity
+      alpha delta_D [t] is the slot formula on [alpha t_1, .., alpha t_n]
+      = alpha [t], which well-definedness makes delta_D alpha [t];
+    - D and delta_D are homogeneous of degree |D|.
+
+    So D x_j and delta_D x_1 are homogeneous and fixed by the twist."""
     A = algebra
     require(A, k_max, "arity", "perfect", "centerless")
     report = ValidationReport()
-    n = A.arity
     for k in distinct_twists(A, k_max):
         for idx, (D, delta) in enumerate(_basis_deltas(A, k)):
             d_is_der = oracle_verdict(A, "der", D, k)[0]
@@ -225,20 +235,19 @@ def verify_delta_derivation_criterion(algebra, k_max):
             if d_is_der and delta.matrix != D.matrix:
                 report.add("delta-fixes-derivations", witness=(k, idx),
                            expected="delta_D = D", actual="different matrix")
+    slots = range(A.arity - 1)
     for k, s in distinct_twist_pairs(A, k_max):
+        tails = A.alpha_columns(k + s)
         for idx, (D, delta) in enumerate(_basis_deltas(A, k)):
-            d = D.degree
             for gidx, (xs, degs, inner) in enumerate(inner_generators(A, s)):
                 lhs = color_commutator(D, inner, A.eps).matrix
-                signs = [1]
-                terms = [ad_map(A, [delta.apply(xs[0])] + xs[1:], k + s).matrix]
-                prefix = A.group.zero()
-                for j in range(1, n - 1):
-                    prefix = A.group.add(prefix, degs[j - 1])
-                    signs.append(A.eps.value(d, prefix))
-                    args = xs[:j] + [D.apply(xs[j])] + xs[j + 1:]
-                    terms.append(ad_map(A, args, k + s).matrix)
-                if lhs != linear_combination(signs, terms, A.dim, A.dim):
+                xcols = [support(x) for x in xs]
+                dcols = [support(delta.apply(xs[0]))] + \
+                    [support(D.apply(x)) for x in xs[1:]]
+                rhs = Matrix.from_columns([dense(slot_sum(
+                    A, D.degree, slots, degs, xcols, dcols, [tail]).items(),
+                    A.dim) for tail in tails], A.dim)
+                if lhs != rhs:
                     report.add("delta-inner-commutator",
                                witness=(k, s, idx, gidx),
                                expected="slot expansion", actual="mismatch")

@@ -108,10 +108,6 @@ class Matrix:
         return cls([[F1 if i == j else F0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[F0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def from_columns(cls, columns, rows):
         """The rows x len(columns) matrix with the given columns."""
         return cls([[col[r] for col in columns] for r in range(rows)],

@@ -71,7 +71,7 @@ the first failing live pair, the live pairs being in product order too.
 
 from itertools import combinations_with_replacement, product
 
-from .algebra import live_tuples, skew_premises, slot_brackets
+from .algebra import live_tuples, skew_premises, slot_brackets, slot_sum
 from .errors import ArityError
 from .linalg import F1, accumulate, support
 
@@ -120,15 +120,13 @@ def _leibniz(algebra, D, k, live, full, witness):
         unit = [(r, F1)]
         if table == 2:
             return A.sparse_bracket([acols[i] for i in xs] + [unit]) if xs else unit
-        if table == 0 and not xs:
+        if table == 1:
+            return list(slot_sum(A, d, xs, A.degrees, acols, dcols, [unit]).items())
+        if not xs:
             return dcols[r]
         acc = {}
-        if table == 0:
-            for i, c in A.sparse_bracket([[(i, F1)] for i in xs] + [unit]):
-                accumulate(acc, dcols[i], c)
-        else:
-            for prefix, term in slot_brackets(A, xs, acols, dcols, [unit]):
-                accumulate(acc, term, sign(prefix))
+        for i, c in A.sparse_bracket([[(i, F1)] for i in xs] + [unit]):
+            accumulate(acc, dcols[i], c)
         return list(acc.items())
 
     def failures(xtuples, ytuples):
@@ -142,7 +140,8 @@ def _leibniz(algebra, D, k, live, full, witness):
                     inner[ys] = (support(A.bracket_basis(ys)),
                                  A.sparse_bracket([acols[i] for i in ys])
                                  if nested else [],
-                                 slot_brackets(A, ys, acols, dcols, []), {})
+                                 slot_brackets(A, ys, A.degrees, acols, dcols, []),
+                                 {})
                 value, value_k, yslots, usums = inner[ys]
                 if xdeg not in usums:
                     acc = {}

@@ -422,8 +422,9 @@ def project_onto_maps(basis_maps, target):
     """Exact orthogonal projection of a map onto the span of basis maps."""
     from nhlc.linalg import solve_particular
     if not basis_maps:
+        rows, cols = target.matrix.rows, target.matrix.cols
         return HomMap(target.degree,
-                      Matrix.zeros(target.matrix.rows, target.matrix.cols))
+                      Matrix([[0] * cols for _ in range(rows)]))
     rows = [m.matrix.flatten() for m in basis_maps]
     v = target.matrix.flatten()
     gram = [[sum((a * b for a, b in zip(r1, r2)), F0) for r2 in rows] for r1 in rows]

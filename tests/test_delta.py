@@ -98,7 +98,7 @@ def test_delta_fixes_derivations(a4, twisted_a4, skewed_sum):
 
 
 def test_delta_of_zero_map(a4):
-    z = HomMap(a4.group.zero(), Matrix.zeros(4, 4))
+    z = HomMap(a4.group.zero(), Matrix([[0] * 4 for _ in range(4)]))
     assert delta_of(a4, z, 0).matrix.is_zero()
 
 
@@ -128,7 +128,7 @@ def test_delta_output_is_double_derivation(a4):
 
 
 def test_delta_requires_hypotheses(abelian3, super_heis):
-    z3 = HomMap(abelian3.group.zero(), Matrix.zeros(3, 3))
+    z3 = HomMap(abelian3.group.zero(), Matrix([[0] * 3 for _ in range(3)]))
     with pytest.raises(HypothesisError):
         delta_of(abelian3, z3, 0)
 
@@ -158,11 +158,12 @@ def test_delta_by_coordinates_is_the_formula(name, request):
                  for s in range(k + 1)
                  for D1 in double_derivation_space(A, s).maps()[:3]
                  for D2 in double_derivation_space(A, k - s).maps()[:3]]
+        zero = Matrix([[0] * A.dim for _ in range(A.dim)])
         for block in space.blocks:
             for _ in range(2):
                 maps.append(HomMap(block.degree, sum(
                     (B.matrix.scale(F(rng.randint(-3, 3), rng.randint(1, 3)))
-                     for B in block.basis), Matrix.zeros(A.dim, A.dim))))
+                     for B in block.basis), zero)))
         for D in maps:
             assert delta_of(A, D, k).matrix == \
                 delta_mod._images(A, D, k) * solutions, (k, D)
@@ -198,21 +199,18 @@ def test_well_defined_catches_corrupted_formula(skewed_sum, monkeypatch):
     decomposition-independence and must be reported."""
     A = skewed_sum
 
-    def corrupted(algebra, t, D, acols, dcols):
-        ak = algebra.alpha_power(0)   # the check below runs at k = 0
-        out = [F(0)] * algebra.dim
+    def corrupted(algebra, d, ts, degrees, acols, dcols, tail):
+        out = {}
         prefix = algebra.group.zero()
-        for s in range(algebra.arity):
-            sign = algebra.eps.value(D.degree, prefix)
+        for s in range(len(ts)):
+            sign = algebra.eps.value(d, prefix)
             if s == 1:
                 sign = -sign  # deliberately wrong sign in the middle slot
-            args = [ak.column(t[u]) for u in range(s)] + \
-                   [D.matrix.column(t[s])] + \
-                   [ak.column(t[u]) for u in range(s + 1, algebra.arity)]
-            term = algebra.bracket(args)
-            for r in range(algebra.dim):
-                out[r] += sign * term[r]
-            prefix = algebra.group.add(prefix, algebra.degrees[t[s]])
+            args = [acols[t] for t in ts] + tail
+            args[s] = dcols[ts[s]]
+            for r, x in algebra.sparse_bracket(args):
+                out[r] = out.get(r, 0) + sign * x
+            prefix = algebra.group.add(prefix, degrees[ts[s]])
         return out
 
     # a derivation touching both summands; single-summand maps are blind
@@ -223,7 +221,7 @@ def test_well_defined_catches_corrupted_formula(skewed_sum, monkeypatch):
         acc = acc + m.matrix
     D = HomMap(maps[0].degree, acc)
     assert verify_delta_well_defined(A, D, 0).ok
-    monkeypatch.setattr(delta_mod, "_tuple_delta_image", corrupted)
+    monkeypatch.setattr(delta_mod, "slot_sum", corrupted)
     report = verify_delta_well_defined(A, D, 0)
     assert not report.ok
 
@@ -251,7 +249,7 @@ def test_delta_of_is_canonical(name, request, data):
         min_size=len(block.basis), max_size=len(block.basis)))
     D = HomMap(block.degree, sum((B.matrix.scale(c)
                                   for c, B in zip(coeffs, block.basis)),
-                                 Matrix.zeros(A.dim, A.dim)))
+                                 Matrix([[0] * A.dim for _ in range(A.dim)])))
     for M in (D.matrix, delta_of(A, D, k).matrix):
         assert all(is_canonical(x) for row in M.data for x in row)
 
@@ -365,6 +363,23 @@ def test_basis_map_deltas_computed_once(twisted_a4, monkeypatch):
 def test_derivation_criterion(a4, twisted_a4, color_a4, color_simple4):
     for A in (a4, twisted_a4, color_a4, color_simple4):
         assert verify_delta_derivation_criterion(A, 1).ok
+
+
+def test_derivation_criterion_needs_no_dense_bracket(
+        a4, twisted_a4, color_a4, color_simple4, monkeypatch):
+    """Once the inner generators are built, the criterion expands each
+    commutator through sparse slot sums and never calls the dense
+    ColorAlgebra.bracket."""
+    algebras = [_fresh(A) for A in (a4, twisted_a4, color_a4, color_simple4)]
+    for A in algebras:
+        for s in distinct_twists(A, 1):
+            inner_generators(A, s)
+
+    def no_dense_bracket(self, args):
+        raise AssertionError("dense bracket called")
+    monkeypatch.setattr(ColorAlgebra, "bracket", no_dense_bracket)
+    for A in algebras:
+        assert verify_delta_derivation_criterion(A, 1).ok, A.name
 
 
 def test_derivation_criterion_k0_edge(a4):
@@ -519,7 +534,7 @@ def test_inner_centralizer_per_twist_power_matches_every_block(name, phi):
             if kern:
                 expected.append((k, block.degree, [
                     sum((B.matrix.scale(c) for c, B in zip(v, block.basis)),
-                        Matrix.zeros(4, 4)) for v in kern]))
+                        Matrix([[0] * 4 for _ in range(4)])) for v in kern]))
     space = inner_centralizer_in_double_derivations(A, k_max)
     assert expected
     assert [(b.k, b.degree, [m.matrix for m in b.basis])

@@ -20,7 +20,7 @@ def test_nullspace_identity():
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace(Matrix.zeros(2, 3))
+    basis = nullspace(Matrix([[0] * 3 for _ in range(2)]))
     assert len(basis) == 3
     assert span_basis(basis) == span_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -43,7 +43,7 @@ def test_solve_identity():
 
 
 def test_solve_inconsistent():
-    assert solve_particular(Matrix.zeros(2, 2), [F(1), F(0)]) is None
+    assert solve_particular(Matrix([[0] * 2 for _ in range(2)]), [F(1), F(0)]) is None
 
 
 def test_solve_exact_division():

@@ -129,7 +129,7 @@ def test_delta_of_equals_the_scaled_sum(name, ks, request):
                                             zip(cs, maps)), 0)
                                        for q in range(A.dim)]
                                       for r in range(A.dim)]))
-                want = Matrix.zeros(A.dim, A.dim)
+                want = Matrix([[0] * A.dim for _ in range(A.dim)])
                 for c, delta in zip(coords_in_basis(span, D.matrix.flatten()),
                                     delta_mod._span_deltas(A, k, d, span)):
                     if c:

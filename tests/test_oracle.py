@@ -20,7 +20,7 @@ F = Fraction
 
 
 def _zero_map(A):
-    return HomMap(A.group.zero(), Matrix.zeros(A.dim, A.dim))
+    return HomMap(A.group.zero(), Matrix([[0] * A.dim for _ in range(A.dim)]))
 
 
 def test_zero_map_passes_everything(a4, super_heis):

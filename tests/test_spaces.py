@@ -435,7 +435,7 @@ def test_alpha_power_stops_at_the_first_repeat():
     start = time.perf_counter()
     assert quarter.alpha_power(10 ** 9 + 3) == plain_power(quarter.alpha, 3)
     assert quarter.alpha_power(-10 ** 9 - 1) == plain_power(quarter.alpha, 3)
-    assert nilpotent.alpha_power(10 ** 9) == Matrix.zeros(3, 3)
+    assert nilpotent.alpha_power(10 ** 9) == Matrix([[0] * 3 for _ in range(3)])
     assert time.perf_counter() - start < 1
     assert [len(quarter._twists[s]["powers"]) for s in (1, -1)] == [4, 4]
     assert len(nilpotent._twists[1]["powers"]) == 4
@@ -675,7 +675,8 @@ def test_coordinates_in_the_merged_basis(a4, super_heis):
     even = super_heis.group.zero()
     n = super_heis.dim
     assert even not in inn.degrees()
-    assert inn.coordinates(HomMap(even, Matrix.zeros(n, n))) == \
+    zero = Matrix([[0] * n for _ in range(n)])
+    assert inn.coordinates(HomMap(even, zero)) == \
         [F(0)] * len(inn.merged_basis())
     assert inn.coordinates(HomMap(even, Matrix.identity(n))) is None
 
