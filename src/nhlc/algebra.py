@@ -7,7 +7,7 @@ stored tuples by sign-normalizing adjacent swaps.  Brackets are evaluated
 on sparse arguments against a memo of sparse basis-bracket values.
 """
 
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 
 from .errors import ArityError, DomainError, InvertibilityError, ShapeError
 from .grading import integer, validate_bicharacter
@@ -259,9 +259,6 @@ class ColorAlgebra:
     def stored_tuples(self):
         return sorted(self.constants)
 
-    def all_tuples(self):
-        return combinations_with_replacement(range(self.dim), self.arity)
-
     def __repr__(self):
         return f"ColorAlgebra({self.name!r}, arity={self.arity}, dim={self.dim})"
 
@@ -366,8 +363,8 @@ def slot_sum(algebra, d, ts, degrees, acols, dcols, tail):
     """The signed slot formula: the sum over the slots of slot_brackets of
     eps(d, prefix) times the slot's bracket, as a dict {i: x} that may keep
     cancelled entries as zeros.  The Jacobi sweep (d = |xs|), the oracle's
-    x-slot table, the tuple images of delta_D and the derivation criterion
-    take their signed slot sums from here."""
+    x-slot table and y-slot sums, the tuple images of delta_D and the
+    derivation criterion take their signed slot sums from here."""
     acc = {}
     for prefix, term in slot_brackets(algebra, ts, degrees, acols, dcols, tail):
         sign = algebra.eps.value(d, prefix)

@@ -5,10 +5,10 @@ raises; the twist-by-morphism builder re-validates its output because the
 twisted bracket is only trusted after the axioms are machine-checked.
 """
 
-from .algebra import ColorAlgebra, HomMap, validate_algebra
+from .algebra import ColorAlgebra, HomMap, live_tuples, validate_algebra
 from .errors import AlgebraValidationError, ArityError, ShapeError
 from .grading import Bicharacter, GradingGroup, trivial_bicharacter
-from .linalg import F1, Matrix
+from .linalg import F1, Matrix, dense, support
 
 
 def build_abelian(dim, group=None, degrees=None, eps=None, alpha=None,
@@ -65,6 +65,16 @@ def build_yau_twist(algebra, phi, name):
 
     New bracket = phi o old bracket, new twist = phi.  The result is
     validated; anything failing the axioms is rejected.
+
+    phi is checked to be a bracket morphism on live tuples (live_tuples),
+    after it is checked to be even.  That is the check on every sorted
+    tuple, with the same first witness: the live tuples are the sorted
+    ones, in order, less the dead ones, and both sides vanish on a dead
+    one.  A dead tuple repeats an index i with eps(g, g) = 1 in adjacent
+    slots, so its basis bracket is zero, and so is the bracket of the
+    phi e_i, homogeneous of degree g since phi is even: normalize_tuple
+    signs the two orders of each pair of their entries by -eps(g, g) = -1,
+    so they cancel.
     """
     A = algebra
     if not isinstance(phi, Matrix):
@@ -75,11 +85,10 @@ def build_yau_twist(algebra, phi, name):
         raise ShapeError("phi must be a dim x dim matrix")
     if not HomMap(A.group.zero(), phi).respects_blocks(A):
         raise ShapeError("phi is not even")
-    pcols = [phi.column(i) for i in range(A.dim)]
-    for t in A.all_tuples():
+    pcols = [support(phi.column(i)) for i in range(A.dim)]
+    for t in live_tuples(A.degrees, A.eps, A.arity):
         lhs = phi.apply(A.bracket_basis(t))
-        rhs = A.bracket([pcols[i] for i in t])
-        if lhs != rhs:
+        if lhs != dense(A.sparse_bracket([pcols[i] for i in t]), A.dim):
             raise ShapeError(f"phi is not a bracket morphism; witness tuple {t}")
     constants = {}
     for t in A.stored_tuples():

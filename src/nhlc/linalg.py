@@ -405,15 +405,14 @@ def span_basis(vectors):
 
 
 def _split(basis, v):
-    """(coefficients, residue) of v against a canonical Basis: the
-    coefficient of each basis row is the value of v at that row's pivot,
-    and it is subtracted over the row's kept support."""
+    """(coefficients, residue) of v against a canonical Basis: every other
+    row is zero at a row's pivot, so the row's coefficient is the value of
+    v there, made canonical once, and it is subtracted over the row's kept
+    support."""
     coeffs = []
-    residue = [x if type(x) is int else rational(x) for x in v]
+    residue = list(v)
     for row in basis.sparse:
-        c = residue[row[0][0]]
-        if type(c) is not int:
-            c = rational(c)
+        c = rational(v[row[0][0]])
         coeffs.append(c)
         if c:
             for i, b in row:

@@ -25,10 +25,11 @@ Each side is evaluated once per linear map, not once per pair: the bracket
 is linear in its last argument, so for each outer tuple xs the maps
 w -> D[xs, w], w -> [alpha^k xs, w] and the signed sum of the x-slot terms
 are kept as tables of their columns at the basis vectors, filled on first
-use, and the signed y-slot terms of ys are summed into one vector before
-the one lookup (proof in _leibniz).  The residual of every pair is the
-same exact vector as the direct evaluation's, so the verdicts, the
-witnesses and the order of the sweeps are unchanged.
+use, and the signed y-slot terms of ys are summed into one vector once
+per ys, which each xs scales by eps(d, |xs|) (proof in _leibniz).  The
+residual of every pair is the same exact vector as the direct
+evaluation's, so the verdicts, the witnesses and the order of the sweeps
+are unchanged.
 
 Each check sweeps once.  It sweeps live tuples (algebra.live_tuples) in
 place of the sets above, for tder live pairs in place of ordered ones,
@@ -71,7 +72,7 @@ the first failing live pair, the live pairs being in product order too.
 
 from itertools import combinations_with_replacement, product
 
-from .algebra import live_tuples, skew_premises, slot_brackets, slot_sum
+from .algebra import live_tuples, skew_premises, slot_sum
 from .errors import ArityError
 from .linalg import F1, accumulate, support
 
@@ -88,20 +89,28 @@ def _leibniz(algebra, D, k, live, full, witness):
     M(xs, w) = [xs, w] for the last argument w (M((), w) = w), a = alpha^k,
     and P_q for the degree of the leaves before slot q.  The residual is
 
-        X_xs([a ys]) + Ad_xs(u(ys, |xs|)) - D M(xs, [ys]),
+        X_xs([a ys]) + eps(d, |xs|) Ad_xs(u(ys)) - D M(xs, [ys]),
 
     with X_xs(w) = sum over the slots q of xs of eps(d, P_q) [.., D x_q, .., w],
-    Ad_xs(w) = M(a xs, w), and u(ys, g) = sum over the slots q of ys of
-    eps(d, g + P_q) [a y_1, .., D y_q, .., a y_n].  It is the sum of the
-    identity's terms regrouped: each y-slot term is eps(d, |xs| + P_q)
-    [a xs, v_q], and the bracket is linear in its last argument.  X_xs,
-    Ad_xs and D M(xs, .) are linear maps, so each is applied as the
-    combination of its columns at the e_r in the support of its argument,
-    computed once per xs and only for the r that occur; u is summed once
-    per (ys, |xs|).  All of this is exact rational arithmetic on the same
-    multilinear sparse_bracket, so each pair's residual is the same vector
-    as that of the 2n brackets it replaces, with or without the premises:
-    the same pairs fail, in the same order, with the same witnesses.
+    Ad_xs(w) = M(a xs, w), and u(ys) = sum over the slots q of ys of
+    eps(d, P_q) [a y_1, .., D y_q, .., a y_n] (algebra.slot_sum).  It is the
+    sum of the identity's terms regrouped: each y-slot term is
+    eps(d, |xs| + P_q) [a xs, v_q], the bracket is linear in its last
+    argument, and eps(d, |xs| + P_q) = eps(d, |xs|) eps(d, P_q) by
+    bimultiplicativity.  That is exact on the free coordinates of the
+    degrees, whose exponents add.  A torsion coordinate of order m is
+    reduced mod m, so it is exact there whenever the bicharacter-torsion
+    check of validate_bicharacter passes: every entry of that row and
+    column then has m-th power 1, and its power depends on the exponent
+    only mod m.  Every CLI path loads an algebra with that check.  So u is
+    summed once per ys, and no slot term is signed here.  X_xs, Ad_xs and
+    D M(xs, .) are linear maps, so each is applied as the combination of
+    its columns at the e_r in the support of its argument, computed once
+    per xs and only for the r that occur.  All of this is exact rational
+    arithmetic on the same multilinear sparse_bracket, so each pair's
+    residual is the same vector as that of the 2n brackets it replaces, on
+    the live and on the full sweep: the same pairs fail, in the same
+    order, with the same witnesses.
     """
     A = algebra
     if D.matrix * A.alpha != A.alpha * D.matrix:
@@ -109,11 +118,7 @@ def _leibniz(algebra, D, k, live, full, witness):
     d = D.degree
     acols = A.alpha_columns(k)
     dcols = [support(D.matrix.column(i)) for i in range(A.dim)]
-    inner = {}   # ys -> ([ys], [a ys], slot terms of ys, {|xs|: u(ys, |xs|)})
-
-    def sign(prefix):
-        s = A.eps.value(d, prefix)
-        return None if s == 1 else s
+    inner = {}   # ys -> ([ys], [a ys], u(ys))
 
     def column(xs, table, r):
         # the column at e_r of D M(xs, .) (table 0), X_xs (1) or Ad_xs (2)
@@ -133,23 +138,18 @@ def _leibniz(algebra, D, k, live, full, witness):
         nested = xtuples != [()]   # only der has the x-set [()], a list
         ytuples = list(ytuples)
         for xs in xtuples:
-            xdeg = A.degree_sum(A.degrees[i] for i in xs)
+            xsign = A.eps.value(d, A.degree_sum(A.degrees[i] for i in xs))
             cols = {}   # (table, r) -> column(xs, table, r)
             for ys in ytuples:
                 if ys not in inner:
+                    usum = slot_sum(A, d, ys, A.degrees, acols, dcols, [])
                     inner[ys] = (support(A.bracket_basis(ys)),
                                  A.sparse_bracket([acols[i] for i in ys])
                                  if nested else [],
-                                 slot_brackets(A, ys, A.degrees, acols, dcols, []),
-                                 {})
-                value, value_k, yslots, usums = inner[ys]
-                if xdeg not in usums:
-                    acc = {}
-                    for p, v in yslots:
-                        accumulate(acc, v, sign(A.group.add(xdeg, p)))
-                    usums[xdeg] = [(r, c) for r, c in acc.items() if c]
+                                 [(r, c) for r, c in usum.items() if c])
+                value, value_k, usum = inner[ys]
                 diff = {}
-                for table, w, coeff in ((1, value_k, 1), (2, usums[xdeg], 1),
+                for table, w, coeff in ((1, value_k, 1), (2, usum, xsign),
                                         (0, value, -1)):
                     for r, c in w:
                         col = cols.get((table, r))

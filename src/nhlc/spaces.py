@@ -210,46 +210,54 @@ def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
     unknown map of degree d, one pair (xs, ys) after the other, each row
     with its columns in index order and its zeros dropped; zero rows are
     skipped.
-    The values [ys], [alpha^k ys] and [ys] with the unknown in each slot are
-    computed once per inner tuple ys.
 
-    A nested y-slot term is [alpha^k xs, v] for a value v of the inner
-    bracket with the unknown in one slot.  The bracket is linear in its
-    last argument, so it is sum over r of v_r [alpha^k xs, e_r]: it is read
-    off one table per xs of the columns of w -> [alpha^k xs, w], each
-    bracketed once, on first use, in place of one bracket per unknown and
-    slot.  The arithmetic is exact, so every term, and so every row and
-    its order, is the same as the direct bracket's."""
+    One rule gives every nested term.  The bracket is linear in its last
+    argument, so [*args, v] is the sum over r of v_r [*args, e_r]: it is
+    read off a table of the columns [*args, e_r], each bracketed once, on
+    first use (linear).  With a = alpha^k, the three nested quantities of
+    [xs, [ys]] are each linear in an inner bracket value:
+
+    - the value [xs, [ys]]: one table per xs, of w -> [xs, w], at [ys];
+    - the x-slot terms [a xs with e_j in slot q, [a ys]]: one table per
+      xs, slot q and unknown (j, x_q), at [a ys];
+    - the y-slot terms [a xs, v], v the bracket of a ys with the unknown
+      in one slot: one table per xs, of w -> [a xs, w], at v.
+
+    [ys], [a ys] and the slot brackets v are computed once per ys (for der,
+    xs = (), they are the value and the slot terms themselves), and the
+    tables fill once per xs, so no bracket is taken per pair.  The
+    arithmetic is exact, so every term, and so every row and its order, is
+    the same as the direct bracket's.
+    """
     dim = A.dim
     g = A.group
     acols = A.alpha_columns(k)
     nested = xtuples != [()]
 
-    def unknown_slots(ts, tail):
-        # per slot of ts: (degree of the leaves before it, [(vx, term)]),
-        # term = [alpha^k ts with e_j in the slot, *tail] for unknowns (j, t)
+    def unknown_slots(ts):
+        # per slot of ts: (degree of the leaves before it, [(vx, args)]),
+        # args = alpha^k ts with e_j in the slot, for the unknowns (j, t)
         out = []
         prefix = g.zero()
         for q, t in enumerate(ts):
-            args = [acols[i] for i in ts] + tail
             terms = []
             for j in range(dim):
                 vx = var_index.get((j, t))
                 if vx is not None:
+                    args = [acols[i] for i in ts]
                     args[q] = [(j, F1)]
-                    terms.append((vx, A.sparse_bracket(args)))
+                    terms.append((vx, args))
             out.append((prefix, terms))
             prefix = g.add(prefix, A.degrees[t])
         return out
 
-    def ad_term(ad, xargs, v):
-        # [alpha^k xs, v] from the columns ad[r] = [alpha^k xs, e_r],
-        # each bracketed on first use
+    def linear(table, args, v):
+        # [*args, v] from the columns table[r] = [*args, e_r]
         acc = {}
         for r, c in v:
-            col = ad.get(r)
+            col = table.get(r)
             if col is None:
-                col = ad[r] = A.sparse_bracket(xargs + [[(r, F1)]])
+                col = table[r] = A.sparse_bracket(args + [[(r, F1)]])
             accumulate(acc, col, c)
         return acc.items()
 
@@ -258,38 +266,40 @@ def _leibniz_rows(A, k, d, var_index, xtuples, ytuples):
         xargs = [acols[i] for i in xs]
         xunits = [[(i, F1)] for i in xs]
         xdeg = A.degree_sum(A.degrees[i] for i in xs)
-        ad = {}   # the column table of w -> [alpha^k xs, w]
+        value_table, ad = {}, {}   # columns of w -> [xs, w], [alpha^k xs, w]
+        xslots = [(p, [(vx, args, {}) for vx, args in terms])
+                  for p, terms in unknown_slots(xs)]
         for ys in ytuples:
             if ys not in inner:
                 inner[ys] = (support(A.bracket_basis(ys)),
                              A.sparse_bracket([acols[i] for i in ys])
                              if nested else None,
-                             unknown_slots(ys, []))
+                             [(p, [(vx, A.sparse_bracket(args))
+                                   for vx, args in terms])
+                              for p, terms in unknown_slots(ys)])
             value, value_k, yslots = inner[ys]
             slots = [(g.add(xdeg, p), terms) for p, terms in yslots]
             if nested:
-                value = A.sparse_bracket(xunits + [value])
-                slots = unknown_slots(xs, [value_k]) + [
-                    (p, [(vx, ad_term(ad, xargs, v)) for vx, v in terms])
+                value = linear(value_table, xunits, value)
+                slots = [(p, [(vx, linear(table, args, value_k))
+                              for vx, args, table in terms])
+                         for p, terms in xslots] + [
+                    (p, [(vx, linear(ad, xargs, v)) for vx, v in terms])
                     for p, terms in slots]
-            # row r is D(value)_r minus the signed slot terms; the
-            # coefficients of each unknown vx are gathered as {r: c}
-            cols = {}
+            # row r is D(value)_r minus the signed slot terms, as {vx: c}
+            rows = [{} for _ in range(dim)]
             for i, c in value:
                 for r in range(dim):
                     vx = var_index.get((r, i))
                     if vx is not None:
-                        cols[vx] = {r: c}
+                        rows[r][vx] = c
             for prefix, terms in slots:
                 sign = -A.eps.value(d, prefix)
                 for vx, term in terms:
-                    accumulate(cols.setdefault(vx, {}), term, sign)
-            rows = [[] for _ in range(dim)]
-            for vx in sorted(cols):
-                for r, c in cols[vx].items():
-                    if c:
-                        rows[r].append((vx, c))
+                    for r, c in term:
+                        rows[r][vx] = rows[r].get(vx, 0) + sign * c
             for row in rows:
+                row = sorted((vx, c) for vx, c in row.items() if c)
                 if row:
                     yield row
 

@@ -384,7 +384,7 @@ def conjugate_algebra(A, P, name):
                if A.degrees[j] != A.degrees[i])
     pcols = [P.column(i) for i in range(A.dim)]
     constants = {}
-    for t in A.all_tuples():
+    for t in combinations_with_replacement(range(A.dim), A.arity):
         w = A.bracket([pcols[i] for i in t])
         v = Pinv.apply(w)
         entry = {j: c for j, c in enumerate(v) if c != 0}

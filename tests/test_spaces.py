@@ -10,8 +10,9 @@ from helpers import (conjugate_algebra, direct_sum, in_map_span,
                      naive_space_dimension, plain_power, random_basis_change,
                      random_hom_map, subspace_eq)
 from nhlc import oracle, spaces
-from nhlc.algebra import (MAX_TWIST_POWERS, HomMap, distinct_twist_pairs,
-                          distinct_twists, twist_class, validate_algebra)
+from nhlc.algebra import (MAX_TWIST_POWERS, ColorAlgebra, HomMap,
+                          distinct_twist_pairs, distinct_twists, twist_class,
+                          validate_algebra)
 from nhlc.builders import (build_abelian, build_simple_nlie, build_twisted_a4,
                            build_yau_twist)
 from nhlc.errors import (ArityError, DomainError, HypothesisError,
@@ -995,6 +996,35 @@ def test_reducer_rows_are_sparse(name, request):
                     assert cols and cols == sorted(set(cols)), (X.name, k, d)
                     assert 0 <= cols[0] and cols[-1] < len(vars_)
                     assert all(c for _, c in row)
+
+
+def test_leibniz_rows_bracket_nothing_per_pair(monkeypatch):
+    """Every nested term of the row builder is read off a column table
+    filled once per outer tuple, and [ys], [alpha^k ys] and the inner slot
+    brackets once per inner tuple: so sweeping each y-tuple a second time
+    takes no further sparse_bracket call, only the same rows again.  The
+    case is TDer of the 15-dimensional DDer map algebra of simple 5-Lie at
+    its first candidate degree, singletons x live pairs."""
+    M = maps_as_color_algebra(union_space(build_simple_nlie(5), "dder", 0))
+    assert M.dim == 15
+    d = candidate_degrees(M)[0]
+    var_index = {v: x for x, v in enumerate(_allowed_positions(M, d))}
+    singles = [(x,) for x in range(M.dim)]
+    pairs = live_tuples(M.degrees, M.eps, 2)
+    sparse_bracket = ColorAlgebra.sparse_bracket
+    calls = []
+
+    def counted(self, args):
+        calls.append(None)
+        return sparse_bracket(self, args)
+    monkeypatch.setattr(ColorAlgebra, "sparse_bracket", counted)
+    counts, rows = [], []
+    for ytuples in (pairs, pairs + pairs):
+        calls.clear()
+        rows.append(list(_leibniz_rows(M, 0, d, var_index, singles, ytuples)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert len(rows[1]) == 2 * len(rows[0]) > 0
 
 
 @pytest.mark.parametrize("name", [
